@@ -17,8 +17,10 @@
 //!   most one of them — the block-skippable variant of the adaptive
 //!   intersection engine.
 //! * Two Elias-Fano monotone sequences index the stream: cumulative
-//!   degrees (degree in O(1)-ish, universe `2|E|`) and cumulative byte
-//!   offsets of each vertex's adjacency region.
+//!   degrees (universe `2|E|`) and cumulative byte offsets of each
+//!   vertex's adjacency region. A select index built at load time (word
+//!   ranks plus the word of every 64th one) makes each lookup a few word
+//!   reads; the image format does not change.
 //! * Labels, the label→vertices index, and its offsets are stored raw so
 //!   [`GraphStorage::vertices_with_label`] stays zero-copy.
 //!
@@ -157,6 +159,21 @@ fn rice_param(gaps: &[u32]) -> u32 {
     best_k
 }
 
+/// Little-endian 64-bit window of `bytes` at byte `pos`, zero-padded past
+/// the end of the slice.
+#[inline]
+fn window(bytes: &[u8], pos: usize) -> u64 {
+    match bytes.get(pos..).and_then(<[u8]>::first_chunk::<8>) {
+        Some(w) => u64::from_le_bytes(*w),
+        None => {
+            let mut buf = [0u8; 8];
+            let tail = bytes.get(pos..).unwrap_or_default();
+            buf[..tail.len()].copy_from_slice(tail);
+            u64::from_le_bytes(buf)
+        }
+    }
+}
+
 /// Bit-granular cursor over one adjacency region: byte position plus bit
 /// offset within that byte. Block starts are byte-aligned (absolute-first
 /// varint and the `k` parameter byte), gap entries are Rice-coded bits.
@@ -224,9 +241,23 @@ impl BlockCursor {
         v
     }
 
-    /// The next Rice-coded gap value under the current block's `k`.
+    /// The next Rice-coded gap value under the current block's `k`. One
+    /// 64-bit window at the cursor byte holds at least 56 bits of the
+    /// stream: the unary quotient is its `trailing_ones`, the `k` low bits a
+    /// mask. A code that does not fit the window (a unary run of ~56+ ones)
+    /// takes the byte-wise reader.
     #[inline]
     fn read_gap(&mut self, bytes: &[u8]) -> u32 {
+        let w = window(bytes, self.pos) >> self.bit;
+        let q = w.trailing_ones();
+        let end = self.bit + q + 1 + self.k;
+        if end <= 64 {
+            // q ≤ 63 here, and the terminator sits at bit q.
+            let low = ((w >> q) >> 1) & ((1u64 << self.k) - 1);
+            self.pos += (end / 8) as usize;
+            self.bit = end % 8;
+            return (q << self.k) | low as u32;
+        }
         let q = self.read_unary(bytes);
         let low = self.read_bits(bytes, self.k);
         (q << self.k) | low
@@ -322,40 +353,135 @@ impl EliasFano {
     }
 }
 
-/// Zero-copy Elias-Fano reader over externally stored words plus a small
-/// per-word cumulative-rank table built at load time for `select1`.
+/// Ones between consecutive entries of a [`SelectIndex`] sample table.
+const SELECT_STRIDE: usize = 64;
+
+/// `SELECT_IN_BYTE[b][r]`: bit position of the `r`-th one in byte `b`.
+static SELECT_IN_BYTE: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let (mut bit, mut r) = (0, 0);
+        while bit < 8 {
+            if (b >> bit) & 1 == 1 {
+                table[b][r] = bit as u8;
+                r += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// Bit position of the `r`-th one (0-based) in `word`, which holds more
+/// than `r` ones. Broadword: byte popcounts summed by one multiply locate
+/// the byte, a table the bit within it.
+#[inline]
+fn select_in_word(word: u64, r: u32) -> u32 {
+    const L8: u64 = 0x0101_0101_0101_0101;
+    const H8: u64 = 0x8080_8080_8080_8080;
+    let mut s = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte j of `incl` counts the ones in bytes 0..=j (at most 64, so the
+    // high bit of every byte stays clear).
+    let incl = s.wrapping_mul(L8);
+    // Bit 7 of byte j is set iff incl_j ≤ r: byte j lies wholly before the
+    // target. Counting those bytes gives the target byte's index.
+    let before = ((((u64::from(r) * L8) | H8) - incl) & H8) >> 7;
+    let byte = (before.wrapping_mul(L8) >> 56) as u32;
+    let skipped = ((incl << 8) >> (8 * byte)) & 0xFF;
+    let b = (word >> (8 * byte)) & 0xFF;
+    8 * byte + u32::from(SELECT_IN_BYTE[b as usize][(u64::from(r) - skipped) as usize])
+}
+
+/// Load-time select accelerator for one Elias-Fano high-bits vector: the
+/// cumulative rank of every word plus a sample of the word holding every
+/// [`SELECT_STRIDE`]-th one. A select jumps to its sample, binary-searches
+/// the few words up to the next sample, and selects within one word.
+#[derive(Debug, Clone)]
+struct SelectIndex {
+    /// Exclusive cumulative popcount per word of `highs`.
+    rank: Vec<u32>,
+    /// `samples[j]`: the word holding the one of rank `j · SELECT_STRIDE`.
+    samples: Vec<u32>,
+}
+
+impl SelectIndex {
+    /// Index `highs`; also returns how many ones it holds, which the
+    /// caller validates before the first select.
+    fn new(highs: &[u64]) -> (Self, usize) {
+        let mut rank = Vec::with_capacity(highs.len());
+        let mut samples = Vec::new();
+        let mut ones = 0usize;
+        for (w, &word) in highs.iter().enumerate() {
+            rank.push(ones as u32);
+            let c = word.count_ones() as usize;
+            // A word holds at most 64 ones, so at most one sampled rank.
+            if ones.next_multiple_of(SELECT_STRIDE) < ones + c {
+                samples.push(w as u32);
+            }
+            ones += c;
+        }
+        samples.shrink_to_fit();
+        (SelectIndex { rank, samples }, ones)
+    }
+
+    /// Bit position of the `i`-th one of `highs`.
+    #[inline]
+    fn select(&self, highs: &[u64], i: usize) -> usize {
+        let j = i / SELECT_STRIDE;
+        let lo = self.samples[j] as usize;
+        let hi = self
+            .samples
+            .get(j + 1)
+            .map_or(self.rank.len(), |&w| w as usize + 1);
+        // rank[lo] ≤ i, so the search keeps at least one word.
+        let w = lo + self.rank[lo..hi].partition_point(|&r| r as usize <= i) - 1;
+        w * 64 + select_in_word(highs[w], (i - self.rank[w] as usize) as u32) as usize
+    }
+
+    /// Resident bytes of the two tables.
+    fn mem_bytes(&self) -> usize {
+        (self.rank.capacity() + self.samples.capacity()) * 4
+    }
+}
+
+/// Zero-copy Elias-Fano reader over externally stored words plus the
+/// [`SelectIndex`] built at load time.
 #[derive(Debug, Clone, Copy)]
 struct EfView<'a> {
     l: u32,
     lows: &'a [u64],
     highs: &'a [u64],
-    rank: &'a [u32],
-}
-
-/// Exclusive cumulative popcount per word of `highs` — the select
-/// accelerator ([`EfView::get`] binary-searches it).
-fn build_rank(highs: &[u64]) -> Vec<u32> {
-    let mut rank = Vec::with_capacity(highs.len());
-    let mut acc = 0u32;
-    for &w in highs {
-        rank.push(acc);
-        acc += w.count_ones();
-    }
-    rank
+    select: &'a SelectIndex,
 }
 
 impl EfView<'_> {
+    /// The value whose high-bits one sits at bit `pos`, at index `i`.
+    #[inline]
+    fn value(&self, i: usize, pos: usize) -> u64 {
+        (((pos - i) as u64) << self.l) | get_bits(self.lows, i * self.l as usize, self.l)
+    }
+
     /// The `i`-th encoded value.
     fn get(&self, i: usize) -> u64 {
-        // select1(i): the word holding the i-th set bit, then its offset.
-        let w = self.rank.partition_point(|&r| r <= i as u32) - 1;
-        let mut word = self.highs[w];
-        for _ in 0..(i as u32 - self.rank[w]) {
-            word &= word - 1;
-        }
-        let bitpos = w * 64 + word.trailing_zeros() as usize;
-        let high = (bitpos - i) as u64;
-        (high << self.l) | get_bits(self.lows, i * self.l as usize, self.l)
+        self.value(i, self.select.select(self.highs, i))
+    }
+
+    /// Values `i` and `i + 1`: one select, then the next one-bit in the
+    /// same word (a second select only when that word has no later one).
+    #[inline]
+    fn get_pair(&self, i: usize) -> (u64, u64) {
+        let p = self.select.select(self.highs, i);
+        let later = self.highs[p / 64] & (!1u64 << (p % 64));
+        let q = if later != 0 {
+            p / 64 * 64 + later.trailing_zeros() as usize
+        } else {
+            self.select.select(self.highs, i + 1)
+        };
+        (self.value(i, p), self.value(i + 1, q))
     }
 }
 
@@ -398,9 +524,13 @@ fn encode_adjacency(nbrs: &[VertexId], out: &mut Vec<u8>) {
 /// are block-skippable.
 #[derive(Debug, Clone, Copy)]
 pub struct CompressedNeighbors<'a> {
-    region: &'a [u8],
+    /// The adjacency section from this vertex's region to the section end.
+    /// Decoding stops after `deg` entries, so the bytes past the region are
+    /// never consumed; they only fill the 64-bit read windows, leaving the
+    /// zero-padded tail to the section's last few bytes.
+    stream: &'a [u8],
     deg: usize,
-    /// Byte offset of `region` within the whole adjacency section — what
+    /// Byte offset of the region within the whole adjacency section — what
     /// probe callbacks report, so the coalescing model charges real
     /// stream addresses.
     base: usize,
@@ -438,7 +568,7 @@ impl<'a> CompressedNeighbors<'a> {
     fn block_off(&self, b: usize) -> usize {
         if self.nblocks() > 1 {
             let p = b * 4;
-            u32::from_le_bytes(self.region[p..p + 4].try_into().unwrap()) as usize
+            u32::from_le_bytes(self.stream[p..p + 4].try_into().unwrap()) as usize
         } else {
             0
         }
@@ -448,13 +578,13 @@ impl<'a> CompressedNeighbors<'a> {
     /// varint restart).
     fn block_first(&self, b: usize) -> VertexId {
         let mut pos = self.data_start() + self.block_off(b);
-        read_varint(self.region, &mut pos)
+        read_varint(self.stream, &mut pos)
     }
 
     /// Streaming decoder over the list (ascending).
     pub fn iter(&self) -> Decoder<'a> {
         Decoder {
-            bytes: self.region,
+            bytes: self.stream,
             cur: BlockCursor::at(self.data_start()),
             idx: 0,
             deg: self.deg,
@@ -511,7 +641,7 @@ impl<'a> CompressedNeighbors<'a> {
             probe(self.base + cur.pos);
             let v = decode_next(
                 &mut cur,
-                self.region,
+                self.stream,
                 idx % BLOCK,
                 end - (idx - idx % BLOCK),
                 prev,
@@ -641,7 +771,7 @@ impl Seeker<'_> {
         while self.idx < self.list.deg {
             let v = decode_next(
                 &mut self.cur,
-                self.list.region,
+                self.list.stream,
                 self.idx,
                 self.list.deg,
                 self.prev,
@@ -925,8 +1055,8 @@ impl DecodeCache {
 
 /// The succinct, mmap-backed graph backend.
 ///
-/// Holds the packed image (owned or mapped) plus two small select-rank
-/// tables built at load time; adjacency is never materialized as
+/// Holds the packed image (owned or mapped) plus two small select
+/// indexes built at load time; adjacency is never materialized as
 /// per-vertex vectors — repeated access goes through the per-thread
 /// decoded cache instead.
 #[derive(Debug, Clone)]
@@ -945,8 +1075,8 @@ pub struct CompressedGraph {
     off_lows: Range,
     off_highs: Range,
     adj: Range,
-    deg_rank: Vec<u32>,
-    off_rank: Vec<u32>,
+    deg_select: SelectIndex,
+    off_select: SelectIndex,
     /// Identity of this image in the per-thread decode cache. Clones share
     /// it (same bytes, same decoded lists).
     cache_id: u64,
@@ -1014,6 +1144,11 @@ impl CompressedGraph {
         let n = read_u64(b, 16) as usize;
         let m = read_u64(b, 24) as usize;
         let label_count = read_u64(b, 32) as usize;
+        if n > VertexId::MAX as usize || label_count > Label::MAX as usize + 1 {
+            return Err(parse_err(
+                "packed graph: vertex or label count out of range",
+            ));
+        }
         let deg_l = u32::from_le_bytes(b[40..44].try_into().unwrap());
         let off_l = u32::from_le_bytes(b[44..48].try_into().unwrap());
         let mut sections: [Range; SECTIONS] = std::array::from_fn(|_| 0..0);
@@ -1045,9 +1180,30 @@ impl CompressedGraph {
         if deg_l >= 64 || off_l >= 64 {
             return Err(parse_err("packed graph: Elias-Fano low width out of range"));
         }
+        // Every select reads a sample of the high bits and every lookup a
+        // low-bits field: both sections must hold all n + 1 entries.
+        let entries = n + 1;
+        for (name, lows, l) in [("degree", &deg_lows, deg_l), ("offset", &off_lows, off_l)] {
+            if lows.len() * 8 < entries * l as usize {
+                return Err(parse_err(format!(
+                    "packed graph: {name} index low bits cover {} of {} bits",
+                    lows.len() * 8,
+                    entries * l as usize
+                )));
+            }
+        }
+        let (deg_select, deg_ones) = SelectIndex::new(words_u64(&bytes, &deg_highs));
+        let (off_select, off_ones) = SelectIndex::new(words_u64(&bytes, &off_highs));
+        for (name, ones) in [("degree", deg_ones), ("offset", off_ones)] {
+            if ones != entries {
+                return Err(parse_err(format!(
+                    "packed graph: {name} index high bits hold {ones} ones, expected {entries}"
+                )));
+            }
+        }
         let g = CompressedGraph {
-            deg_rank: build_rank(words_u64(&bytes, &deg_highs)),
-            off_rank: build_rank(words_u64(&bytes, &off_highs)),
+            deg_select,
+            off_select,
             cache_id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
             cache_capacity: DECODE_CACHE_DEFAULT_BYTES,
             cache_bytes: Arc::new(AtomicUsize::new(0)),
@@ -1068,15 +1224,13 @@ impl CompressedGraph {
         };
         // Index sanity: the final cumulative degree must be 2|E| and the
         // final cumulative offset the adjacency length.
-        if g.n > 0 || g.m > 0 {
-            if g.deg_ef().get(g.n) != 2 * g.m as u64 {
-                return Err(parse_err("packed graph: degree index disagrees with |E|"));
-            }
-            if g.off_ef().get(g.n) != g.adj.len() as u64 {
-                return Err(parse_err(
-                    "packed graph: offset index disagrees with adjacency length",
-                ));
-            }
+        if (g.m as u64).checked_mul(2) != Some(g.deg_ef().get(g.n)) {
+            return Err(parse_err("packed graph: degree index disagrees with |E|"));
+        }
+        if g.off_ef().get(g.n) != g.adj.len() as u64 {
+            return Err(parse_err(
+                "packed graph: offset index disagrees with adjacency length",
+            ));
         }
         Ok(g)
     }
@@ -1086,7 +1240,7 @@ impl CompressedGraph {
             l: self.deg_l,
             lows: words_u64(&self.bytes, &self.deg_lows),
             highs: words_u64(&self.bytes, &self.deg_highs),
-            rank: &self.deg_rank,
+            select: &self.deg_select,
         }
     }
 
@@ -1095,7 +1249,7 @@ impl CompressedGraph {
             l: self.off_l,
             lows: words_u64(&self.bytes, &self.off_lows),
             highs: words_u64(&self.bytes, &self.off_highs),
-            rank: &self.off_rank,
+            select: &self.off_select,
         }
     }
 
@@ -1124,20 +1278,19 @@ impl CompressedGraph {
         u16::from_le_bytes(self.bytes.as_slice()[p..p + 2].try_into().unwrap())
     }
 
-    /// Degree of vertex `v` (two Elias-Fano selects).
+    /// Degree of vertex `v` (one paired Elias-Fano lookup).
     pub fn degree(&self, v: VertexId) -> usize {
-        let ef = self.deg_ef();
-        (ef.get(v as usize + 1) - ef.get(v as usize)) as usize
+        let (lo, hi) = self.deg_ef().get_pair(v as usize);
+        (hi - lo) as usize
     }
 
     /// The compressed adjacency region of `v` — decode, probe, or
-    /// intersect without materializing.
+    /// intersect without materializing. Two selects: the region start and
+    /// the degree pair.
     pub fn neighbors(&self, v: VertexId) -> CompressedNeighbors<'_> {
-        let ef = self.off_ef();
-        let start = ef.get(v as usize) as usize;
-        let end = ef.get(v as usize + 1) as usize;
+        let start = self.off_ef().get(v as usize) as usize;
         CompressedNeighbors {
-            region: &self.bytes.as_slice()[self.adj.start + start..self.adj.start + end],
+            stream: &self.bytes.as_slice()[self.adj.start + start..self.adj.end],
             deg: self.degree(v),
             base: start,
         }
@@ -1215,7 +1368,7 @@ impl CompressedGraph {
                 cur.align();
             }
             pos.push(cur.pos as u32);
-            let w = decode_next(&mut cur, nb.region, idx, nb.deg, prev);
+            let w = decode_next(&mut cur, nb.stream, idx, nb.deg, prev);
             decoded.push(w);
             prev = w;
         }
@@ -1270,13 +1423,14 @@ impl CompressedGraph {
     }
 
     /// Resident footprint: the image (mapped extent or owned capacity),
-    /// the load-time select-rank tables, and every byte currently held by
+    /// the load-time select indexes (rank tables and samples), and every byte currently held by
     /// this graph's decode-cache entries across all threads — the cache
     /// is capacity-bounded, and its cost is never hidden from the
     /// compression accounting.
     pub fn mem_bytes(&self) -> usize {
         self.bytes.mem_bytes()
-            + (self.deg_rank.capacity() + self.off_rank.capacity()) * 4
+            + self.deg_select.mem_bytes()
+            + self.off_select.mem_bytes()
             + self.decode_cache_bytes()
     }
 
@@ -1487,22 +1641,86 @@ mod tests {
         assert_eq!(pos, buf.len());
     }
 
+    /// Xorshift64 stream for deterministic test inputs.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn select_in_word_matches_a_bit_scan() {
+        let mut next = xorshift(0x9E37_79B9_7F4A_7C15);
+        let words = [1u64, 1 << 63, u64::MAX, 0x8000_0000_0000_0001, 0xFF00];
+        for word in words.into_iter().chain((0..2000).map(|_| next())) {
+            let ones: Vec<u32> = (0..64).filter(|b| word >> b & 1 == 1).collect();
+            for (r, &bit) in ones.iter().enumerate() {
+                assert_eq!(select_in_word(word, r as u32), bit, "word={word:#x} r={r}");
+            }
+        }
+    }
+
     #[test]
     fn elias_fano_round_trip() {
-        for (n, step) in [(0usize, 0u64), (1, 0), (5, 3), (1000, 7), (1000, 0)] {
-            let values: Vec<u64> = (0..n as u64).map(|i| i * step + (i % 2)).collect();
-            let mut sorted = values.clone();
-            sorted.sort_unstable();
-            let ef = EliasFano::encode(&sorted);
-            let rank = build_rank(&ef.highs);
+        let mut inputs: Vec<Vec<u64>> = [(0usize, 0u64), (1, 0), (5, 3), (1000, 7), (1000, 0)]
+            .iter()
+            .map(|&(n, step)| (0..n as u64).map(|i| i * step + (i % 2)).collect())
+            .map(|mut v: Vec<u64>| {
+                v.sort_unstable();
+                v
+            })
+            .collect();
+        let mut next = xorshift(0x2545_F491_4F6C_DD1D);
+        // Cumulative degrees, 20k entries: mostly small degrees, a few
+        // hubs, and alternating runs of 500 zero-degree vertices (equal
+        // values, so long one-runs that cross select samples and words).
+        let mut acc = 0u64;
+        let degrees: Vec<u64> = (0..20_000)
+            .map(|i| {
+                let r = next();
+                acc += if (i / 500) % 2 == 1 {
+                    0
+                } else if r.is_multiple_of(50) {
+                    r >> 50
+                } else {
+                    r % 8
+                };
+                acc
+            })
+            .collect();
+        inputs.push(degrees);
+        // A universe wide enough for ≥ 32 low bits.
+        let mut acc = 0u64;
+        let wide: Vec<u64> = (0..12_000)
+            .map(|_| {
+                acc += next() >> 24;
+                acc
+            })
+            .collect();
+        assert!(ef_low_width(wide.len(), *wide.last().unwrap()) >= 32);
+        inputs.push(wide);
+
+        for values in &inputs {
+            let n = values.len();
+            let ef = EliasFano::encode(values);
+            let (select, ones) = SelectIndex::new(&ef.highs);
+            assert_eq!(ones, n, "one high bit per value");
             let view = EfView {
                 l: ef.l,
                 lows: &ef.lows,
                 highs: &ef.highs,
-                rank: &rank,
+                select: &select,
             };
-            for (i, &v) in sorted.iter().enumerate() {
-                assert_eq!(view.get(i), v, "i={i} n={n} step={step}");
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(view.get(i), v, "i={i} n={n}");
+                if i + 1 < n {
+                    let pair = view.get_pair(i);
+                    assert_eq!(pair, (v, values[i + 1]), "pair i={i} n={n}");
+                    assert_eq!(pair, (view.get(i), view.get(i + 1)), "pair i={i} n={n}");
+                }
             }
         }
     }
@@ -1684,22 +1902,6 @@ mod tests {
         check_equiv(&g, &loaded);
         assert_eq!(loaded.to_csr(), g);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_images_are_rejected() {
-        let g = datasets::dataset("yeast");
-        let mut img = pack_to_vec(&g);
-        assert!(CompressedGraph::from_bytes(Bytes::from_vec(b"short".to_vec())).is_err());
-        let mut bad_magic = img.clone();
-        bad_magic[0] = b'X';
-        assert!(CompressedGraph::from_bytes(Bytes::from_vec(bad_magic)).is_err());
-        let mut bad_endian = img.clone();
-        bad_endian[8..16].copy_from_slice(&ENDIAN_PROBE.to_be_bytes());
-        assert!(CompressedGraph::from_bytes(Bytes::from_vec(bad_endian)).is_err());
-        // Lie about |E|: the degree-index cross-check must trip.
-        img[24..32].copy_from_slice(&(g.num_edges() as u64 + 1).to_le_bytes());
-        assert!(CompressedGraph::from_bytes(Bytes::from_vec(img)).is_err());
     }
 
     #[test]
