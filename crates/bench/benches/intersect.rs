@@ -1,9 +1,9 @@
-//! Criterion: the adaptive intersection engine's three strategies across
+//! Criterion: the adaptive intersection engine's two strategies across
 //! skew ratios (1×/16×/256×) plus the k-way path on a power-law analogue
 //! of candidate-segment sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gsword_graph::intersect::{self, BitmapIndex};
+use gsword_graph::intersect;
 use gsword_graph::VertexId;
 
 fn xorshift(s: &mut u64) -> u64 {
@@ -59,31 +59,6 @@ fn bench_pairwise(c: &mut Criterion) {
             |ben, _| {
                 ben.iter(|| {
                     intersect::intersect_into(&a, &b, &mut out);
-                    out.len()
-                })
-            },
-        );
-        // Bitmap probe cost with the build amortized away — the regime the
-        // candidate builder uses it in (one pivot, many probe sets).
-        let mut idx = BitmapIndex::new();
-        idx.build(&b);
-        group.bench_with_input(
-            BenchmarkId::new("bitmap_probe", format!("{skew}x")),
-            &skew,
-            |ben, _| {
-                ben.iter(|| {
-                    idx.intersect_into(&a, &mut out);
-                    out.len()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("bitmap_build_probe", format!("{skew}x")),
-            &skew,
-            |ben, _| {
-                ben.iter(|| {
-                    idx.build(&b);
-                    idx.intersect_into(&a, &mut out);
                     out.len()
                 })
             },

@@ -1,12 +1,12 @@
 //! Quick-mode bench rail: times the sampling and candidate-build groups
-//! plus legacy-vs-adaptive variants of the two intersection consumers, and
-//! writes `BENCH_sampling.json` (median ns per op, keyed by bench id and
-//! git rev) at the workspace root. Run via `cargo xtask bench --json`.
+//! plus legacy-vs-adaptive variants of Alley Refine, and writes
+//! `BENCH_sampling.json` (median ns per op, keyed by bench id and git rev)
+//! at the workspace root. Run via `cargo xtask bench --json`.
 //!
-//! The `/legacy` rows re-implement the exact pre-adaptive-engine code
-//! paths (two-pointer merge local-set assembly; per-element binary-search
-//! Alley Refine) over identical inputs, so the `/adaptive` ratio is the
-//! engine's speedup, self-documented in the artifact.
+//! The `alley_refine/legacy` row re-implements the pre-adaptive-engine
+//! Refine (per-element binary search) over identical inputs, so the
+//! `/adaptive` ratio is the engine's speedup, self-documented in the
+//! artifact.
 //!
 //! The storage group runs per dataset (yeast and eu2005) and prices the
 //! compressed backend three ways: CSR slices, cold Rice-block decode
@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use gsword_core::prelude::*;
-use gsword_graph::intersect::{self, BitmapIndex};
+use gsword_graph::intersect;
 use gsword_simt::counters::KernelCounters;
 use gsword_simt::memory::{warp_load, warp_load_rounds, LaneAddr, Region};
 use gsword_simt::warp::{Lanes, WarpSanitizer, WARP_SIZE};
@@ -36,23 +36,6 @@ fn median_ns(samples: usize, mut op: impl FnMut()) -> f64 {
         .collect();
     ns.sort_by(|a, b| a.total_cmp(b));
     ns[ns.len() / 2]
-}
-
-/// The pre-PR candidate-builder intersection: unconditional two-pointer
-/// merge (verbatim shape of the deleted `intersect_sorted_into`).
-fn legacy_intersect_sorted_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
 }
 
 /// Alley minus the batched-Refine override: `refine_into` falls back to
@@ -104,42 +87,6 @@ impl Row {
     fn per_sec(&self) -> Option<f64> {
         self.units_per_call.map(|u| u * 1e9 / self.median_ns)
     }
-}
-
-/// The local-set assembly hot loop of `build_candidate_graph`, over the
-/// already-built global sets, in either the adaptive or the legacy flavor.
-/// Returns total local-set length as a side-effect sink.
-fn assemble_local_sets(
-    data: &Graph,
-    query: &QueryGraph,
-    cg: &CandidateGraph,
-    adaptive: bool,
-) -> usize {
-    const BITMAP_MIN_PIVOT: usize = 64;
-    const BITMAP_MIN_REUSE: usize = 8;
-    let mut local = Vec::new();
-    let mut total = 0usize;
-    let mut pivot_index = BitmapIndex::new();
-    for (u, u2) in query.edges() {
-        let cu2 = cg.global(u2);
-        let cu = cg.global(u);
-        let use_bitmap = adaptive && cu2.len() >= BITMAP_MIN_PIVOT && cu.len() >= BITMAP_MIN_REUSE;
-        if use_bitmap {
-            pivot_index.build(cu2);
-        }
-        for &v in cu {
-            local.clear();
-            if use_bitmap {
-                pivot_index.intersect_into(data.neighbors(v), &mut local);
-            } else if adaptive {
-                intersect::intersect_into(data.neighbors(v), cu2, &mut local);
-            } else {
-                legacy_intersect_sorted_into(data.neighbors(v), cu2, &mut local);
-            }
-            total += local.len();
-        }
-    }
-    total
 }
 
 /// Refine scenarios drawn from the candidate graph: for each query edge,
@@ -362,7 +309,7 @@ fn main() {
         ));
     }
 
-    // --- candidate group: full build plus the assembly hot loop both ways ---
+    // --- candidate group ---
     let ns = median_ns(samples, || {
         std::hint::black_box(
             build_candidate_graph(&data, &query, &BuildConfig::default())
@@ -371,20 +318,6 @@ fn main() {
         );
     });
     rows.push(Row::new("candidate_build/full/yeast", ns));
-    let adaptive_ns = median_ns(samples, || {
-        std::hint::black_box(assemble_local_sets(&data, &query, &cg, true));
-    });
-    let legacy_ns = median_ns(samples, || {
-        std::hint::black_box(assemble_local_sets(&data, &query, &cg, false));
-    });
-    assert_eq!(
-        assemble_local_sets(&data, &query, &cg, true),
-        assemble_local_sets(&data, &query, &cg, false),
-        "legacy and adaptive assembly must produce identical local sets"
-    );
-    rows.push(Row::new("candidate_build/adaptive/yeast", adaptive_ns));
-    rows.push(Row::new("candidate_build/legacy/yeast", legacy_ns));
-    let build_speedup = legacy_ns / adaptive_ns;
 
     // --- Alley Refine group: batched k-way vs per-element binary search ---
     let scenarios = refine_scenarios(&query, &cg);
@@ -476,7 +409,7 @@ fn main() {
     json.push_str(&format!("  \"git_rev\": \"{rev}\",\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
     json.push_str(&format!(
-        "  \"speedup\": {{\"candidate_build\": {build_speedup:.2}, \"alley_refine\": {refine_speedup:.2}}},\n"
+        "  \"speedup\": {{\"alley_refine\": {refine_speedup:.2}}},\n"
     ));
     json.push_str("  \"benches\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -506,7 +439,6 @@ fn main() {
             None => println!("{}: {:.1} ns", row.id, row.median_ns),
         }
     }
-    println!("candidate-build speedup (legacy/adaptive): {build_speedup:.2}x");
-    println!("alley-refine speedup (legacy/adaptive):    {refine_speedup:.2}x");
+    println!("alley-refine speedup (legacy/adaptive): {refine_speedup:.2}x");
     println!("wrote {path}");
 }

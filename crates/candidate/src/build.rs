@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use gsword_graph::intersect::{self, BitmapIndex};
+use gsword_graph::intersect;
 use gsword_graph::{GraphStorage, VertexId};
 use gsword_query::{QueryGraph, QueryVertex};
 
@@ -81,14 +81,6 @@ pub struct BuildStats {
 
 const PCIE_BYTES_PER_MS: f64 = 12.0e9 / 1e3;
 
-/// Minimum pivot-set size before a [`BitmapIndex`] build can pay off: below
-/// this, adaptive merge/gallop beats the `O(|pivot| + span/64)` build.
-const BITMAP_MIN_PIVOT: usize = 64;
-
-/// Minimum number of probe sets (candidates of the source side) sharing one
-/// pivot before the bitmap build amortizes.
-const BITMAP_MIN_REUSE: usize = 8;
-
 /// Build the candidate graph for `query` on `data` under `config`.
 ///
 /// The result is *sound*: every embedding of the query in the data graph is
@@ -119,17 +111,30 @@ pub fn build_candidate_graph<S: GraphStorage>(
         })
         .collect();
 
-    // Global candidates with label (+degree, +NLF) filters.
-    let mut global_sets: Vec<Vec<VertexId>> = (0..n as QueryVertex)
-        .map(|u| {
-            data.vertices_with_label(query.label(u))
+    // Global candidates with label (+degree, +NLF) filters. Query vertices
+    // sharing a label share one pass of degree reads.
+    let mut global_sets: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+    let mut degrees: Vec<usize> = Vec::new();
+    for first in 0..n as QueryVertex {
+        let label = query.label(first);
+        if (0..first).any(|p| query.label(p) == label) {
+            continue;
+        }
+        let pool = data.vertices_with_label(label);
+        degrees.clear();
+        if config.degree_filter {
+            degrees.extend(pool.iter().map(|&v| data.degree(v)));
+        }
+        for u in (first..n as QueryVertex).filter(|&u| query.label(u) == label) {
+            global_sets[u as usize] = pool
                 .iter()
-                .copied()
-                .filter(|&v| !config.degree_filter || data.degree(v) >= query.degree(u))
+                .enumerate()
+                .filter(|&(i, _)| !config.degree_filter || degrees[i] >= query.degree(u))
+                .map(|(_, &v)| v)
                 .filter(|&v| !config.nlf_filter || nlf_pass(data, v, &nlf[u as usize]))
-                .collect()
-        })
-        .collect();
+                .collect();
+        }
+    }
 
     // Fixpoint pruning: v survives in C(u) iff every query edge (u,u') gives
     // it at least one neighbor in C(u').
@@ -171,55 +176,78 @@ pub fn build_candidate_graph<S: GraphStorage>(
         global_off.push(global.len());
     }
 
+    let tuples: usize = (0..n as QueryVertex)
+        .map(|u| global_sets[u as usize].len() * query.degree(u))
+        .sum();
     let mut edge_off = Vec::with_capacity(n + 1);
     edge_off.push(0);
     let mut edge_dst: Vec<QueryVertex> = Vec::new();
+    let mut cand_off = vec![0];
+    let mut cand_vtx: Vec<VertexId> = Vec::with_capacity(tuples);
     for u in 0..n as QueryVertex {
         for u2 in query.neighbors(u) {
             edge_dst.push(u2);
+            cand_vtx.extend_from_slice(&global_sets[u as usize]);
+            cand_off.push(cand_vtx.len());
         }
         edge_off.push(edge_dst.len());
     }
 
-    let mut cand_off = Vec::with_capacity(edge_dst.len() + 1);
-    cand_off.push(0);
-    let mut cand_vtx: Vec<VertexId> = Vec::new();
-    let mut local_off = vec![0usize];
-    let mut local: Vec<VertexId> = Vec::new();
-    let mut pivot_index = BitmapIndex::new();
-    for u in 0..n {
-        for &dst in &edge_dst[edge_off[u]..edge_off[u + 1]] {
-            let u2 = dst as usize;
-            let cu2 = &global_sets[u2];
-            // The pivot C(u') is intersected against N(v) for *every*
-            // v ∈ C(u), so for large pivots with enough reuse one bitmap
-            // build amortizes to O(1) membership per neighbor. Small or
-            // rarely-reused pivots fall back to the adaptive pairwise
-            // strategy (merge / gallop by skew). Every strategy produces
-            // the same sorted local sets — only the cost differs.
-            let use_bitmap =
-                cu2.len() >= BITMAP_MIN_PIVOT && global_sets[u].len() >= BITMAP_MIN_REUSE;
-            if use_bitmap {
-                pivot_index.build(cu2);
-            }
-            for &v in &global_sets[u] {
-                cand_vtx.push(v);
-                if use_bitmap {
-                    // Stream-decoded equivalent of the slice bitmap path:
-                    // neighbors arrive ascending, so pushes stay sorted.
-                    data.for_each_neighbor(v, |w| {
-                        if pivot_index.contains(w) {
-                            local.push(w);
-                        }
-                        true
-                    });
-                } else {
-                    data.intersect_neighbors_into(v, cu2, &mut local);
-                }
-                local_off.push(local.len());
-            }
-            cand_off.push(cand_vtx.len());
+    // Local sets C(u, u', v) = N(v) ∩ C(u'). Bit u of `holds[v]` is set
+    // when v ∈ C(u) (queries have at most 32 vertices). Each candidate's
+    // adjacency is streamed once, in ascending id order, and every neighbor
+    // is routed to each out-edge u → u' with v ∈ C(u) and w ∈ C(u'), so
+    // the per-edge buffers fill in C(u) order with sorted segments.
+    let mut holds = vec![0u32; data.num_vertices()];
+    for (u, set) in global_sets.iter().enumerate() {
+        for &v in set {
+            holds[v as usize] |= 1 << u;
         }
+    }
+    let adj: Vec<u32> = (0..n as QueryVertex)
+        .map(|u| query.adjacency_mask(u))
+        .collect();
+    // Directed edge u → u' sits at `edge_off[u]` plus the rank of u' among
+    // u's query neighbors.
+    let edge_of =
+        |u: usize, u2: usize| edge_off[u] + (adj[u] & ((1 << u2) - 1)).count_ones() as usize;
+    let mut edge_local: Vec<Vec<VertexId>> = vec![Vec::new(); edge_dst.len()];
+    // Each tuple's segment end, relative to its edge's buffer until the
+    // buffers are laid out; `next[k]` is edge k's next tuple.
+    let mut local_off = vec![0usize; cand_vtx.len() + 1];
+    let mut next: Vec<usize> = cand_off.iter().map(|&t| t + 1).collect();
+    for (v, &src) in holds.iter().enumerate() {
+        if src == 0 {
+            continue;
+        }
+        let want = bits(src).fold(0, |m, u| m | adj[u]);
+        if want != 0 {
+            data.for_each_neighbor(v as VertexId, |w| {
+                let hit = holds[w as usize] & want;
+                if hit != 0 {
+                    for u in bits(src) {
+                        for u2 in bits(hit & adj[u]) {
+                            edge_local[edge_of(u, u2)].push(w);
+                        }
+                    }
+                }
+                true
+            });
+        }
+        for u in bits(src) {
+            for k in edge_off[u]..edge_off[u + 1] {
+                local_off[next[k]] = edge_local[k].len();
+                next[k] += 1;
+            }
+        }
+    }
+
+    let mut local: Vec<VertexId> = Vec::with_capacity(edge_local.iter().map(Vec::len).sum());
+    for (k, buf) in edge_local.iter().enumerate() {
+        for end in &mut local_off[cand_off[k] + 1..=cand_off[k + 1]] {
+            *end += local.len();
+        }
+        local.extend_from_slice(buf);
     }
 
     let cg = CandidateGraph {
@@ -254,6 +282,17 @@ fn nlf_pass<S: GraphStorage>(data: &S, v: VertexId, required: &[u16]) -> bool {
         true
     });
     required.iter().zip(&have).all(|(r, h)| h >= r)
+}
+
+/// The set bit positions of `mask`, ascending.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
 }
 
 #[cfg(test)]
@@ -427,35 +466,5 @@ mod tests {
         assert_eq!(stats.bytes, cg.byte_size());
         assert!(stats.construction_ms >= 0.0);
         assert!(stats.transfer_ms > 0.0);
-    }
-
-    #[test]
-    fn bitmap_and_pairwise_paths_agree() {
-        // Force both local-set assembly paths over the same inputs: a data
-        // graph big enough that some pivot clears BITMAP_MIN_PIVOT with
-        // BITMAP_MIN_REUSE probes, cross-checked per candidate against the
-        // adaptive pairwise intersection.
-        let mut b = GraphBuilder::new();
-        for i in 0..200u32 {
-            b.add_vertex((i % 2) as gsword_graph::Label);
-        }
-        for i in 0..200u32 {
-            for j in (i + 1)..200u32 {
-                if (i * 7 + j * 13) % 3 == 0 {
-                    b.add_edge(i, j);
-                }
-            }
-        }
-        let g = b.build().unwrap();
-        let q = QueryGraph::new(vec![0, 1], &[(0, 1)]).unwrap();
-        let (cg, _) = build_candidate_graph(&g, &q, &BuildConfig::unfiltered());
-        for (u, u2) in q.edges() {
-            let k = cg.edge_index(u, u2).unwrap();
-            for &v in cg.global(u) {
-                let mut want = Vec::new();
-                intersect::intersect_into(g.neighbors(v), cg.global(u2), &mut want);
-                assert_eq!(cg.local(k, v), &want[..], "local set mismatch at v={v}");
-            }
-        }
     }
 }

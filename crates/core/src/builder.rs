@@ -198,20 +198,30 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
         self
     }
 
-    /// Execute the configured run.
+    /// Execute the configured run with the built-in estimator.
     pub fn run(self) -> Result<Report, Error> {
+        with_estimator(self.estimator, |est| self.run_custom(est))
+    }
+
+    /// Run a custom user-defined RSV estimator (Fig. 19's extension point)
+    /// instead of a built-in one. Every other setting, trawling included,
+    /// applies as in [`GswordBuilder::run`].
+    pub fn run_custom<E: Estimator + ?Sized>(self, est: &E) -> Result<Report, Error> {
         if self.samples == 0 {
             return Err(Error::NoSamples);
         }
         if self.query.num_vertices() == 0 {
             return Err(Error::BadQuery("empty query".into()));
         }
+        if matches!(self.backend, Backend::Cpu { .. }) && self.trawling.is_some() {
+            return Err(Error::TrawlingNeedsDevice);
+        }
         let t0 = Instant::now();
         let (cg, candidate_stats) = build_candidate_graph(self.data, self.query, &self.build);
         let order = make_order(self.order, self.query, self.data);
         let ctx = QueryCtx::new(&cg, &order);
 
-        let engine_cfg = |mut cfg: EngineConfig| {
+        let device_run = |mut cfg: EngineConfig| {
             cfg.samples = self.samples;
             cfg.seed = self.seed;
             if let Some(d) = self.device {
@@ -222,60 +232,12 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
             cfg.num_devices = self.num_devices;
             cfg.streams_per_device = self.streams_per_device;
             cfg.sim_workers = self.sim_workers;
-            cfg
-        };
-
-        let mut report = with_estimator(self.estimator, |est| -> Result<Report, Error> {
-            match (&self.backend, &self.trawling) {
-                (Backend::Cpu { .. }, Some(_)) => Err(Error::TrawlingNeedsDevice),
-                (Backend::Cpu { threads }, None) => {
-                    let threads = if *threads == 0 {
-                        std::thread::available_parallelism().map_or(4, |n| n.get())
-                    } else {
-                        *threads
-                    };
-                    let r = run_parallel_cpu(&ctx, est, self.samples, self.seed, threads);
-                    Ok(Report::from_cpu(r.estimate, r.wall_ms))
-                }
-                (backend, trawling) => {
-                    let cfg = engine_cfg(match backend {
-                        Backend::GpuBaseline => EngineConfig::gpu_baseline(self.samples),
-                        Backend::Gsword => EngineConfig::gsword(self.samples),
-                        Backend::Device(c) => *c,
-                        Backend::Cpu { .. } => unreachable!("handled above"),
-                    });
-                    match trawling {
-                        None => {
-                            let r = run_engine(&ctx, est, &cfg);
-                            Ok(Report::from_device(r))
-                        }
-                        Some(trawl_cfg) => {
-                            let r = run_coprocessing(&ctx, est, &cfg, trawl_cfg);
-                            Ok(Report::from_pipeline(r))
-                        }
-                    }
-                }
+            match &self.trawling {
+                None => Report::from_device(run_engine(&ctx, est, &cfg)),
+                Some(trawl) => Report::from_pipeline(run_coprocessing(&ctx, est, &cfg, trawl)),
             }
-        })?;
-        report.candidate_stats = Some(candidate_stats);
-        report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        Ok(report)
-    }
-
-    /// Run a custom user-defined RSV estimator (Fig. 19's extension point)
-    /// instead of a built-in one.
-    pub fn run_custom<E: Estimator>(self, est: &E) -> Result<Report, Error> {
-        if self.samples == 0 {
-            return Err(Error::NoSamples);
-        }
-        let t0 = Instant::now();
-        let (cg, candidate_stats) = build_candidate_graph(self.data, self.query, &self.build);
-        let order = make_order(self.order, self.query, self.data);
-        let ctx = QueryCtx::new(&cg, &order);
-        let mut cfg = match self.backend {
-            Backend::GpuBaseline => EngineConfig::gpu_baseline(self.samples),
-            Backend::Gsword => EngineConfig::gsword(self.samples),
-            Backend::Device(c) => c,
+        };
+        let mut report = match self.backend {
             Backend::Cpu { threads } => {
                 let threads = if threads == 0 {
                     std::thread::available_parallelism().map_or(4, |n| n.get())
@@ -283,23 +245,12 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
                     threads
                 };
                 let r = run_parallel_cpu(&ctx, est, self.samples, self.seed, threads);
-                let mut report = Report::from_cpu(r.estimate, r.wall_ms);
-                report.candidate_stats = Some(candidate_stats);
-                return Ok(report);
+                Report::from_cpu(r.estimate, r.wall_ms)
             }
+            Backend::GpuBaseline => device_run(EngineConfig::gpu_baseline(self.samples)),
+            Backend::Gsword => device_run(EngineConfig::gsword(self.samples)),
+            Backend::Device(c) => device_run(c),
         };
-        cfg.samples = self.samples;
-        cfg.seed = self.seed;
-        if let Some(d) = self.device {
-            cfg.device = d;
-        }
-        cfg.sanitize = self.sanitize;
-        cfg.profile = self.profile;
-        cfg.num_devices = self.num_devices;
-        cfg.streams_per_device = self.streams_per_device;
-        cfg.sim_workers = self.sim_workers;
-        let r = run_engine(&ctx, est, &cfg);
-        let mut report = Report::from_device(r);
         report.candidate_stats = Some(candidate_stats);
         report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         Ok(report)

@@ -14,8 +14,7 @@
 //!   ~20% on the power-law suites (a 580-mean gap costs ~11 bits instead
 //!   of 16). Multi-block vertices carry a restart table of `u32` byte
 //!   offsets so membership probes binary-search *blocks* and decode at
-//!   most one of them — the block-skippable variant of the adaptive
-//!   intersection engine.
+//!   most one of them.
 //! * Two Elias-Fano monotone sequences index the stream: cumulative
 //!   degrees (universe `2|E|`) and cumulative byte offsets of each
 //!   vertex's adjacency region. A select index built at load time (word
@@ -48,7 +47,7 @@ use std::sync::Arc;
 
 use crate::mmap::Bytes;
 use crate::storage::{GraphStorage, NeighborsRef};
-use crate::{intersect, Graph, GraphBuilder, GraphError, Label, VertexId};
+use crate::{Graph, GraphBuilder, GraphError, Label, VertexId};
 
 /// Entries per adjacency block (one restart point each).
 pub const BLOCK: usize = 64;
@@ -654,48 +653,6 @@ impl<'a> CompressedNeighbors<'a> {
         }
         false
     }
-
-    /// Monotone seek cursor (for ascending probe sequences).
-    pub fn seeker(&self) -> Seeker<'a> {
-        Seeker {
-            list: *self,
-            block: 0,
-            cur: BlockCursor::at(self.data_start()),
-            idx: 0,
-            prev: 0,
-            have: false,
-        }
-    }
-
-    /// Append `self ∩ other` (ascending) to `out`.
-    ///
-    /// Picks between two strategies with identical output: decode the
-    /// stream and gallop into `other`, or — when `other` is smaller by
-    /// the engine's [`intersect::GALLOP_RATIO`] — seek block-skippingly
-    /// through the compressed list for each element of `other`.
-    pub fn intersect_into(&self, other: &[VertexId], out: &mut Vec<VertexId>) {
-        if self.deg == 0 || other.is_empty() {
-            return;
-        }
-        if other.len() * intersect::GALLOP_RATIO < self.deg {
-            let mut seek = self.seeker();
-            for &x in other {
-                if seek.advance_to(x) {
-                    out.push(x);
-                }
-            }
-        } else {
-            let mut cursor = 0usize;
-            for v in self.iter() {
-                if cursor >= other.len() {
-                    break;
-                }
-                if intersect::gallop_member(other, &mut cursor, v) {
-                    out.push(v);
-                }
-            }
-        }
-    }
 }
 
 impl<'a> IntoIterator for CompressedNeighbors<'a> {
@@ -738,57 +695,6 @@ impl Iterator for Decoder<'_> {
 }
 
 impl ExactSizeIterator for Decoder<'_> {}
-
-/// Monotone block-skipping cursor over one compressed list: successive
-/// [`Seeker::advance_to`] calls with ascending targets decode each block
-/// at most once — the compressed analogue of
-/// [`intersect::gallop_member`]'s forward-only cursor.
-#[derive(Debug, Clone)]
-pub struct Seeker<'a> {
-    list: CompressedNeighbors<'a>,
-    block: usize,
-    cur: BlockCursor,
-    idx: usize,
-    prev: VertexId,
-    have: bool,
-}
-
-impl Seeker<'_> {
-    /// Advance to the first value ≥ `x`; returns whether it equals `x`.
-    /// Targets must be non-decreasing across calls.
-    pub fn advance_to(&mut self, x: VertexId) -> bool {
-        if self.have && self.prev >= x {
-            return self.prev == x;
-        }
-        // Skip whole blocks while the next one still starts ≤ x.
-        let nb = self.list.nblocks();
-        while self.block + 1 < nb && self.list.block_first(self.block + 1) <= x {
-            self.block += 1;
-            self.idx = self.block * BLOCK;
-            self.cur = BlockCursor::at(self.list.data_start() + self.list.block_off(self.block));
-            self.have = false;
-        }
-        while self.idx < self.list.deg {
-            let v = decode_next(
-                &mut self.cur,
-                self.list.stream,
-                self.idx,
-                self.list.deg,
-                self.prev,
-            );
-            self.prev = v;
-            self.have = true;
-            self.idx += 1;
-            if self.idx.is_multiple_of(BLOCK) && self.block + 1 < nb {
-                self.block += 1;
-            }
-            if v >= x {
-                return v == x;
-            }
-        }
-        false
-    }
-}
 
 // ---------------------------------------------------------------------------
 // The packed image
@@ -1284,9 +1190,8 @@ impl CompressedGraph {
         (hi - lo) as usize
     }
 
-    /// The compressed adjacency region of `v` — decode, probe, or
-    /// intersect without materializing. Two selects: the region start and
-    /// the degree pair.
+    /// The compressed adjacency region of `v` — decode or probe without
+    /// materializing. Two selects: the region start and the degree pair.
     pub fn neighbors(&self, v: VertexId) -> CompressedNeighbors<'_> {
         let start = self.off_ef().get(v as usize) as usize;
         CompressedNeighbors {
@@ -1579,17 +1484,6 @@ impl GraphStorage for CompressedGraph {
         }
     }
 
-    fn intersect_neighbors_into(&self, v: VertexId, other: &[VertexId], out: &mut Vec<VertexId>) {
-        if self
-            .with_cached(v, |decoded, _| {
-                intersect::intersect_into(decoded, other, out)
-            })
-            .is_none()
-        {
-            self.neighbors(v).intersect_into(other, out);
-        }
-    }
-
     fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         CompressedGraph::has_edge(self, u, v)
     }
@@ -1734,7 +1628,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_block_lists_and_seeks() {
+    fn multi_block_lists_and_probes() {
         // A hub with degree far past BLOCK, with irregular gaps.
         let n = 1000u32;
         let mut b = GraphBuilder::with_vertices(n as usize);
@@ -1754,22 +1648,6 @@ mod tests {
                 g.neighbors(0).binary_search(&v).is_ok(),
                 "v={v}"
             );
-        }
-        // Monotone seeker agrees with contains.
-        let mut seek = nb.seeker();
-        for v in 0..n + 2 {
-            assert_eq!(seek.advance_to(v), nb.contains(v), "seek v={v}");
-        }
-        // Both intersect strategies (skew forces the seek path; a same-size
-        // operand forces the decode-merge path) match the engine.
-        let small: Vec<VertexId> = (0..n).step_by(97).collect();
-        let big: Vec<VertexId> = (0..n).step_by(2).collect();
-        for other in [&small, &big] {
-            let mut got = Vec::new();
-            nb.intersect_into(other, &mut got);
-            let mut want = Vec::new();
-            intersect::intersect_into(g.neighbors(0), other, &mut want);
-            assert_eq!(got, want);
         }
     }
 
@@ -1873,12 +1751,6 @@ mod tests {
                     seen.len() < 70
                 });
                 assert_eq!(&seen[..], &g.neighbors(v)[..seen.len()]);
-                let other: Vec<VertexId> = (0..1000).step_by(7).collect();
-                let mut got = Vec::new();
-                c.intersect_neighbors_into(v, &other, &mut got);
-                let mut want = Vec::new();
-                intersect::intersect_into(g.neighbors(v), &other, &mut want);
-                assert_eq!(got, want);
                 for x in [0u32, 1, 4, 500, 998] {
                     assert_eq!(
                         GraphStorage::has_edge(&c, v, x),

@@ -1,12 +1,10 @@
 //! Degree-adaptive sorted-set intersection.
 //!
-//! Every hot path of the reproduction bottoms out here: candidate-graph
-//! refinement intersects neighbor lists against candidate sets, the
-//! estimators' Refine step intersects a minimum candidate segment against
-//! every other backward segment, and the SIMT kernels charge the memory
-//! model for the probe addresses those intersections touch (the paper's
-//! Example 4 / Figures 5–6 access-pattern analysis). One fixed strategy is
-//! wrong for all of those at once, so this module picks per call:
+//! The estimators' Refine step intersects a minimum candidate segment
+//! against every other backward segment, and the SIMT kernels charge the
+//! memory model for the probe addresses those intersections touch (the
+//! paper's Example 4 / Figures 5–6 access-pattern analysis). One fixed
+//! strategy is wrong for both, so this module picks per call:
 //!
 //! * **Merge** — the classic two-pointer walk, `O(|a| + |b|)`. Best when
 //!   operand sizes are comparable.
@@ -14,11 +12,6 @@
 //!   search into the larger one from a monotonically advancing cursor,
 //!   `O(|small| · log(|large|/|small|))` amortized. Best when sizes are
 //!   skewed by at least [`GALLOP_RATIO`].
-//! * **Bitmap** — a reusable `u64`-block index over a pivot set
-//!   ([`BitmapIndex`]): pay `O(|pivot| + span/64)` once, then every probe
-//!   set intersects in `O(|probe|)` with one bit test per element. Best
-//!   when one high-degree pivot set is intersected against many probe
-//!   sets (the candidate builder's per-edge local sets).
 //!
 //! The k-way entry points ([`intersect_multi_into`],
 //! [`intersect_filter_into`]) order operands smallest-first and
@@ -42,8 +35,6 @@ use crate::VertexId;
 pub const GALLOP_RATIO: usize = 8;
 
 /// The strategy [`intersect_into`] picks for a pair of operand sizes.
-/// `Bitmap` is never auto-selected for a one-shot pair — its build cost
-/// only amortizes across reuse, so callers opt in via [`BitmapIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Two-pointer linear merge.
@@ -51,8 +42,6 @@ pub enum Strategy {
     /// Exponential probe + binary search of the smaller set into the
     /// larger.
     Gallop,
-    /// Probe against a prebuilt [`BitmapIndex`].
-    Bitmap,
 }
 
 /// The strategy the adaptive pairwise intersection uses for operand sizes
@@ -86,7 +75,7 @@ pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
                 gallop_into(b, a, out)
             }
         }
-        _ => merge_into(a, b, out),
+        Strategy::Merge => merge_into(a, b, out),
     }
 }
 
@@ -312,84 +301,6 @@ pub fn filter_by_all_into(base: &[VertexId], probes: &[&[VertexId]], out: &mut V
     intersect_filter_into(base, order, |i| probes[i], out);
 }
 
-/// A reusable `u64`-block bitmap index over one sorted pivot set.
-///
-/// Build once (`O(|pivot| + span/64)`, where span is the id range the
-/// pivot covers), then intersect many probe sets against it at one bit
-/// test per probed element. The buffer is retained across
-/// [`BitmapIndex::build`] calls, so a loop that re-indexes successive
-/// pivot sets allocates only when the span grows.
-///
-/// Cost model (DESIGN.md §11): against `m` probe sets of average length
-/// `p̄`, the bitmap costs `|pivot| + span/64 + m·p̄` word operations where
-/// adaptive pairwise costs `m · min(p̄+|pivot|, p̄·log|pivot|)` — the
-/// bitmap wins once `m` is a handful and the pivot is high-degree.
-#[derive(Debug, Default, Clone)]
-pub struct BitmapIndex {
-    base: VertexId,
-    blocks: Vec<u64>,
-    len: usize,
-}
-
-impl BitmapIndex {
-    /// An empty index (matches nothing).
-    pub fn new() -> Self {
-        BitmapIndex::default()
-    }
-
-    /// Number of elements in the indexed pivot set.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the indexed pivot set is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// (Re)build the index over `pivot` (strictly sorted), reusing the
-    /// block buffer.
-    pub fn build(&mut self, pivot: &[VertexId]) {
-        self.len = pivot.len();
-        let Some((&first, &last)) = pivot.first().zip(pivot.last()) else {
-            self.blocks.clear();
-            self.base = 0;
-            return;
-        };
-        self.base = first & !63;
-        let blocks = (last - self.base) as usize / 64 + 1;
-        self.blocks.clear();
-        self.blocks.resize(blocks, 0);
-        for &v in pivot {
-            let off = (v - self.base) as usize;
-            self.blocks[off / 64] |= 1u64 << (off % 64);
-        }
-    }
-
-    /// Is `v` in the pivot set?
-    #[inline]
-    pub fn contains(&self, v: VertexId) -> bool {
-        if self.len == 0 || v < self.base {
-            return false;
-        }
-        let off = (v - self.base) as usize;
-        self.blocks
-            .get(off / 64)
-            .is_some_and(|b| b & (1u64 << (off % 64)) != 0)
-    }
-
-    /// Append `probe ∩ pivot` to `out` (probe strictly sorted; output
-    /// order follows `probe`, i.e. stays sorted).
-    pub fn intersect_into(&self, probe: &[VertexId], out: &mut Vec<VertexId>) {
-        if self.len == 0 {
-            return;
-        }
-        out.extend(probe.iter().copied().filter(|&v| self.contains(v)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,29 +402,6 @@ mod tests {
         out.clear();
         filter_by_all_into(&base, &[], &mut out);
         assert_eq!(out, base, "no probe sets: identity");
-    }
-
-    #[test]
-    fn bitmap_index_rebuild_and_probe() {
-        let mut idx = BitmapIndex::new();
-        let pivot: Vec<VertexId> = vec![100, 163, 164, 1000];
-        idx.build(&pivot);
-        assert_eq!(idx.len(), 4);
-        for v in [100, 163, 164, 1000] {
-            assert!(idx.contains(v));
-        }
-        for v in [0, 99, 101, 165, 999, 1001, 5000] {
-            assert!(!idx.contains(v));
-        }
-        let probe: Vec<VertexId> = (0..1200).collect();
-        let mut out = Vec::new();
-        idx.intersect_into(&probe, &mut out);
-        assert_eq!(out, pivot);
-        // Rebuild over a different pivot reuses the buffer.
-        idx.build(&[3]);
-        assert!(idx.contains(3) && !idx.contains(100));
-        idx.build(&[]);
-        assert!(idx.is_empty() && !idx.contains(3));
     }
 
     #[test]

@@ -16,13 +16,14 @@
 //!   at reduced scale.
 //! * [`stats`] — the statistics reported in Table 1.
 //! * [`intersect`] — the degree-adaptive sorted-set intersection engine
-//!   (merge / gallop / bitmap) shared by the candidate builder, the
+//!   (merge / gallop) shared by the candidate builder's pruning, the
 //!   estimators' Refine step, and the SIMT kernels' memory charging.
 //! * [`storage`] — the [`GraphStorage`] trait every data-graph consumer is
 //!   generic over, plus [`AnyGraph`] for runtime backend selection.
 //! * [`compressed`] — [`CompressedGraph`]: gap-coded varint adjacency with
 //!   Elias-Fano indexing, packed into an mmap-able on-disk image
-//!   ([`mmap`]), with decode-on-the-fly / block-skip intersection.
+//!   ([`mmap`]), with decode-on-the-fly streaming and block-skip
+//!   membership probes.
 
 pub mod compressed;
 pub mod csr;

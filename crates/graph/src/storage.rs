@@ -9,26 +9,24 @@
 //!
 //! 1. Neighbor lists are strictly ascending and identical across backends
 //!    (the compressed backend is a lossless re-encoding of the CSR).
-//! 2. Every intersection/membership entry point produces output that
-//!    depends only on the *sets*, never on the storage strategy — the same
-//!    contract the adaptive intersection engine already honors
-//!    (DESIGN.md §11).
+//! 2. Every membership entry point produces output that depends only on
+//!    the *sets*, never on the storage strategy — the same contract the
+//!    adaptive intersection engine already honors (DESIGN.md §11).
 //!
 //! Together these guarantee that the candidate graph, and therefore every
 //! downstream estimate and device counter, is identical whichever backend
 //! built it — the property the storage-equivalence regression tests pin.
 
 use crate::compressed::CompressedGraph;
-use crate::{intersect, Graph, Label, VertexId};
+use crate::{Graph, Label, VertexId};
 
 /// Borrow-or-decode view of one sorted neighbor list.
 ///
 /// CSR storage hands out a borrowed slice (zero copy); compressed storage
 /// decodes into an owned buffer. Both deref to `&[VertexId]`, so callers
 /// that need random access stay backend-agnostic. Hot paths that only
-/// stream or intersect should prefer [`GraphStorage::for_each_neighbor`] /
-/// [`GraphStorage::intersect_neighbors_into`], which never materialize on
-/// the compressed backend.
+/// stream should prefer [`GraphStorage::for_each_neighbor`], which never
+/// materializes on the compressed backend.
 #[derive(Debug, Clone)]
 pub enum NeighborsRef<'a> {
     /// A zero-copy slice into backend storage.
@@ -123,17 +121,6 @@ pub trait GraphStorage: Sync {
                 break;
             }
         }
-    }
-
-    /// Append `N(v) ∩ other` (ascending) to `out`. The default routes
-    /// through the adaptive pairwise engine; the compressed backend
-    /// overrides it with the decode-on-the-fly / block-skip variant.
-    /// Output is identical for every backend and strategy.
-    fn intersect_neighbors_into(&self, v: VertexId, other: &[VertexId], out: &mut Vec<VertexId>)
-    where
-        Self: Sized,
-    {
-        intersect::intersect_into(&self.neighbors_ref(v), other, out);
     }
 
     /// Maximum vertex degree.
@@ -249,10 +236,6 @@ impl GraphStorage for AnyGraph {
     fn for_each_neighbor(&self, v: VertexId, f: impl FnMut(VertexId) -> bool) {
         delegate!(self, g => g.for_each_neighbor(v, f))
     }
-
-    fn intersect_neighbors_into(&self, v: VertexId, other: &[VertexId], out: &mut Vec<VertexId>) {
-        delegate!(self, g => g.intersect_neighbors_into(v, other, out))
-    }
 }
 
 #[cfg(test)]
@@ -299,9 +282,6 @@ mod tests {
             w < 2 // stop after first element ≥ 2
         });
         assert_eq!(seen, &[0, 2]);
-        let mut out = Vec::new();
-        g.intersect_neighbors_into(1, &[2, 3, 9], &mut out);
-        assert_eq!(out, &[2, 3]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ tasks:
                        quick mode (release build) and write
                        BENCH_sampling.json at the workspace root: median
                        ns per op keyed by bench id and git rev, plus the
-                       legacy-vs-adaptive intersection speedups; the
+                       legacy-vs-adaptive Alley Refine speedup; the
                        artifact is validated after the run
   check-bench <file>   validate a BENCH_sampling.json artifact (parses
                        the JSON, checks every row has an id and a finite
@@ -451,7 +451,7 @@ fn check_bench_file(path: &str) -> ExitCode {
     }
     // The rail's contract: every comparison the docs cite must be present,
     // including the compressed-vs-CSR storage rows.
-    const REQUIRED_IDS: [&str; 27] = [
+    const REQUIRED_IDS: [&str; 25] = [
         "storage/charge_probes/per_access/yeast",
         "storage/charge_probes/batched/yeast",
         "storage/charge_probes/per_access/eu2005",
@@ -459,8 +459,6 @@ fn check_bench_file(path: &str) -> ExitCode {
         "cpu_sampling/WJ/yeast",
         "cpu_sampling/AL/yeast",
         "candidate_build/full/yeast",
-        "candidate_build/adaptive/yeast",
-        "candidate_build/legacy/yeast",
         "alley_refine/adaptive/yeast",
         "alley_refine/legacy/yeast",
         "sim/wall/serial/yeast",

@@ -171,3 +171,51 @@ fn ablation_ladder_is_ordered_on_skewed_data() {
         per(&o0)
     );
 }
+
+/// `run()` and `run_custom` share one path: a built-in estimator passed to
+/// `run_custom` reproduces `run()` bit for bit, trawling included, and the
+/// CPU backend refuses trawling through either entry point.
+#[test]
+fn run_custom_matches_run_with_and_without_trawling() {
+    let data = gsword::datasets::dataset("yeast");
+    let query = QueryGraph::extract(&data, 4, 0xFEED).expect("query");
+    let builder = |trawling: Option<TrawlConfig>| {
+        let b = Gsword::builder(&data, &query)
+            .samples(6_000)
+            .device(small_device());
+        match trawling {
+            Some(t) => b.trawling(t),
+            None => b,
+        }
+    };
+    let trawl = TrawlConfig {
+        batches: 2,
+        cpu_threads: 2,
+        per_batch: 16,
+        ..TrawlConfig::default()
+    };
+    for trawling in [None, Some(trawl)] {
+        let built_in = builder(trawling).run().expect("run");
+        let custom = builder(trawling).run_custom(&Alley).expect("run_custom");
+        assert_eq!(custom.sampler, built_in.sampler, "trawling {trawling:?}");
+        assert_eq!(custom.counters, built_in.counters, "trawling {trawling:?}");
+        assert_eq!(
+            custom.modeled_ms.map(f64::to_bits),
+            built_in.modeled_ms.map(f64::to_bits)
+        );
+        assert!(custom.candidate_stats.is_some());
+        assert!(custom.wall_ms > 0.0);
+        if trawling.is_some() {
+            assert!(built_in.trawl_completed > 0, "run() trawled");
+            assert!(custom.trawl_completed > 0, "run_custom trawled");
+            assert!(custom.trawl.is_some());
+        } else {
+            assert_eq!(custom.trawl_completed, 0);
+        }
+    }
+    let cpu_trawl = builder(Some(trawl))
+        .backend(Backend::Cpu { threads: 1 })
+        .run_custom(&Alley)
+        .unwrap_err();
+    assert_eq!(cpu_trawl, Error::TrawlingNeedsDevice);
+}

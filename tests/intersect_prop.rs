@@ -1,9 +1,9 @@
 //! Property tests for the degree-adaptive intersection engine: every
-//! strategy (merge, gallop, bitmap) and the k-way path must agree with a
+//! strategy (merge, gallop) and the k-way path must agree with a
 //! naive `Vec::retain` reference on random sorted inputs, across skew
 //! ratios spanning the 8× merge/gallop cutover.
 
-use gsword_graph::intersect::{self, BitmapIndex, GALLOP_RATIO};
+use gsword_graph::intersect::{self, GALLOP_RATIO};
 use gsword_graph::VertexId;
 use proptest::prelude::*;
 
@@ -65,30 +65,6 @@ proptest! {
             "adaptive picked {:?}",
             intersect::strategy_for(a.len(), b.len())
         );
-
-        let mut idx = BitmapIndex::new();
-        idx.build(&b);
-        let mut bitmapped = Vec::new();
-        idx.intersect_into(&a, &mut bitmapped);
-        prop_assert_eq!(&bitmapped, &want, "bitmap");
-    }
-
-    // One reused index must behave exactly like a fresh build per pivot.
-    #[test]
-    fn bitmap_index_reuse_matches_fresh_builds(seed in any::<u64>(), rebuilds in 1usize..5) {
-        let mut s = seed | 1;
-        let probe = mk_sorted(&mut s, 120, 1_000);
-        let mut reused = BitmapIndex::new();
-        for _ in 0..rebuilds {
-            let pivot = mk_sorted(&mut s, 80, 1_000);
-            reused.build(&pivot);
-            let mut out = Vec::new();
-            reused.intersect_into(&probe, &mut out);
-            prop_assert_eq!(out, naive(&probe, &pivot));
-            for &v in &probe {
-                prop_assert_eq!(reused.contains(v), pivot.contains(&v), "v={}", v);
-            }
-        }
     }
 
     #[test]

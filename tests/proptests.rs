@@ -2,6 +2,7 @@
 //! invariants, using random graphs and queries.
 
 use gsword::prelude::*;
+use gsword::query::QueryVertex;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -126,6 +127,174 @@ proptest! {
         for _ in 0..64 {
             let d = dist.sample(&mut rng);
             prop_assert!(d >= lo && d <= qlen);
+        }
+    }
+}
+
+/// A graph on 1–3 labels with a power-law hub: vertex 0 links to about
+/// half of the others, so query vertices share labels (and often whole
+/// candidate sets) and some candidates have far larger adjacencies than
+/// the rest.
+fn shared_label_hub_strategy() -> impl Strategy<Value = Graph> {
+    (8usize..72, 1usize..4, any::<u64>()).prop_map(|(n, labels, seed)| {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::with_vertices(n);
+        for (v, l) in gsword::graph::gen::zipf_labels(n, labels, 0.6, seed)
+            .into_iter()
+            .enumerate()
+        {
+            b.set_label(v as VertexId, l);
+        }
+        for v in 1..n as VertexId {
+            if rng.gen_bool(0.5) {
+                b.add_edge(0, v);
+            }
+        }
+        for _ in 0..2 * n {
+            b.add_edge(
+                rng.gen_range(0..n as VertexId),
+                rng.gen_range(0..n as VertexId),
+            );
+        }
+        b.build().expect("edges are in range")
+    })
+}
+
+/// `C(u)` for every query vertex, straight from the filter definitions:
+/// label, degree, neighbor-label frequency, then `prune_rounds` in-place
+/// passes that drop `v` from `C(u)` when some query edge `(u, u')` leaves
+/// `N(v) ∩ C(u')` empty.
+fn reference_candidates(g: &Graph, q: &QueryGraph, cfg: &BuildConfig) -> Vec<Vec<VertexId>> {
+    let n = q.num_vertices() as QueryVertex;
+    let label_freq =
+        |labels: &mut dyn Iterator<Item = Label>, l: Label| labels.filter(|&x| x == l).count();
+    let mut sets: Vec<Vec<VertexId>> = (0..n)
+        .map(|u| {
+            (0..g.num_vertices() as VertexId)
+                .filter(|&v| g.label(v) == q.label(u))
+                .filter(|&v| !cfg.degree_filter || g.degree(v) >= q.degree(u))
+                .filter(|&v| {
+                    !cfg.nlf_filter
+                        || q.neighbors(u).all(|u2| {
+                            let l = q.label(u2);
+                            let need = label_freq(&mut q.neighbors(u).map(|x| q.label(x)), l);
+                            let have =
+                                label_freq(&mut g.neighbors(v).iter().map(|&w| g.label(w)), l);
+                            have >= need
+                        })
+                })
+                .collect()
+        })
+        .collect();
+    for _ in 0..cfg.prune_rounds {
+        for u in 0..n {
+            let kept: Vec<VertexId> = sets[u as usize]
+                .iter()
+                .copied()
+                .filter(|&v| {
+                    q.neighbors(u)
+                        .all(|u2| g.neighbors(v).iter().any(|w| sets[u2 as usize].contains(w)))
+                })
+                .collect();
+            sets[u as usize] = kept;
+        }
+    }
+    sets
+}
+
+/// Check every array of `cg` against the definition: the global sets
+/// `C(u)`, the directed query edges in `(u, u')` order, the candidates of
+/// each edge's source, and `local(e, v) = N(v) ∩ C(dst(e))` laid out edge
+/// after edge.
+fn check_definition(
+    g: &Graph,
+    q: &QueryGraph,
+    cfg: &BuildConfig,
+    cg: &CandidateGraph,
+) -> Result<(), TestCaseError> {
+    let sets = reference_candidates(g, q, cfg);
+    let n = q.num_vertices();
+    let mut global_at = 0;
+    for (u, set) in sets.iter().enumerate() {
+        prop_assert_eq!(cg.global_with_addr(u as QueryVertex), (&set[..], global_at));
+        global_at += set.len();
+    }
+    let (mut k, mut tuples, mut local_at) = (0, 0, 0);
+    for u in 0..n as QueryVertex {
+        for u2 in q.neighbors(u) {
+            prop_assert_eq!(cg.edge_dst(k), u2);
+            prop_assert_eq!(cg.edge_index(u, u2), Some(k));
+            for v in 0..g.num_vertices() as VertexId {
+                if sets[u as usize].contains(&v) {
+                    let want: Vec<VertexId> = g
+                        .neighbors(v)
+                        .iter()
+                        .copied()
+                        .filter(|w| sets[u2 as usize].contains(w))
+                        .collect();
+                    prop_assert_eq!(cg.local_with_addr(k, v), (&want[..], local_at));
+                    local_at += want.len();
+                    tuples += 1;
+                } else {
+                    prop_assert!(
+                        cg.local(k, v).is_empty(),
+                        "v{} is no candidate of u{}",
+                        v,
+                        u
+                    );
+                }
+            }
+            k += 1;
+        }
+    }
+    prop_assert_eq!(cg.num_directed_edges(), k);
+    prop_assert_eq!(cg.num_local_entries(), local_at);
+    // Array lengths, which the lookups above cannot see: offsets are
+    // `usize`, vertex ids `u32`, edge destinations one byte.
+    let offsets = (n + 1) + (n + 1) + (k + 1) + (tuples + 1);
+    let ids = global_at + tuples + local_at;
+    prop_assert_eq!(cg.byte_size(), offsets * 8 + ids * 4 + k);
+    Ok(())
+}
+
+/// Queries of 3–12 vertices extracted from `g`, a 32-vertex query (the
+/// widest the membership masks allow), and a query with one label the
+/// data graph lacks, whose candidate set is empty.
+fn definition_queries(g: &Graph, seed: u64) -> Vec<QueryGraph> {
+    let mut queries: Vec<QueryGraph> = (3..=12)
+        .filter_map(|k| QueryGraph::extract(g, k, seed ^ k as u64))
+        .collect();
+    let labels = g.label_count().max(1);
+    let wide_edges: Vec<(QueryVertex, QueryVertex)> = (1..32)
+        .map(|i| (i - 1, i))
+        .chain((3..32).step_by(3).map(|i| (0, i)))
+        .collect();
+    queries.push(
+        QueryGraph::new(
+            (0..32).map(|i| (i % labels) as Label).collect(),
+            &wide_edges,
+        )
+        .expect("connected 32-vertex query"),
+    );
+    queries.push(QueryGraph::new(vec![0, 7, 0], &[(0, 1), (1, 2), (0, 2)]).expect("triangle"));
+    queries
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn candidate_graph_equals_its_definition(g in shared_label_hub_strategy(), seed in any::<u64>()) {
+        let uncached = CompressedGraph::from_graph(&g).with_decode_cache(0);
+        let cached = CompressedGraph::from_graph(&g).with_decode_cache(1024);
+        for q in definition_queries(&g, seed) {
+            for cfg in [BuildConfig::default(), BuildConfig::strong(), BuildConfig::unfiltered()] {
+                let (cg, _) = build_candidate_graph(&g, &q, &cfg);
+                check_definition(&g, &q, &cfg, &cg)?;
+                prop_assert_eq!(&build_candidate_graph(&uncached, &q, &cfg).0, &cg);
+                prop_assert_eq!(&build_candidate_graph(&cached, &q, &cfg).0, &cg);
+            }
         }
     }
 }

@@ -139,13 +139,6 @@ fn decode_cache_is_invisible_to_every_storage_method() {
                 "has_edge({v}, {w})"
             );
         }
-
-        let other: Vec<VertexId> = (0..n as VertexId).step_by(3).collect();
-        buf_c.clear();
-        buf_u.clear();
-        cached.intersect_neighbors_into(v, &other, &mut buf_c);
-        uncached.intersect_neighbors_into(v, &other, &mut buf_u);
-        assert_eq!(buf_c, buf_u, "intersect_neighbors_into({v})");
     }
 
     for l in 0..cached.label_count() as Label {
