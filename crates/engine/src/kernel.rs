@@ -309,6 +309,9 @@ struct WarpExec<'e, 'c, E: ?Sized> {
     scratch: Vec<Vec<VertexId>>,
     /// Per-lane backward segments, resolved once per iteration.
     segs: Vec<Vec<Segment<'c>>>,
+    /// Per-lane index into `segs` of the minimum segment, the one the
+    /// lane's candidates were drawn from (unset at the root position).
+    min_seg: [usize; WARP_SIZE],
     /// Per-lane gallop cursors, one per backward segment, reset at every
     /// refine call. Candidates scan in ascending order, so each cursor
     /// advances monotonically through its segment — the engine's actual
@@ -350,6 +353,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             inherited: 0,
             scratch: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
             segs: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
+            min_seg: [0; WARP_SIZE],
             cursors: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
             probe_bufs: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
         }
@@ -414,28 +418,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         // --- GetMinCandidate: resolve backward segments per lane ---------
         let mut cand: Lanes<Option<LaneCand<'c>>> = [None; WARP_SIZE];
         for lane in lanes_of(mask) {
-            self.segs[lane].clear();
-            // Work around simultaneous &mut self.segs[lane] and &self.ctx.
-            let mut seg_buf = std::mem::take(&mut self.segs[lane]);
-            self.ctx
-                .backward_segments(s[lane].prefix(), d, &mut seg_buf);
-            let lc = if d == 0 {
-                let (set, addr) = self.ctx.root_candidates();
-                LaneCand {
-                    cand: set,
-                    addr,
-                    region: Region::GLOBAL,
-                }
-            } else {
-                let (set, addr) = QueryCtx::min_of_segments(&seg_buf);
-                LaneCand {
-                    cand: set,
-                    addr,
-                    region: Region::LOCAL,
-                }
-            };
-            self.segs[lane] = seg_buf;
-            cand[lane] = Some(lc);
+            cand[lane] = Some(self.resolve_lane(lane, s[lane].prefix(), d));
         }
         self.charge_get_min(mask, d);
 
@@ -543,20 +526,14 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             warp_load(&mut self.ctr, &self.san, &addrs);
             self.clear_probe_bufs();
             for lane in lanes_of(step_mask) {
-                let lc = cand[lane].expect("active lane");
-                self.record_lane_probes(lane, lc.cand[t]);
+                let v = cand[lane].expect("active lane").cand[t];
+                // Functional refine: engine scratch keeps survivors.
+                let searched = self.record_lane_probes(lane, v);
+                if self.refines(lane, v, searched) {
+                    self.scratch[lane].push(v);
+                }
             }
             self.charge_recorded_probes();
-            for lane in lanes_of(step_mask) {
-                let lc = cand[lane].expect("active lane");
-                let v = lc.cand[t];
-                // Functional refine: engine scratch keeps survivors.
-                let mut scratch = std::mem::take(&mut self.scratch[lane]);
-                if self.est.refine_one(&self.segs[lane], v) {
-                    scratch.push(v);
-                }
-                self.scratch[lane] = scratch;
-            }
         }
         for lane in lanes_of(mask) {
             let refined = &self.scratch[lane];
@@ -609,13 +586,12 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
                 lc.addr + base,
                 WARP_SIZE,
             );
-            self.charge_streaming_probes(leader, lc.cand, base);
+            let searched = self.charge_streaming_probes(leader, lc.cand, base);
 
             let mut keys = [0.0f64; WARP_SIZE];
             let mut pass = [false; WARP_SIZE];
             for t in 0..WARP_SIZE {
-                let v = lc.cand[base + t];
-                if self.est.refine_one(&self.segs[leader], v) {
+                if self.refines(leader, lc.cand[base + t], searched[t]) {
                     pass[t] = true;
                     // A-Res key for unit weight: r^(1/1) = r.
                     keys[t] = self.rng[t].gen::<f64>();
@@ -680,14 +656,9 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             }
             self.clear_probe_bufs();
             for lane in lanes_of(step_mask) {
-                let lc = cand[lane].expect("active lane");
-                self.record_lane_probes(lane, lc.cand[cur_iter[lane]]);
-            }
-            self.charge_recorded_probes();
-            for lane in lanes_of(step_mask) {
-                let lc = cand[lane].expect("active lane");
-                let v = lc.cand[cur_iter[lane]];
-                if self.est.refine_one(&self.segs[lane], v) {
+                let v = cand[lane].expect("active lane").cand[cur_iter[lane]];
+                let searched = self.record_lane_probes(lane, v);
+                if self.refines(lane, v, searched) {
                     cur_total[lane] += 1.0;
                     if self.rng[lane].gen::<f64>() < 1.0 / cur_total[lane] {
                         cur_v[lane] = Some(v);
@@ -695,6 +666,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
                 }
                 cur_iter[lane] += 1;
             }
+            self.charge_recorded_probes();
         }
 
         for lane in lanes_of(mask) {
@@ -744,28 +716,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         // order positions, so the loads scatter across the candidate graph.
         let mut cand: Lanes<Option<LaneCand<'c>>> = [None; WARP_SIZE];
         for lane in lanes_of(mask) {
-            let d = depth[lane];
-            let mut seg_buf = std::mem::take(&mut self.segs[lane]);
-            seg_buf.clear();
-            self.ctx
-                .backward_segments(s[lane].prefix(), d, &mut seg_buf);
-            let lc = if d == 0 {
-                let (set, addr) = self.ctx.root_candidates();
-                LaneCand {
-                    cand: set,
-                    addr,
-                    region: Region::GLOBAL,
-                }
-            } else {
-                let (set, addr) = QueryCtx::min_of_segments(&seg_buf);
-                LaneCand {
-                    cand: set,
-                    addr,
-                    region: Region::LOCAL,
-                }
-            };
-            self.segs[lane] = seg_buf;
-            cand[lane] = Some(lc);
+            cand[lane] = Some(self.resolve_lane(lane, s[lane].prefix(), depth[lane]));
         }
         // Each lane resolves one local-CSR lookup per backward segment
         // (`segs[lane]` holds exactly the segments of its own depth);
@@ -863,19 +814,13 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             // the sample-sync path because segment sets differ per lane.
             self.clear_probe_bufs();
             for lane in lanes_of(step_mask) {
-                let lc = cand[lane].expect("active lane");
-                self.record_lane_probes(lane, lc.cand[t]);
+                let v = cand[lane].expect("active lane").cand[t];
+                let searched = self.record_lane_probes(lane, v);
+                if self.refines(lane, v, searched) {
+                    self.scratch[lane].push(v);
+                }
             }
             self.charge_recorded_probes();
-            for lane in lanes_of(step_mask) {
-                let lc = cand[lane].expect("active lane");
-                let v = lc.cand[t];
-                let mut scratch = std::mem::take(&mut self.scratch[lane]);
-                if self.est.refine_one(&self.segs[lane], v) {
-                    scratch.push(v);
-                }
-                self.scratch[lane] = scratch;
-            }
         }
         for lane in lanes_of(mask) {
             let refined = &self.scratch[lane];
@@ -883,6 +828,46 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
                 let idx = self.rng[lane].gen_range(0..refined.len());
                 chosen[lane] = Some((refined[idx], 1.0 / refined.len() as f64));
             }
+        }
+    }
+
+    /// GetMinCandidate for one lane: resolve its backward segments at
+    /// position `d` into `segs[lane]`, note the minimum one, and return the
+    /// candidate set the lane samples from.
+    fn resolve_lane(&mut self, lane: usize, prefix: &[VertexId], d: usize) -> LaneCand<'c> {
+        let segs = &mut self.segs[lane];
+        segs.clear();
+        self.ctx.backward_segments(prefix, d, segs);
+        if d == 0 {
+            let (cand, addr) = self.ctx.root_candidates();
+            return LaneCand {
+                cand,
+                addr,
+                region: Region::GLOBAL,
+            };
+        }
+        let min = QueryCtx::min_segment_index(segs);
+        self.min_seg[lane] = min;
+        let (cand, addr) = segs[min];
+        LaneCand {
+            cand,
+            addr,
+            region: Region::LOCAL,
+        }
+    }
+
+    /// The Refine verdict for candidate `v` of `lane`. `searched` is the
+    /// verdict of the search just charged for `v`: membership in every
+    /// backward segment but the minimum one, which holds `v` by
+    /// construction. An estimator that declares
+    /// [`Estimator::refine_is_membership`] takes it as is; any other is
+    /// asked through `refine_one`.
+    #[inline]
+    fn refines(&self, lane: usize, v: VertexId, searched: bool) -> bool {
+        if self.est.refine_is_membership() {
+            searched
+        } else {
+            self.est.refine_one(&self.segs[lane], v)
         }
     }
 
@@ -935,17 +920,23 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
     /// against every backward segment of `lane` except the minimum one the
     /// candidate was drawn from: a gallop (exponential probe + binary
     /// search) from the lane's persistent cursor into each segment.
-    fn record_lane_probes(&mut self, lane: usize, v: VertexId) {
-        let segs = &self.segs[lane];
-        let min_idx = min_segment_index(segs);
+    /// Returns whether `v` was found in all of them. Every segment is
+    /// searched whatever the earlier ones answered, so the charge does not
+    /// depend on the verdict.
+    fn record_lane_probes(&mut self, lane: usize, v: VertexId) -> bool {
+        let min_idx = self.min_seg[lane];
         let cursors = &mut self.cursors[lane];
         let buf = &mut self.probe_bufs[lane];
-        for (p, &(seg, base)) in segs.iter().enumerate() {
+        let mut member = true;
+        for (p, &(seg, base)) in self.segs[lane].iter().enumerate() {
             if p == min_idx {
                 continue;
             }
-            intersect::gallop_member_probes(seg, &mut cursors[p], v, |off| buf.push(base + off));
+            member &= intersect::gallop_member_probes(seg, &mut cursors[p], v, |off| {
+                buf.push(base + off)
+            });
         }
+        member
     }
 
     /// Charge the recorded per-lane probe addresses to the coalescing
@@ -960,22 +951,30 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
     /// candidates of the leader against the *leader's* non-min backward
     /// segments — independent binary searches into shared segments, whose
     /// early probes land on the same midpoints and coalesce (the win
-    /// streaming buys over per-lane scattered segments).
-    fn charge_streaming_probes(&mut self, leader: usize, cand: &[VertexId], base: usize) {
+    /// streaming buys over per-lane scattered segments). Returns, per
+    /// worker, whether its candidate was found in all of them; as in
+    /// [`WarpExec::record_lane_probes`], every segment is searched.
+    fn charge_streaming_probes(
+        &mut self,
+        leader: usize,
+        cand: &[VertexId],
+        base: usize,
+    ) -> [bool; WARP_SIZE] {
         self.clear_probe_bufs();
         let segs = &self.segs[leader];
-        let min_idx = min_segment_index(segs);
-        let bufs = &mut self.probe_bufs;
-        for (t, buf) in bufs.iter_mut().enumerate().take(WARP_SIZE) {
+        let min_idx = self.min_seg[leader];
+        let mut member = [true; WARP_SIZE];
+        for (t, buf) in self.probe_bufs.iter_mut().enumerate().take(WARP_SIZE) {
             let v = cand[base + t];
             for (p, &(seg, sbase)) in segs.iter().enumerate() {
                 if p == min_idx {
                     continue;
                 }
-                intersect::member_with_probes(seg, v, |off| buf.push(sbase + off));
+                member[t] &= intersect::member_with_probes(seg, v, |off| buf.push(sbase + off));
             }
         }
         self.charge_recorded_probes();
+        member
     }
 
     /// Validate loads: WanderJoin binary-searches every backward segment
@@ -1000,20 +999,6 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         self.charge_recorded_probes();
         self.ctr.warp_instruction(mask);
     }
-}
-
-/// Index of the first minimal-length backward segment — the one
-/// GetMinCandidate drew the candidate set from, which Refine needn't
-/// probe again.
-#[inline]
-fn min_segment_index(segs: &[Segment<'_>]) -> usize {
-    let mut best = 0;
-    for (i, (seg, _)) in segs.iter().enumerate() {
-        if seg.len() < segs[best].0.len() {
-            best = i;
-        }
-    }
-    best
 }
 
 #[cfg(test)]

@@ -140,7 +140,7 @@ impl<'a, 'c, E: Estimator + ?Sized> TreeWalk<'a, 'c, E> {
         let (cand, _) = if d == 0 {
             self.ctx.root_candidates()
         } else {
-            QueryCtx::min_of_segments(&segs)
+            segs[QueryCtx::min_segment_index(&segs)]
         };
         if cand.is_empty() {
             self.leaves_left = self.leaves_left.saturating_sub(1);

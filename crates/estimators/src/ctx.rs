@@ -145,14 +145,16 @@ impl<'a> QueryCtx<'a> {
         (set, addr, false)
     }
 
-    /// Pick the minimum segment out of resolved backward segments (the
-    /// engine resolves segments once and reuses them for Refine and
-    /// Validate).
-    pub fn min_of_segments<'s>(segs: &'s [Segment<'a>]) -> Segment<'a> {
-        *segs
-            .iter()
-            .min_by_key(|(seg, _)| seg.len())
+    /// Index of the first minimal-length segment among resolved backward
+    /// segments: the one a position's candidates are drawn from. Every
+    /// sampler picks it through this function, so the device engine can
+    /// skip exactly this segment when it searches the others in Refine.
+    pub fn min_segment_index(segs: &[Segment<'_>]) -> usize {
+        segs.iter()
+            .enumerate()
+            .min_by_key(|(_, (seg, _))| seg.len())
             .expect("positions d ≥ 1 always have a backward segment")
+            .0
     }
 }
 
@@ -225,8 +227,16 @@ mod tests {
         let mut segs = Vec::new();
         ctx.backward_segments(s.prefix(), 2, &mut segs);
         assert_eq!(segs.len(), 2);
-        let (min_seg, _) = QueryCtx::min_of_segments(&segs);
+        let (min_seg, _) = segs[QueryCtx::min_segment_index(&segs)];
         let (direct, _, _) = ctx.min_candidate(&s, 2);
         assert_eq!(min_seg.len(), direct.len());
+    }
+
+    #[test]
+    fn min_segment_index_picks_the_first_minimum() {
+        let (a, b, c): (&[VertexId], &[VertexId], &[VertexId]) = (&[1, 2, 3], &[4, 5], &[6, 7]);
+        assert_eq!(QueryCtx::min_segment_index(&[(a, 0), (b, 10), (c, 20)]), 1);
+        assert_eq!(QueryCtx::min_segment_index(&[(c, 0), (b, 10), (a, 20)]), 0);
+        assert_eq!(QueryCtx::min_segment_index(&[(a, 0)]), 0);
     }
 }

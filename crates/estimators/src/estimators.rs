@@ -42,6 +42,13 @@ impl EstimatorKind {
 /// defers everything to Validate, Alley pulls everything into Refine, and
 /// users can implement anything in between (see the `custom_estimator`
 /// example).
+///
+/// The device engine searches the backward segments for each Refine
+/// candidate anyway, to charge the probes to the memory model. An
+/// estimator whose Refine is exactly that membership test declares it with
+/// [`Estimator::refine_is_membership`], and the engine takes the verdict
+/// from the charged search instead of calling `refine_one` again. Any
+/// other estimator, whatever its [`Estimator::kind`], keeps `refine_one`.
 pub trait Estimator: Sync {
     /// Whether Refine filters at all. When `false` the engine samples
     /// straight from the minimum candidate segment (WanderJoin).
@@ -49,6 +56,17 @@ pub trait Estimator: Sync {
 
     /// Refine one candidate `v` against the backward segments.
     fn refine_one(&self, segs: &[Segment<'_>], v: VertexId) -> bool;
+
+    /// Whether [`Estimator::refine_one`]`(segs, v)` is exactly "`v` is a
+    /// member of every segment in `segs`" (Alley's Refine). Default `false`.
+    ///
+    /// When `true`, the device engine does not call `refine_one`: it takes
+    /// the verdict from the search it runs to charge the probes. Return
+    /// `true` only if the equivalence holds for every input, or estimates
+    /// silently change.
+    fn refine_is_membership(&self) -> bool {
+        false
+    }
 
     /// Refine a whole candidate segment at once, appending survivors to
     /// `out` in `cand` order (`cand` is sorted ascending, as every
@@ -121,6 +139,11 @@ impl Estimator for Alley {
         segs.iter().all(|(seg, _)| intersect::member(seg, v))
     }
 
+    #[inline]
+    fn refine_is_membership(&self) -> bool {
+        true
+    }
+
     /// Batched Refine: one ascending pass over `cand` with a monotone
     /// gallop cursor per backward segment (smallest segment probed first),
     /// instead of `|cand| × |segs|` independent binary searches. Same
@@ -154,7 +177,7 @@ impl Estimator for Alley {
     }
 }
 
-/// Dispatch an [`EstimatorKind`] to a monomorphized call of `f`.
+/// Hand the built-in estimator of `kind` to `f` as a `&dyn Estimator`.
 pub fn with_estimator<R>(kind: EstimatorKind, f: impl FnOnce(&dyn Estimator) -> R) -> R {
     match kind {
         EstimatorKind::WanderJoin => f(&WanderJoin),
@@ -215,6 +238,12 @@ mod tests {
         assert!(WanderJoin.refine_one(&[(&[], 0)], 7));
         assert!(!WanderJoin.needs_refine());
         assert!(Alley.needs_refine());
+    }
+
+    #[test]
+    fn only_alley_declares_membership_refine() {
+        assert!(Alley.refine_is_membership());
+        assert!(!WanderJoin.refine_is_membership());
     }
 
     #[test]

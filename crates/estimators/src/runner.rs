@@ -59,7 +59,7 @@ pub fn run_partial_sample<E: Estimator + ?Sized>(
         let (cand, _) = if d == 0 {
             ctx.root_candidates()
         } else {
-            QueryCtx::min_of_segments(&segs)
+            segs[QueryCtx::min_segment_index(&segs)]
         };
         if cand.is_empty() {
             return None;

@@ -141,16 +141,26 @@ pub fn warp_load_rounds(
     region: Region,
     lane_offs: &[Vec<usize>],
 ) -> u64 {
+    let lane_offs = &lane_offs[..lane_offs.len().min(WARP_SIZE)];
     let rounds = lane_offs.iter().map(Vec::len).max().unwrap_or(0);
+    let mut lines = [0u64; WARP_SIZE];
     let mut total = 0;
     for r in 0..rounds {
-        let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-        for (lane, offs) in lane_offs.iter().enumerate().take(WARP_SIZE) {
-            if let Some(&off) = offs.get(r) {
-                addrs[lane] = Some((region, off));
+        // All lanes read `region`, so the line index alone tells lines
+        // apart.
+        let mut n = 0;
+        for &off in lane_offs.iter().filter_map(|offs| offs.get(r)) {
+            lines[n] = (off / LINE_WORDS) as u64;
+            n += 1;
+        }
+        let tx = distinct(&mut lines[..n]);
+        ctr.warp_load(n as u32, tx);
+        if san.enabled() {
+            for &off in lane_offs.iter().filter_map(|offs| offs.get(r)) {
+                san.mem_read(region.space(), off);
             }
         }
-        total += warp_load(ctr, san, &addrs);
+        total += tx;
     }
     total
 }
@@ -286,6 +296,29 @@ mod tests {
         assert_eq!(warp_load_bytes(&mut c, &san(), &addrs), 2);
     }
 
+    /// The per-access loop [`warp_load_rounds`] replaces: one [`warp_load`]
+    /// per round over the first [`WARP_SIZE`] lanes.
+    fn per_access_rounds(
+        ctr: &mut KernelCounters,
+        san: &WarpSanitizer,
+        region: Region,
+        seqs: &[Vec<usize>],
+    ) -> u64 {
+        let seqs = &seqs[..seqs.len().min(WARP_SIZE)];
+        let rounds = seqs.iter().map(Vec::len).max().unwrap_or(0);
+        let mut tx = 0;
+        for r in 0..rounds {
+            let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
+            for (lane, s) in seqs.iter().enumerate() {
+                if let Some(&off) = s.get(r) {
+                    addrs[lane] = Some((region, off));
+                }
+            }
+            tx += warp_load(ctr, san, &addrs);
+        }
+        tx
+    }
+
     #[test]
     fn load_rounds_replays_the_per_access_loop_exactly() {
         // Ragged per-lane sequences: lane 0 probes 3 words, lane 1 probes 1,
@@ -296,21 +329,47 @@ mod tests {
         let seqs = vec![vec![0usize, 40, 80], vec![0usize], vec![]];
         let mut batched = KernelCounters::default();
         let tx = warp_load_rounds(&mut batched, &san(), Region::CAND, &seqs);
-
         let mut manual = KernelCounters::default();
-        let mut manual_tx = 0;
-        for r in 0..3 {
-            let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-            for (lane, s) in seqs.iter().enumerate() {
-                if let Some(&off) = s.get(r) {
-                    addrs[lane] = Some((Region::CAND, off));
-                }
-            }
-            manual_tx += warp_load(&mut manual, &san(), &addrs);
-        }
+        let manual_tx = per_access_rounds(&mut manual, &san(), Region::CAND, &seqs);
         assert_eq!(tx, manual_tx);
         assert_eq!(batched.snapshot(), manual.snapshot());
         assert_eq!(batched.mem_instructions, 3);
+
+        // Sanitized: the reads reach initcheck and racecheck as the
+        // per-access loop reports them. Warp 1 initializes words 0..40 in
+        // the same epoch, so warp 0's reads there race; reads past 40 hit
+        // never-written words.
+        let seqs: Vec<Vec<usize>> = (0..WARP_SIZE)
+            .map(|lane| (0..lane % 4).map(|r| (lane * 3 + r * 17) % 72).collect())
+            .collect();
+        let sanitized = |replay: &dyn Fn(&mut KernelCounters, &WarpSanitizer) -> u64| {
+            use gsword_sanitizer::{Sanitizer, SanitizerMode};
+            let sz = Sanitizer::new(SanitizerMode::FULL, "rounds");
+            sz.region_alloc(Region::LOCAL.space(), 128);
+            let writer = sz.warp(0, 1);
+            for off in 0..40 {
+                writer.mem_write(Region::LOCAL.space(), off);
+            }
+            let mut c = KernelCounters::default();
+            let tx = replay(&mut c, &sz.warp(0, 0));
+            (tx, c.snapshot(), sz.report())
+        };
+        let batched = sanitized(&|c, ws| warp_load_rounds(c, ws, Region::LOCAL, &seqs));
+        let manual = sanitized(&|c, ws| per_access_rounds(c, ws, Region::LOCAL, &seqs));
+        assert!(batched.2.count_for("initcheck") > 0 && batched.2.count_for("racecheck") > 0);
+        assert_eq!(batched, manual);
+
+        // Lanes past WARP_SIZE are ignored, including their longer
+        // sequences: no extra rounds are issued for them.
+        let mut seqs: Vec<Vec<usize>> = (0..WARP_SIZE).map(|lane| vec![lane * 40]).collect();
+        seqs.extend((0..8).map(|lane| vec![lane; 5]));
+        let mut batched = KernelCounters::default();
+        let tx = warp_load_rounds(&mut batched, &san(), Region::CAND, &seqs);
+        let mut manual = KernelCounters::default();
+        let manual_tx = per_access_rounds(&mut manual, &san(), Region::CAND, &seqs);
+        assert_eq!(tx, manual_tx);
+        assert_eq!(batched.snapshot(), manual.snapshot());
+        assert_eq!(batched.mem_instructions, 1);
     }
 
     #[test]

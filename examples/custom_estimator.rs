@@ -44,9 +44,11 @@ impl<const K: usize> Estimator for HybridK<K> {
 fn main() {
     let data = gsword::datasets::dataset("dblp");
     // Pick a query with a non-trivial count so the estimators have
-    // something to disagree about.
+    // something to disagree about. On dblp the first 64 plain 8-vertex
+    // draws are all trees, so draw dense queries (max degree ≥ 3), which
+    // include cyclic ones.
     let (query, truth) = (0..64u64)
-        .filter_map(|s| QueryGraph::extract(&data, 8, 0xAB ^ s))
+        .filter_map(|s| QueryGraph::extract_class(&data, 8, 0xAB ^ s, Some(QueryClass::Dense)))
         // A cyclic query (edges ≥ vertices) gives positions with several
         // backward constraints, where the Refine/Validate split matters.
         .filter(|q| q.num_edges() >= q.num_vertices())
