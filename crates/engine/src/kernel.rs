@@ -12,9 +12,14 @@
 //! [`Kernel`](crate::runtime::Kernel) trait. *Where and when* they run —
 //! devices, streams, shards — is the [`crate::runtime`] module's job.
 
+use std::ops::Range;
+
 use gsword_estimators::{Estimate, Estimator, QueryCtx, SampleState, Segment};
 use gsword_graph::{intersect, VertexId};
-use gsword_simt::memory::{warp_load, warp_load_rounds, warp_scan, LaneAddr};
+use gsword_simt::memory::{
+    warp_load, warp_load_round, warp_load_rounds, warp_load_runs, warp_load_steps, warp_scan,
+    LaneAddr,
+};
 use gsword_simt::warp::{self, Lanes, WarpMask};
 use gsword_simt::{
     Device, DeviceConfig, KernelCounters, Region, SamplePool, WarpSanitizer, WARP_SIZE,
@@ -220,9 +225,12 @@ fn run_block<E: Estimator + ?Sized>(
     // inside the warp executor) — the NextDoor-style assignment.
     let warp_quota = split_budget(block_samples, warps);
 
+    // The block's warps run one after another, so one executor serves
+    // them all: `start_warp` reseeds its lanes and zeroes its tallies, and
+    // the lane tables keep their allocations.
+    let mut exec = WarpExec::new(ctx, est, cfg, block, seed);
     for (w, &quota) in warp_quota.iter().enumerate() {
-        let san = device.warp_sanitizer(block, w);
-        let mut exec = WarpExec::new(ctx, est, cfg, san, block, w, seed);
+        exec.start_warp(device.warp_sanitizer(block, w), w);
         match cfg.pool {
             PoolMode::BlockPool => exec.run(Tasks::pool(&pool)),
             PoolMode::Static => exec.run(Tasks::static_split(quota)),
@@ -288,11 +296,15 @@ struct LaneCand<'a> {
     region: Region,
 }
 
-/// Warp executor: owns lane RNGs, scratch, and counter state for one warp.
+/// Warp executor: owns lane RNGs, scratch, and counter state for the warp
+/// it runs, one warp of a block at a time ([`WarpExec::start_warp`]).
 struct WarpExec<'e, 'c, E: ?Sized> {
     ctx: &'e QueryCtx<'c>,
     est: &'e E,
     cfg: &'e EngineConfig,
+    /// The block index and launch seed the lane RNG streams derive from.
+    block: usize,
+    seed: u64,
     rng: Vec<SmallRng>,
     ctr: KernelCounters,
     /// Per-warp sanitizer handle (the disabled handle unless the engine
@@ -319,33 +331,34 @@ struct WarpExec<'e, 'c, E: ?Sized> {
     cursors: Vec<Vec<usize>>,
     /// Per-lane probe element addresses recorded by the current refine or
     /// validate step, drained in lockstep rounds by
-    /// [`WarpExec::charge_recorded_probes`].
+    /// [`WarpExec::charge_recorded_probes`]. The streaming independent
+    /// phase records a lane's whole scan here instead, cut into steps by
+    /// `probe_steps`.
     probe_bufs: Vec<Vec<usize>>,
+    /// Per-lane probe counts of the streaming independent phase, one per
+    /// candidate scanned: the lockstep steps of the lane's `probe_bufs`.
+    probe_steps: Vec<Vec<u32>>,
 }
 
 impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
+    /// An executor for block `block`'s warps; [`WarpExec::start_warp`]
+    /// puts it on one.
     fn new(
         ctx: &'e QueryCtx<'c>,
         est: &'e E,
         cfg: &'e EngineConfig,
-        san: WarpSanitizer,
         block: usize,
-        warp: usize,
         seed: u64,
     ) -> Self {
-        let rng = (0..WARP_SIZE)
-            .map(|lane| {
-                let stream = (block as u64) << 32 | (warp as u64) << 8 | lane as u64;
-                SmallRng::seed_from_u64(seed ^ stream.wrapping_mul(0x9E3779B97F4A7C15))
-            })
-            .collect();
         WarpExec {
             ctx,
             est,
             cfg,
-            rng,
+            block,
+            seed,
+            rng: Vec::with_capacity(WARP_SIZE),
             ctr: KernelCounters::default(),
-            san,
+            san: WarpSanitizer::disabled(),
             weight_sum: 0.0,
             weight_sq_sum: 0.0,
             leaves: 0,
@@ -356,7 +369,28 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             min_seg: [0; WARP_SIZE],
             cursors: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
             probe_bufs: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
+            probe_steps: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
         }
+    }
+
+    /// Start warp `warp` of the block under `san`: reseed every lane's RNG
+    /// from its (block, warp, lane) stream and zero the counters and
+    /// estimate tallies. The lane tables are left as they are; every use
+    /// clears or overwrites a lane's entry first.
+    fn start_warp(&mut self, san: WarpSanitizer, warp: usize) {
+        let (block, seed) = (self.block, self.seed);
+        self.rng.clear();
+        self.rng.extend((0..WARP_SIZE).map(|lane| {
+            let stream = (block as u64) << 32 | (warp as u64) << 8 | lane as u64;
+            SmallRng::seed_from_u64(seed ^ stream.wrapping_mul(0x9E3779B97F4A7C15))
+        }));
+        self.san = san;
+        self.ctr = KernelCounters::default();
+        self.weight_sum = 0.0;
+        self.weight_sq_sum = 0.0;
+        self.leaves = 0;
+        self.fetched = 0;
+        self.inherited = 0;
     }
 
     fn finish_estimate(&self) -> Estimate {
@@ -621,53 +655,57 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         }
 
         // --- Independent phase ---------------------------------------------
-        self.reset_cursors(mask);
-        // Candidate element loads, batched: lane `l` walks its remaining
-        // `clen(l) - cur_iter[l]` candidates in consecutive rounds with no
-        // gaps (a lane active in round `r` was active in every earlier
-        // round), so one `warp_load_rounds` over the per-lane tails replays
-        // the per-step `warp_load` sequence bit-identically. Streaming
-        // refine only runs at positions with backward constraints, where
-        // every lane's candidate set lives in the local-CSR region.
+        // Each lane drains its fewer than 32 leftover candidates with its
+        // own cursors, reservoir and RNG stream, so the lanes scan one after
+        // another and the lockstep charge is rebuilt from per-lane records
+        // (DESIGN.md §11): first the candidate element loads, lane `l`
+        // reading the `r`-th element of its leftover run in round `r`, then
+        // the probes step by step, each step's rounds in lane order. A lane
+        // with one backward segment searches nothing and records nothing.
+        // Streaming refine only runs at positions with backward
+        // constraints, where every lane's candidate set lives in the
+        // local-CSR region.
         debug_assert!(
             lanes_of(mask).all(|l| cand[l].expect("active lane").region == Region::LOCAL),
             "refine candidates come from backward segments (LOCAL)"
         );
+        self.reset_cursors(mask);
         self.clear_probe_bufs();
-        {
-            let bufs = &mut self.probe_bufs;
-            for lane in lanes_of(mask) {
-                let lc = cand[lane].expect("active lane");
-                for t in cur_iter[lane]..lc.cand.len() {
-                    bufs[lane].push(lc.addr + t);
-                }
-            }
+        for steps in &mut self.probe_steps {
+            steps.clear();
         }
-        warp_load_rounds(&mut self.ctr, &self.san, Region::LOCAL, &self.probe_bufs);
-        loop {
-            let mut step_mask: WarpMask = 0;
-            for lane in lanes_of(mask) {
-                if cur_iter[lane] < clen(lane) {
-                    step_mask |= 1 << lane;
-                }
-            }
-            if step_mask == 0 {
-                break;
-            }
-            self.clear_probe_bufs();
-            for lane in lanes_of(step_mask) {
-                let v = cand[lane].expect("active lane").cand[cur_iter[lane]];
-                let searched = self.record_lane_probes(lane, v);
+        let mut runs: [Range<usize>; WARP_SIZE] = Default::default();
+        for lane in lanes_of(mask) {
+            let lc = cand[lane].expect("active lane");
+            let start = cur_iter[lane];
+            runs[lane] = lc.addr + start..lc.addr + lc.cand.len();
+            let probes = self.segs[lane].len() > 1;
+            for &v in &lc.cand[start..] {
+                let searched = if probes {
+                    let before = self.probe_bufs[lane].len();
+                    let member = self.record_lane_probes(lane, v);
+                    let issued = self.probe_bufs[lane].len() - before;
+                    self.probe_steps[lane].push(issued as u32);
+                    member
+                } else {
+                    true // the minimum segment, the only one, holds `v`
+                };
                 if self.refines(lane, v, searched) {
                     cur_total[lane] += 1.0;
                     if self.rng[lane].gen::<f64>() < 1.0 / cur_total[lane] {
                         cur_v[lane] = Some(v);
                     }
                 }
-                cur_iter[lane] += 1;
             }
-            self.charge_recorded_probes();
         }
+        warp_load_runs(&mut self.ctr, &self.san, Region::LOCAL, &runs);
+        warp_load_steps(
+            &mut self.ctr,
+            &self.san,
+            Region::LOCAL,
+            &self.probe_bufs,
+            &self.probe_steps,
+        );
 
         for lane in lanes_of(mask) {
             if let Some(v) = cur_v[lane] {
@@ -885,17 +923,13 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             return;
         }
         // All active lanes sit at depth `d`, so each holds exactly `k`
-        // segments and the batched replay issues exactly `k` rounds.
-        self.clear_probe_bufs();
-        {
-            let (segs, bufs) = (&self.segs, &mut self.probe_bufs);
-            for lane in lanes_of(mask) {
-                for &(_, base) in &segs[lane] {
-                    bufs[lane].push(base);
-                }
-            }
+        // segments: round `r` loads every active lane's `r`-th segment.
+        debug_assert!(mask != 0 && lanes_of(mask).all(|l| self.segs[l].len() == k));
+        let segs = &self.segs;
+        for r in 0..k {
+            let bases = lanes_of(mask).filter_map(|lane| segs[lane].get(r).map(|seg| seg.1));
+            warp_load_round(&mut self.ctr, &self.san, Region::CAND, bases);
         }
-        warp_load_rounds(&mut self.ctr, &self.san, Region::CAND, &self.probe_bufs);
     }
 
     /// Reset every active lane's gallop cursors, one per backward segment.
@@ -960,6 +994,11 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         cand: &[VertexId],
         base: usize,
     ) -> [bool; WARP_SIZE] {
+        if self.segs[leader].len() <= 1 {
+            // Only the minimum segment, which holds every candidate:
+            // nothing to search and no round to charge.
+            return [true; WARP_SIZE];
+        }
         self.clear_probe_bufs();
         let segs = &self.segs[leader];
         let min_idx = self.min_seg[leader];

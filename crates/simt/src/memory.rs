@@ -13,6 +13,8 @@
 //! state, under `initcheck` reads of registered-but-never-written words
 //! are flagged. The disabled handle short-circuits both.
 
+use std::ops::Range;
+
 use crate::counters::KernelCounters;
 use crate::warp::{Lanes, WarpMask, WarpSanitizer, WARP_SIZE};
 use gsword_sanitizer::Space;
@@ -113,12 +115,42 @@ fn charge_lane_access(ctr: &mut KernelCounters, addrs: &Lanes<LaneAddr>, store: 
         lines[n] = line;
         n += 1;
     }
-    let tx = distinct(&mut lines[..n]);
+    let tx = distinct_lines(&mut lines[..n]);
     if store {
         ctr.warp_store(active, tx);
     } else {
         ctr.warp_load(active, tx);
     }
+    tx
+}
+
+/// Issue one lockstep round of a warp-wide load into `region`: `offs`
+/// yields the element offset of every lane that loads this round, in lane
+/// order, and at most the first [`WARP_SIZE`] are taken.
+///
+/// This is the per-round core of [`warp_load_rounds`], [`warp_load_runs`]
+/// and [`warp_load_steps`]. All lanes read one region, so the line index
+/// alone tells lines apart; the offsets are read once, with no per-lane
+/// address array and no sort. The charge and the sanitizer reads equal
+/// one [`warp_load`] of the same lanes. Returns the transaction count.
+pub fn warp_load_round(
+    ctr: &mut KernelCounters,
+    san: &WarpSanitizer,
+    region: Region,
+    offs: impl IntoIterator<Item = usize>,
+) -> u64 {
+    let check = san.enabled();
+    let mut lines = [0u64; WARP_SIZE];
+    let mut n = 0;
+    for off in offs.into_iter().take(WARP_SIZE) {
+        lines[n] = (off / LINE_WORDS) as u64;
+        n += 1;
+        if check {
+            san.mem_read(region.space(), off);
+        }
+    }
+    let tx = distinct_lines(&mut lines[..n]);
+    ctr.warp_load(n as u32, tx);
     tx
 }
 
@@ -143,24 +175,81 @@ pub fn warp_load_rounds(
 ) -> u64 {
     let lane_offs = &lane_offs[..lane_offs.len().min(WARP_SIZE)];
     let rounds = lane_offs.iter().map(Vec::len).max().unwrap_or(0);
-    let mut lines = [0u64; WARP_SIZE];
     let mut total = 0;
     for r in 0..rounds {
-        // All lanes read `region`, so the line index alone tells lines
-        // apart.
-        let mut n = 0;
-        for &off in lane_offs.iter().filter_map(|offs| offs.get(r)) {
-            lines[n] = (off / LINE_WORDS) as u64;
-            n += 1;
+        let offs = lane_offs.iter().filter_map(|offs| offs.get(r).copied());
+        total += warp_load_round(ctr, san, region, offs);
+    }
+    total
+}
+
+/// Issue per-lane runs of consecutive elements as lockstep rounds: lane
+/// `l` reads `runs[l].start + r` in round `r` while `r < runs[l].len()`.
+///
+/// The charge equals [`warp_load_rounds`] over the materialized runs,
+/// without building them: a warp in which every lane walks its own array
+/// one element per step. Lanes beyond [`WARP_SIZE`] are ignored. Returns
+/// the total transaction count.
+pub fn warp_load_runs(
+    ctr: &mut KernelCounters,
+    san: &WarpSanitizer,
+    region: Region,
+    runs: &[Range<usize>],
+) -> u64 {
+    let runs = &runs[..runs.len().min(WARP_SIZE)];
+    let rounds = runs.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
+    let mut total = 0;
+    for r in 0..rounds {
+        let offs = runs
+            .iter()
+            .filter(|run| r < run.len())
+            .map(|run| run.start + r);
+        total += warp_load_round(ctr, san, region, offs);
+    }
+    total
+}
+
+/// Issue per-lane access traces recorded lane by lane, in the lockstep
+/// order of the loop that produced them: step by step, and within a step
+/// round by round.
+///
+/// `lane_offs[l]` is lane `l`'s whole trace and `lane_steps[l][s]` the
+/// number of its offsets that step `s` issued, so step `s` of lane `l`
+/// owns the next `lane_steps[l][s]` offsets. Step `s` charges exactly what
+/// one [`warp_load_rounds`] call over each lane's step-`s` offsets does:
+/// round `r` loads the `r`-th offset of every lane that has one, in lane
+/// order, and a step where no lane accesses charges nothing. Lanes beyond
+/// [`WARP_SIZE`] are ignored. Returns the total transaction count.
+///
+/// # Panics
+///
+/// If a lane's step counts sum past the length of its trace.
+pub fn warp_load_steps(
+    ctr: &mut KernelCounters,
+    san: &WarpSanitizer,
+    region: Region,
+    lane_offs: &[Vec<usize>],
+    lane_steps: &[Vec<u32>],
+) -> u64 {
+    let lanes = lane_offs.len().min(lane_steps.len()).min(WARP_SIZE);
+    let steps = lane_steps[..lanes].iter().map(Vec::len).max().unwrap_or(0);
+    let mut pos = [0usize; WARP_SIZE];
+    let mut total = 0;
+    for s in 0..steps {
+        let mut issued = [0usize; WARP_SIZE];
+        for (n, counts) in issued.iter_mut().zip(&lane_steps[..lanes]) {
+            *n = counts.get(s).map_or(0, |&c| c as usize);
         }
-        let tx = distinct(&mut lines[..n]);
-        ctr.warp_load(n as u32, tx);
-        if san.enabled() {
-            for &off in lane_offs.iter().filter_map(|offs| offs.get(r)) {
-                san.mem_read(region.space(), off);
-            }
+        let rounds = issued.iter().copied().max().unwrap_or(0);
+        for r in 0..rounds {
+            let offs = (0..lanes)
+                .filter(|&l| r < issued[l])
+                .map(|l| lane_offs[l][pos[l] + r]);
+            total += warp_load_round(ctr, san, region, offs);
         }
-        total += tx;
+        for (p, n) in pos.iter_mut().zip(issued) {
+            *p += n;
+        }
     }
     total
 }
@@ -191,18 +280,22 @@ pub fn warp_scan(
     }
 }
 
-fn distinct(lines: &mut [u64]) -> u64 {
-    if lines.is_empty() {
-        return 0;
-    }
-    lines.sort_unstable();
-    let mut tx = 1u64;
-    for i in 1..lines.len() {
-        if lines[i] != lines[i - 1] {
+/// The number of distinct values in `lines`, which it leaves at the front
+/// of the slice in first-seen order (the rest is unspecified).
+///
+/// Each value is checked against the distinct ones found so far, so a
+/// warp access costs `O(lanes × transactions)` compares and no sort: a
+/// coalesced access (few lines) is nearly free.
+pub fn distinct_lines(lines: &mut [u64]) -> u64 {
+    let mut tx = 0;
+    for i in 0..lines.len() {
+        let line = lines[i];
+        if !lines[..tx].contains(&line) {
+            lines[tx] = line;
             tx += 1;
         }
     }
-    tx
+    tx as u64
 }
 
 #[cfg(test)]

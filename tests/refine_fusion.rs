@@ -9,7 +9,9 @@
 //!   sim worker count and storage backend;
 //! * both match the values pinned in [`PINNED`], recorded before the
 //!   fusion, so a change to the charge itself (which moves both alike)
-//!   fails too;
+//!   fails too. Every `KernelCounters` field is pinned, so a charge that
+//!   keeps the totals but moves a load between transaction counts or
+//!   lanes fails as well;
 //! * the fusion is keyed on the declaration, not on `kind()`: an estimator
 //!   that reports itself as Alley but refines against one segment keeps
 //!   its own Refine.
@@ -153,42 +155,51 @@ fn outcome(r: &Report) -> Outcome {
     }
 }
 
-/// A run's values as pinned in [`PINNED`].
+/// A run's values as pinned in [`PINNED`]: the estimate, the modeled
+/// time, the collected samples and every kernel counter, the transaction
+/// histogram included.
 #[derive(Debug, PartialEq)]
 struct Pinned {
     weight_sum: f64,
     modeled_ms: f64,
-    alu_instructions: u64,
-    mem_instructions: u64,
-    mem_transactions: u64,
     samples_collected: u64,
+    counters: KernelCounters,
 }
 
 fn pinned(r: &Report) -> Pinned {
-    let c = r.counters.expect("device counters");
     Pinned {
         weight_sum: r.sampler.weight_sum,
         modeled_ms: r.modeled_ms.expect("modeled time"),
-        alu_instructions: c.alu_instructions,
-        mem_instructions: c.mem_instructions,
-        mem_transactions: c.mem_transactions,
         samples_collected: r.samples_collected,
+        counters: r.counters.expect("device counters"),
     }
 }
 
-/// Alley on [`fixture`] per preset, recorded with the engine that called
-/// `refine_one` for every candidate. The floats are `{:?}` prints, which
-/// round-trip exactly.
+/// Alley on [`fixture`] per preset. The estimate, modeled time, collected
+/// samples and the first three counters were recorded with the engine that
+/// called `refine_one` for every candidate; the other counters were added
+/// from the engine that scanned the streaming independent phase step by
+/// step. The floats are `{:?}` prints, which round-trip exactly.
 const PINNED: [(&str, Pinned); 5] = [
     (
         "gpu_baseline",
         Pinned {
             weight_sum: 37711035.0,
             modeled_ms: 0.05251366233766234,
-            alu_instructions: 256,
-            mem_instructions: 30197,
-            mem_transactions: 108347,
             samples_collected: 1000,
+            counters: KernelCounters {
+                alu_instructions: 256,
+                mem_instructions: 30197,
+                mem_transactions: 108347,
+                active_lane_ops: 117521,
+                issued_lane_slots: 974496,
+                divergent_replays: 0,
+                mem_active_lanes: 110523,
+                tx_histogram: [
+                    0, 14353, 4981, 2425, 1566, 1209, 937, 789, 612, 510, 416, 356, 308, 251, 220,
+                    144, 146, 113, 85, 97, 112, 135, 102, 65, 61, 52, 33, 13, 36, 17, 26, 20, 7,
+                ],
+            },
         },
     ),
     (
@@ -196,10 +207,20 @@ const PINNED: [(&str, Pinned); 5] = [
         Pinned {
             weight_sum: 36601080.0,
             modeled_ms: 0.05234431168831169,
-            alu_instructions: 378,
-            mem_instructions: 25168,
-            mem_transactions: 107532,
             samples_collected: 1000,
+            counters: KernelCounters {
+                alu_instructions: 378,
+                mem_instructions: 25168,
+                mem_transactions: 107532,
+                active_lane_ops: 121479,
+                issued_lane_slots: 817472,
+                divergent_replays: 0,
+                mem_active_lanes: 112465,
+                tx_histogram: [
+                    0, 11536, 3860, 1989, 1320, 889, 701, 602, 543, 451, 423, 347, 342, 351, 224,
+                    203, 125, 134, 101, 95, 52, 55, 43, 50, 55, 50, 57, 75, 117, 139, 144, 70, 25,
+                ],
+            },
         },
     ),
     (
@@ -207,10 +228,20 @@ const PINNED: [(&str, Pinned); 5] = [
         Pinned {
             weight_sum: 119675227.35852905,
             modeled_ms: 0.051648623376623376,
-            alu_instructions: 455,
-            mem_instructions: 23321,
-            mem_transactions: 104184,
             samples_collected: 2349,
+            counters: KernelCounters {
+                alu_instructions: 455,
+                mem_instructions: 23321,
+                mem_transactions: 104184,
+                active_lane_ops: 303717,
+                issued_lane_slots: 760832,
+                divergent_replays: 0,
+                mem_active_lanes: 289517,
+                tx_histogram: [
+                    0, 10330, 3768, 1646, 1116, 907, 720, 580, 518, 434, 470, 432, 335, 265, 233,
+                    198, 121, 104, 94, 82, 84, 58, 38, 42, 55, 45, 42, 90, 119, 143, 154, 54, 44,
+                ],
+            },
         },
     ),
     (
@@ -218,10 +249,20 @@ const PINNED: [(&str, Pinned); 5] = [
         Pinned {
             weight_sum: 182082850.72353715,
             modeled_ms: 0.05250285714285714,
-            alu_instructions: 5441,
-            mem_instructions: 25061,
-            mem_transactions: 108295,
             samples_collected: 2365,
+            counters: KernelCounters {
+                alu_instructions: 5441,
+                mem_instructions: 25061,
+                mem_transactions: 108295,
+                active_lane_ops: 596816,
+                issued_lane_slots: 976064,
+                divergent_replays: 0,
+                mem_active_lanes: 425128,
+                tx_histogram: [
+                    0, 7719, 6983, 2895, 1358, 898, 681, 581, 475, 433, 398, 390, 321, 290, 229,
+                    109, 116, 86, 94, 79, 58, 55, 45, 52, 35, 52, 60, 78, 92, 131, 134, 81, 53,
+                ],
+            },
         },
     ),
     (
@@ -229,10 +270,20 @@ const PINNED: [(&str, Pinned); 5] = [
         Pinned {
             weight_sum: 36221640.0,
             modeled_ms: 0.05297953246753247,
-            alu_instructions: 228,
-            mem_instructions: 30376,
-            mem_transactions: 110589,
             samples_collected: 1000,
+            counters: KernelCounters {
+                alu_instructions: 228,
+                mem_instructions: 30376,
+                mem_transactions: 110589,
+                active_lane_ops: 119686,
+                issued_lane_slots: 979328,
+                divergent_replays: 0,
+                mem_active_lanes: 112670,
+                tx_histogram: [
+                    0, 14142, 4864, 2586, 1693, 1253, 952, 813, 665, 566, 419, 357, 314, 240, 217,
+                    160, 142, 104, 85, 109, 99, 140, 127, 83, 74, 56, 35, 19, 31, 9, 12, 8, 2,
+                ],
+            },
         },
     ),
 ];

@@ -6,13 +6,14 @@
 //!    never-written registered word each produce the expected violation;
 //!  * *correct code runs clean*: every engine preset (baseline, O0, O1,
 //!    O2/gSWORD, iteration sync × both estimators) completes under
-//!    `SanitizerMode::FULL` with zero findings.
+//!    `SanitizerMode::FULL` with zero findings, on a triangle and on a
+//!    power-law input that reaches warp streaming's collaborative phase.
 
 use gsword_candidate::{build_candidate_graph, BuildConfig};
 use gsword_engine::{run_engine, EngineConfig};
 use gsword_estimators::{Alley, QueryCtx, WanderJoin};
-use gsword_graph::GraphBuilder;
-use gsword_query::{MatchingOrder, QueryGraph};
+use gsword_graph::{gen, GraphBuilder};
+use gsword_query::{quicksi_order, MatchingOrder, QueryGraph};
 use gsword_simt::memory::{warp_load, warp_store, LaneAddr};
 use gsword_simt::{
     warp, DeviceConfig, KernelCounters, Lanes, Region, Sanitizer, SanitizerMode, ViolationKind,
@@ -259,55 +260,87 @@ fn triangle_ctx() -> (gsword_candidate::CandidateGraph, QueryGraph) {
     (cg, q)
 }
 
-/// Every preset × both estimators: full sanitizer, zero findings, and the
-/// estimate is unchanged by sanitizing (the hooks are observers).
+/// The power-law input of `tests/refine_fusion.rs`: local candidate sets
+/// pass 32, so the streaming kernel reaches its collaborative phase, and
+/// the 4-clique's last vertex in the order refines against three
+/// backward segments.
+fn power_law_ctx() -> (gsword_candidate::CandidateGraph, MatchingOrder) {
+    let g = gen::barabasi_albert(1_500, 16, gen::zipf_labels(1_500, 3, 0.4, 7), 7);
+    let edges = [
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (1, 2),
+        (1, 3),
+        (2, 3),
+        (2, 4),
+        (3, 4),
+    ];
+    let q = QueryGraph::new(vec![0, 1, 0, 0, 0], &edges).unwrap();
+    let order = quicksi_order(&q, &g);
+    let (cg, _) = build_candidate_graph(&g, &q, &BuildConfig::default());
+    (cg, order)
+}
+
+/// Every preset × both estimators on two inputs: full sanitizer, zero
+/// findings, and the estimate and counters are unchanged by sanitizing
+/// (the hooks are observers). The triangle is the smallest input; the
+/// power-law one drives the streaming kernel's collaborative phase and
+/// multi-segment Refine.
 #[test]
 fn all_engine_presets_run_clean_under_full_sanitizer() {
-    let (cg, q) = triangle_ctx();
-    let order = MatchingOrder::new(&q, vec![0, 1, 2]).unwrap();
-    let ctx = QueryCtx::new(&cg, &order);
+    let (tri_cg, tri_q) = triangle_ctx();
+    let tri_order = MatchingOrder::new(&tri_q, vec![0, 1, 2]).unwrap();
+    let (pl_cg, pl_order) = power_law_ctx();
     let device = DeviceConfig {
         num_blocks: 2,
         threads_per_block: 64,
         host_threads: 2,
     };
-    for (name, cfg) in [
-        ("baseline", EngineConfig::gpu_baseline(6_000)),
-        ("o0", EngineConfig::o0(6_000)),
-        ("o1", EngineConfig::o1(6_000)),
-        ("o2", EngineConfig::o2(6_000)),
-        ("itersync", EngineConfig::iteration_sync(6_000)),
+    for (input, ctx, samples) in [
+        ("triangle", QueryCtx::new(&tri_cg, &tri_order), 6_000),
+        ("power-law", QueryCtx::new(&pl_cg, &pl_order), 1_000),
     ] {
-        for alley in [false, true] {
-            let plain = EngineConfig { device, ..cfg };
-            let sanitized = plain.with_sanitize(SanitizerMode::FULL);
-            let (p, s) = if alley {
-                (
-                    run_engine(&ctx, &Alley, &plain),
-                    run_engine(&ctx, &Alley, &sanitized),
-                )
-            } else {
-                (
-                    run_engine(&ctx, &WanderJoin, &plain),
-                    run_engine(&ctx, &WanderJoin, &sanitized),
-                )
-            };
-            let rep = s.sanitizer.as_ref().unwrap_or_else(|| {
-                panic!("{name}/alley={alley}: sanitized run must carry a report")
-            });
-            assert!(rep.is_clean(), "{name}/alley={alley}:\n{rep}");
-            assert!(
-                p.sanitizer.is_none(),
-                "unsanitized run must not pay for a report"
-            );
-            assert_eq!(
-                p.estimate.weight_sum, s.estimate.weight_sum,
-                "{name}/alley={alley}: sanitizing must not perturb the estimate"
-            );
-            assert_eq!(
-                p.counters, s.counters,
-                "{name}/alley={alley}: sanitizing must not perturb the counters"
-            );
+        for (name, cfg) in [
+            ("baseline", EngineConfig::gpu_baseline(samples)),
+            ("o0", EngineConfig::o0(samples)),
+            ("o1", EngineConfig::o1(samples)),
+            ("o2", EngineConfig::o2(samples)),
+            ("itersync", EngineConfig::iteration_sync(samples)),
+        ] {
+            for alley in [false, true] {
+                let plain = EngineConfig { device, ..cfg };
+                let sanitized = plain.with_sanitize(SanitizerMode::FULL);
+                let (p, s) = if alley {
+                    (
+                        run_engine(&ctx, &Alley, &plain),
+                        run_engine(&ctx, &Alley, &sanitized),
+                    )
+                } else {
+                    (
+                        run_engine(&ctx, &WanderJoin, &plain),
+                        run_engine(&ctx, &WanderJoin, &sanitized),
+                    )
+                };
+                let run = format!("{input}/{name}/alley={alley}");
+                let rep = s
+                    .sanitizer
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("{run}: sanitized run must carry a report"));
+                assert!(rep.is_clean(), "{run}:\n{rep}");
+                assert!(
+                    p.sanitizer.is_none(),
+                    "unsanitized run must not pay for a report"
+                );
+                assert_eq!(
+                    p.estimate.weight_sum, s.estimate.weight_sum,
+                    "{run}: sanitizing must not perturb the estimate"
+                );
+                assert_eq!(
+                    p.counters, s.counters,
+                    "{run}: sanitizing must not perturb the counters"
+                );
+            }
         }
     }
 }
