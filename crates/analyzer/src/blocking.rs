@@ -1,11 +1,12 @@
 //! Rule `scope-blocking`: blocking drains reachable from inside a pool
 //! worker job, and unsafe scope-erasure without a registered drain.
 //!
-//! The stream worker pool has a fixed number of workers. A job that
-//! *waits* for other jobs on the same pool — directly (`Event::wait`,
-//! `ScopeSync::wait_all`, `wait_report`) or by opening a nested `scope`
-//! (which drains on drop) — can self-deadlock: every worker may end up
-//! parked waiting for jobs that no free worker exists to run. The rule
+//! Each (device, stream) of a runtime scope has exactly one thread. A job
+//! that *waits* for other jobs on its own stream — directly
+//! (`Event::wait`, `wait_all`, `wait_report`) or by opening a nested
+//! `scope` (which drains before it returns) — can self-deadlock: the
+//! stream's only thread parks waiting for a job that no other thread
+//! exists to run. The rule
 //! therefore flags any blocking call reachable (transitively, through
 //! [`crate::callgraph::Summaries`]) from the closure argument of a
 //! `submit` / `launch` / `launch_named` call.
@@ -39,9 +40,9 @@ const DRAINS: &[&str] = &["scope", "wait_all", "wait_report"];
 /// whose summary says it blocks?
 fn blocking_name(c: &Call, sums: &Summaries) -> Option<String> {
     let n = c.name.as_str();
-    // `scope` only as a method (`runtime.scope(..)`): the free-path call
-    // `crossbeam::scope(..)` inside `Device::launch_blocks` joins its own
-    // dedicated OS threads, which cannot starve the stream worker pool.
+    // `scope` only as a method (`runtime.scope(..)`): a free-path
+    // `std::thread::scope(..)`, such as a launch's block fan-out, joins
+    // only the threads it spawned itself, never a later job of its stream.
     if DRAINS.contains(&n) && (n != "scope" || c.is_method) {
         return Some(c.name.clone());
     }

@@ -27,9 +27,8 @@ pub const SUM_POOL_CLEAR: u8 = 1;
 /// Ubiquitous std-trait method names that are never consulted in the
 /// summary table. Summaries are keyed by bare name, and names like `drop`
 /// or `clone` have dozens of unrelated implementations plus std
-/// fallbacks; one effectful impl (e.g. `Drop for RuntimeScope`, which
-/// drains the pool) would otherwise taint every call to `drop(x)` in the
-/// corpus. The cost is precision at explicit `drop(scope)` sites — the
+/// fallbacks; one effectful impl (e.g. a `Drop` that drains a scope)
+/// would otherwise taint every call to `drop(x)` in the corpus. The cost is precision at explicit `drop(scope)` sites — the
 /// drain-on-drop hazard inside worker jobs is still caught by the
 /// `ScopeSync` construction check in [`crate::blocking`].
 pub fn opaque_name(name: &str) -> bool {

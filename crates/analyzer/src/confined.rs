@@ -3,7 +3,7 @@
 //! These run on the whole token stream of each file — including test
 //! modules, matching the old lint's behavior — and use the lexer's
 //! comment/string stripping instead of per-line `split("//")`, so a
-//! `SeqCst` in a string literal or a `.launch(` in a doc comment can no
+//! `SeqCst` in a string literal or a board read in a doc comment can no
 //! longer confuse them. Finding messages are kept byte-identical to the
 //! textual rules they replace so CI diffs stay readable.
 
@@ -17,8 +17,6 @@ use crate::lex::Tok;
 pub fn check_file(file: &str, toks: &[Tok]) -> Vec<RawFinding> {
     let mut out = Vec::new();
     out.extend(check_no_seqcst(toks));
-    out.extend(check_launch_merges(toks));
-    out.extend(check_launch_confined(file, toks));
     out.extend(check_prof_confined(file, toks));
     out
 }
@@ -52,50 +50,6 @@ fn check_no_seqcst(toks: &[Tok]) -> Vec<RawFinding> {
         }
     }
     out
-}
-
-/// A file that calls `Device::launch` must also merge `KernelCounters`.
-/// The definition site itself (`fn launch`) is exempt.
-fn check_launch_merges(toks: &[Tok]) -> Vec<RawFinding> {
-    let calls = extract_calls_spanned(toks);
-    let calls_launch = calls.iter().any(|(c, _)| c.is_method && c.name == "launch");
-    let merges = calls.iter().any(|(c, _)| c.is_method && c.name == "merge");
-    let defines_launch = toks
-        .windows(2)
-        .any(|w| w[0].is_ident("fn") && w[1].is_ident("launch"));
-    if calls_launch && !merges && !defines_launch {
-        vec![RawFinding {
-            line: None,
-            col: None,
-            rule: "launch-merges-counters",
-            message: "calls Device::launch but never merges the per-block \
-                      KernelCounters"
-                .to_string(),
-        }]
-    } else {
-        Vec::new()
-    }
-}
-
-/// Direct device launches are confined to `crates/simt` and the engine's
-/// runtime module; everything else goes through the runtime layer.
-fn check_launch_confined(file: &str, toks: &[Tok]) -> Vec<RawFinding> {
-    if has_component(file, "simt") || ends_with_path(file, "engine/src/runtime.rs") {
-        return Vec::new();
-    }
-    extract_calls_spanned(toks)
-        .iter()
-        .filter(|(c, _)| c.is_method && (c.name == "launch" || c.name == "launch_blocks"))
-        .map(|(c, _)| RawFinding {
-            line: Some(c.line),
-            col: Some(c.col),
-            rule: "launch-confined",
-            message: "direct device launch outside crates/simt and the engine \
-                      runtime module (go through \
-                      spawn_kernel/spawn_estimate/run_engine)"
-                .to_string(),
-        })
-        .collect()
 }
 
 /// Counter-board reads are confined to `crates/simt`, `crates/prof`, and
@@ -145,40 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn launch_without_merge_flagged_and_definition_exempt() {
-        assert_eq!(
-            findings(
-                "crates/simt/src/x.rs",
-                "let out = device.launch(|b| run(b));"
-            ),
-            vec!["launch-merges-counters:None"]
-        );
-        assert!(findings(
-            "crates/simt/src/x.rs",
-            "pub fn launch(&self) {}\nlet out = d.launch(f);"
-        )
-        .is_empty());
-        assert!(findings(
-            "crates/simt/src/x.rs",
-            "let out = d.launch(f);\nctr.merge(&out[0]);"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn launch_confined_respects_allowlist() {
-        let src = "let out = device.launch_blocks(0..4, |b| run(b));\nc.merge(&out[0]);";
-        assert!(findings("crates/simt/src/runtime.rs", src).is_empty());
-        assert!(findings("crates/engine/src/runtime.rs", src).is_empty());
-        let f = findings("crates/core/src/builder.rs", src);
-        assert_eq!(f, vec!["launch-confined:Some(1)"]);
-    }
-
-    #[test]
-    fn launch_in_comment_not_flagged() {
+    fn board_read_in_comment_not_flagged() {
         assert!(findings(
             "crates/core/src/builder.rs",
-            "// call device.launch(body) through the runtime instead\n"
+            "// read rt.stream_counters(0, 0) through the report instead\n"
         )
         .is_empty());
     }

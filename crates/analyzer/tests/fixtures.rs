@@ -27,11 +27,6 @@ fn expectations() -> BTreeMap<&'static str, (&'static str, Option<&'static str>)
             ("pool-race", Some("read_cursor_unsync")),
         ),
         ("uncharged_any.rs", ("primitive-charges-counters", None)),
-        (
-            "stray_launch.rs",
-            ("launch-confined", Some("device.launch(")),
-        ),
-        ("simt/dropped_counters.rs", ("launch-merges-counters", None)),
         ("board_read.rs", ("prof-confined", Some("stream_counters"))),
         ("seqcst_ordering.rs", ("no-seqcst", Some("SeqCst)"))),
         ("nondet_order.rs", ("nondet-order", Some("out.push"))),

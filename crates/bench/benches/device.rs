@@ -16,7 +16,6 @@ fn bench_device(c: &mut Criterion) {
     let dev = DeviceConfig {
         num_blocks: 2,
         threads_per_block: 64,
-        host_threads: 2,
     };
     let mut group = c.benchmark_group("device_kernels");
     group.throughput(Throughput::Elements(N));
@@ -48,12 +47,12 @@ fn bench_streams(c: &mut Criterion) {
     let ctx = QueryCtx::new(&cg, &order);
 
     const N: u64 = 8_000;
-    // One host thread per block-shard worker: stream parallelism, not
-    // intra-launch block parallelism, is what this group measures.
+    // The presets' single sim worker keeps each shard serial on its
+    // stream: stream parallelism, not intra-launch block parallelism, is
+    // what this group measures.
     let dev = DeviceConfig {
         num_blocks: 8,
         threads_per_block: 64,
-        host_threads: 1,
     };
     let mut group = c.benchmark_group("stream_scaling");
     group.throughput(Throughput::Elements(N));

@@ -65,9 +65,8 @@ pub struct AdaptiveReport {
 /// batch index, so the run is deterministic — and invariant in the device
 /// runtime topology, which only changes where batches execute.
 ///
-/// All batches share one device [`Runtime`](gsword_simt::Runtime): its
-/// stream workers stay warm across the adaptive loop instead of being
-/// re-created per batch.
+/// All batches run inside one [`Runtime::scope`](gsword_simt::Runtime::scope),
+/// so the stream threads are spawned once per run, not once per batch.
 pub fn run_adaptive<E: Estimator + ?Sized>(
     ctx: &QueryCtx<'_>,
     est: &E,
@@ -134,7 +133,6 @@ mod tests {
         EngineConfig::gsword(0).with_device(DeviceConfig {
             num_blocks: 2,
             threads_per_block: 64,
-            host_threads: 2,
         })
     }
 

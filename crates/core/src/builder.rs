@@ -172,10 +172,10 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
     }
 
     /// Intra-kernel simulation workers per launch: `0` = auto (the
-    /// device's `host_threads`), `1` = serial (default), `n` = a
-    /// persistent pool of `n` lockstep block workers. A wall-clock knob
-    /// only — estimates, counters, and sanitizer verdicts are
-    /// bit-identical for every value.
+    /// host's available parallelism), `1` = serial (default), `n` = the
+    /// stream's thread plus `n − 1` helpers spawned per launch. A
+    /// wall-clock knob only — estimates, counters, and sanitizer verdicts
+    /// are bit-identical for every value.
     pub fn sim_workers(mut self, n: usize) -> Self {
         self.sim_workers = n;
         self
@@ -360,7 +360,6 @@ mod tests {
         DeviceConfig {
             num_blocks: 2,
             threads_per_block: 64,
-            host_threads: 2,
         }
     }
 

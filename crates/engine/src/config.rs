@@ -60,10 +60,11 @@ pub struct EngineConfig {
     /// Ordered async launch queues per device (CUDA-stream analogue).
     pub streams_per_device: usize,
     /// Intra-kernel simulation workers: how many host threads one launch
-    /// fans its blocks over. `0` = auto (the device's `host_threads`),
-    /// `1` = serial in-stream execution, `n` = a persistent pool of `n`.
-    /// Results are bit-identical for every value — blocks merge in fixed
-    /// ascending order regardless of which worker simulated them.
+    /// fans its blocks over. `0` = auto (the host's available
+    /// parallelism), `1` = serial in-stream execution, `n` = the stream's
+    /// thread plus `n − 1` helpers spawned per launch. Results are
+    /// bit-identical for every value — blocks merge in fixed ascending
+    /// order regardless of which worker simulated them.
     pub sim_workers: usize,
 }
 

@@ -1055,7 +1055,6 @@ mod tests {
         DeviceConfig {
             num_blocks: 2,
             threads_per_block: 64,
-            host_threads: 2,
         }
     }
 

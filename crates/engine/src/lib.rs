@@ -26,8 +26,9 @@
 //! decides *where and when*: it shards a fixed sample budget over the
 //! devices and streams of a [`gsword_simt::Runtime`] via [`LaunchSpec`]
 //! descriptors and merges per-device results back into one
-//! [`EngineReport`]. All device launches go through the runtime module
-//! (lint-enforced).
+//! [`EngineReport`]. All device launches go through the runtime module:
+//! a [`gsword_simt::RuntimeScope`] launch is the only way to run a
+//! kernel's blocks.
 
 pub mod config;
 pub mod kernel;

@@ -166,11 +166,11 @@ pub fn count_instances_parallel(
         return count_instances(ctx, limits);
     }
     let next = AtomicU64::new(0);
-    let outcomes: Vec<EnumOutcome> = crossbeam::scope(|scope| {
+    let outcomes: Vec<EnumOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let next = &next;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut total = EnumOutcome {
                         count: 0,
                         complete: true,
@@ -194,8 +194,7 @@ pub fn count_instances_parallel(
             .into_iter()
             .map(|h| h.join().expect("enum worker panicked"))
             .collect()
-    })
-    .expect("scope panicked");
+    });
 
     let mut total = EnumOutcome {
         count: 0,

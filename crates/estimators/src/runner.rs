@@ -121,11 +121,11 @@ pub fn run_parallel_cpu<E: Estimator + ?Sized>(
     let t0 = Instant::now();
     let batches = n.div_ceil(BATCH);
     let next = AtomicU64::new(0);
-    let partials: Vec<Estimate> = crossbeam::scope(|scope| {
+    let partials: Vec<Estimate> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 let next = &next;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut local = Estimate::default();
                     let mut scratch = Vec::new();
                     loop {
@@ -144,8 +144,7 @@ pub fn run_parallel_cpu<E: Estimator + ?Sized>(
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("scope panicked");
+    });
 
     let mut estimate = Estimate::default();
     for p in &partials {

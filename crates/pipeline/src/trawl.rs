@@ -134,15 +134,15 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
     let t0 = Instant::now();
     let batches = trawl.batches.max(1);
     let batch_budgets = split_budget(engine_cfg.samples, batches);
-    // Partition host cores between the functional device simulation and the
-    // CPU enumeration pool: on real hardware the GPU is independent silicon,
-    // so the enumeration threads must not starve the simulated device.
-    let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+    // With `sim_workers` on auto, partition host cores between the
+    // functional device simulation and the CPU enumeration pool: on real
+    // hardware the GPU is independent silicon, so the enumeration threads
+    // must not starve the simulated device.
     let mut engine_cfg = *engine_cfg;
-    engine_cfg.device.host_threads = cores
-        .saturating_sub(trawl.cpu_threads)
-        .max(1)
-        .min(engine_cfg.device.host_threads.max(1));
+    if engine_cfg.sim_workers == 0 {
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        engine_cfg.sim_workers = cores.saturating_sub(trawl.cpu_threads).max(1);
+    }
     let engine_cfg = &engine_cfg;
     let dist = DepthDist::new(trawl.min_depth, ctx.len());
 
@@ -190,14 +190,14 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
             let run = spawn_estimate(rs, ctx, est, &batch_cfg);
             let prev = std::mem::take(&mut pending);
             let next = AtomicUsize::new(0);
-            let report = crossbeam::scope(|scope| {
+            let report = std::thread::scope(|scope| {
                 let stop_ref = &stop;
                 let contributions_ref = &contributions;
                 let next_ref = &next;
                 let prev_ref = &prev;
                 let workers: Vec<_> = (0..trawl.cpu_threads.max(1))
                     .map(|_| {
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             enumerate_tasks(
                                 ctx,
                                 prev_ref,
@@ -215,8 +215,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
                     w.join().expect("enumeration worker panicked");
                 }
                 report
-            })
-            .expect("pipeline scope panicked");
+            });
 
             sampler.merge(&report.estimate);
             counters.merge(&report.counters);
@@ -241,7 +240,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
         let stop = AtomicBool::new(false);
         let next = AtomicUsize::new(0);
         let finished = AtomicUsize::new(0);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let stop_ref = &stop;
             let contributions_ref = &contributions;
             let pending_ref = &pending;
@@ -249,7 +248,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
             let finished_ref = &finished;
             let workers: Vec<_> = (0..trawl.cpu_threads.max(1))
                 .map(|_| {
-                    scope.spawn(move |_| loop {
+                    scope.spawn(move || loop {
                         if stop_ref.load(Ordering::Relaxed) {
                             return;
                         }
@@ -276,8 +275,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
             for w in workers {
                 w.join().expect("enumeration worker panicked");
             }
-        })
-        .expect("pipeline scope panicked");
+        });
         runtime
             .profiler()
             .record_span(Track::Host, SpanKind::Phase, "grace window", grace_start);
@@ -371,7 +369,6 @@ mod tests {
         DeviceConfig {
             num_blocks: 2,
             threads_per_block: 64,
-            host_threads: 2,
         }
     }
 

@@ -1,20 +1,15 @@
-//! Device launch harness and the device-time model.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Launch geometry, the software device handle, and the device-time model.
 
 use crate::counters::KernelCounters;
 use gsword_sanitizer::{Sanitizer, WarpSanitizer};
 
-/// Kernel launch geometry plus host execution parallelism.
+/// Kernel launch geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceConfig {
     /// Thread blocks per launch.
     pub num_blocks: usize,
     /// Threads per block; must be a multiple of 32.
     pub threads_per_block: usize,
-    /// Host threads used to execute blocks (functional simulation speed
-    /// only; does not affect results or modeled time).
-    pub host_threads: usize,
 }
 
 impl Default for DeviceConfig {
@@ -22,7 +17,6 @@ impl Default for DeviceConfig {
         DeviceConfig {
             num_blocks: 46,
             threads_per_block: 256,
-            host_threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         }
     }
 }
@@ -33,12 +27,7 @@ impl DeviceConfig {
     /// must be a positive multiple of 32 (whole warps only — a ragged
     /// trailing warp would need per-lane predication the lockstep model
     /// deliberately does not have), and the grid must be non-empty.
-    /// `host_threads` is clamped to at least 1.
-    pub fn checked(
-        num_blocks: usize,
-        threads_per_block: usize,
-        host_threads: usize,
-    ) -> Result<Self, ConfigError> {
+    pub fn checked(num_blocks: usize, threads_per_block: usize) -> Result<Self, ConfigError> {
         if threads_per_block == 0 || !threads_per_block.is_multiple_of(32) {
             return Err(ConfigError::RaggedBlock { threads_per_block });
         }
@@ -48,7 +37,6 @@ impl DeviceConfig {
         Ok(DeviceConfig {
             num_blocks,
             threads_per_block,
-            host_threads: host_threads.max(1),
         })
     }
 
@@ -92,7 +80,8 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// The software device: executes kernels block-parallel on host threads.
+/// The software device: a launch geometry plus its checking layer. Kernels
+/// run on it through [`crate::Runtime`], whose streams execute the blocks.
 #[derive(Debug, Clone, Default)]
 pub struct Device {
     /// Launch configuration.
@@ -124,101 +113,6 @@ impl Device {
     /// when no sanitizer is attached).
     pub fn warp_sanitizer(&self, block: usize, warp: usize) -> WarpSanitizer {
         self.sanitizer.warp(block, warp)
-    }
-
-    /// Launch a kernel over the full grid: `body(block_id)` runs once per
-    /// block, blocks are distributed over host threads, and results are
-    /// returned in block order. The body typically returns partial
-    /// estimates plus [`KernelCounters`].
-    pub fn launch<R, F>(&self, body: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        self.launch_blocks(0..self.config.num_blocks, body)
-    }
-
-    /// Launch a kernel over a sub-range of *global* block ids — the shard
-    /// primitive of the device runtime. `body` receives ids from `blocks`
-    /// unchanged (not re-based to zero), so a grid split across devices and
-    /// streams computes the same per-block work as a whole-grid launch;
-    /// results come back in ascending block order.
-    pub fn launch_blocks<R, F>(&self, blocks: std::ops::Range<usize>, body: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let base = blocks.start;
-        let nb = blocks.len();
-        if nb == 0 {
-            return Vec::new();
-        }
-        let mut results: Vec<Option<R>> = (0..nb).map(|_| None).collect();
-        let workers = self.config.host_threads.clamp(1, nb);
-        if workers == 1 {
-            for (b, slot) in results.iter_mut().enumerate() {
-                *slot = Some(body(base + b));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<parking_slot::Slot<R>> =
-                (0..nb).map(|_| parking_slot::Slot::new()).collect();
-            crossbeam::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|_| loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= nb {
-                            break;
-                        }
-                        slots[b].put(body(base + b));
-                    });
-                }
-            })
-            .expect("kernel block panicked");
-            for (slot, out) in slots.into_iter().zip(results.iter_mut()) {
-                *out = slot.take();
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("all blocks executed"))
-            .collect()
-    }
-}
-
-/// Minimal one-shot cell so block results can be written from worker
-/// threads without locking (each slot written exactly once).
-pub(crate) mod parking_slot {
-    use std::cell::UnsafeCell;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    pub struct Slot<T> {
-        set: AtomicBool,
-        val: UnsafeCell<Option<T>>,
-    }
-
-    // SAFETY: `put` is called at most once per slot (unique block ids) and
-    // `take` only after all writers joined.
-    unsafe impl<T: Send> Sync for Slot<T> {}
-
-    impl<T> Slot<T> {
-        pub fn new() -> Self {
-            Slot {
-                set: AtomicBool::new(false),
-                val: UnsafeCell::new(None),
-            }
-        }
-
-        pub fn put(&self, v: T) {
-            // SAFETY: each block id is claimed by exactly one worker, so no
-            // concurrent writes to the same slot.
-            unsafe { *self.val.get() = Some(v) };
-            self.set.store(true, Ordering::Release);
-        }
-
-        pub fn take(self) -> Option<T> {
-            self.val.into_inner()
-        }
     }
 }
 
@@ -281,45 +175,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn launch_runs_every_block_once() {
-        let dev = Device::new(DeviceConfig {
-            num_blocks: 17,
-            threads_per_block: 64,
-            host_threads: 4,
-        });
-        let out = dev.launch(|b| b * 2);
-        assert_eq!(out, (0..17).map(|b| b * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn launch_blocks_passes_global_ids() {
-        let dev = Device::new(DeviceConfig {
-            num_blocks: 8,
-            threads_per_block: 32,
-            host_threads: 3,
-        });
-        assert_eq!(dev.launch_blocks(5..8, |b| b), vec![5, 6, 7]);
-        assert_eq!(dev.launch_blocks(2..3, |b| b), vec![2]);
-        assert!(dev.launch_blocks(4..4, |b| b).is_empty());
-    }
-
-    #[test]
-    fn launch_single_threaded_path() {
-        let dev = Device::new(DeviceConfig {
-            num_blocks: 3,
-            threads_per_block: 32,
-            host_threads: 1,
-        });
-        assert_eq!(dev.launch(|b| b), vec![0, 1, 2]);
-    }
-
-    #[test]
     #[should_panic(expected = "multiple of 32")]
     fn rejects_ragged_blocks() {
         Device::new(DeviceConfig {
             num_blocks: 1,
             threads_per_block: 33,
-            host_threads: 1,
         });
     }
 
@@ -358,28 +218,27 @@ mod tests {
     #[test]
     fn checked_rejects_bad_geometry() {
         assert_eq!(
-            DeviceConfig::checked(4, 33, 2),
+            DeviceConfig::checked(4, 33),
             Err(ConfigError::RaggedBlock {
                 threads_per_block: 33
             })
         );
         assert_eq!(
-            DeviceConfig::checked(4, 0, 2),
+            DeviceConfig::checked(4, 0),
             Err(ConfigError::RaggedBlock {
                 threads_per_block: 0
             })
         );
-        assert_eq!(DeviceConfig::checked(0, 64, 2), Err(ConfigError::EmptyGrid));
-        let err = DeviceConfig::checked(4, 48, 2).unwrap_err();
+        assert_eq!(DeviceConfig::checked(0, 64), Err(ConfigError::EmptyGrid));
+        let err = DeviceConfig::checked(4, 48).unwrap_err();
         assert!(err.to_string().contains("multiple of 32"), "{err}");
     }
 
     #[test]
-    fn checked_accepts_and_clamps() {
-        let c = DeviceConfig::checked(4, 128, 0).unwrap();
+    fn checked_accepts_whole_warps() {
+        let c = DeviceConfig::checked(4, 128).unwrap();
         assert_eq!(c.num_blocks, 4);
         assert_eq!(c.threads_per_block, 128);
-        assert_eq!(c.host_threads, 1, "host_threads clamped to at least 1");
         assert_eq!(c.warps_per_block(), 4);
     }
 
@@ -388,7 +247,6 @@ mod tests {
         let c = DeviceConfig {
             num_blocks: 4,
             threads_per_block: 128,
-            host_threads: 2,
         };
         assert_eq!(c.warps_per_block(), 4);
         assert_eq!(c.total_threads(), 512);

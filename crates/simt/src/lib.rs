@@ -19,12 +19,14 @@
 //! * [`counters`] — per-kernel counters including the `StallLong` /
 //!   `StallWait` proxies profiled in the paper's micro-benchmark.
 //! * [`pool`] — the per-block atomic sample pool of Algorithm 1.
-//! * [`device`] — a block-parallel launch harness (blocks run on host
-//!   threads) plus a [`device::DeviceModel`] that converts counters into
-//!   modeled device milliseconds.
+//! * [`device`] — launch geometry, the device handle kernels take their
+//!   sanitizer from, and a [`device::DeviceModel`] that converts counters
+//!   into modeled device milliseconds.
 //! * [`runtime`] — the CUDA-runtime analogue: N devices, per-device
 //!   streams (ordered async launch queues), events, and a per-device /
-//!   per-stream counter board (the paper's two-GPU testbed shape).
+//!   per-stream counter board (the paper's two-GPU testbed shape). Its
+//!   streams and block workers are scoped host threads, spawned per
+//!   [`Runtime::scope`] and per launch; a `Runtime` owns none.
 //!
 //! Functional behaviour (the estimates) is exact; device time is *modeled*
 //! from the counters. DESIGN.md §1 documents the substitution.

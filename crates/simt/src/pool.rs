@@ -151,16 +151,15 @@ mod tests {
     fn concurrent_fetch_is_exact() {
         let p = SamplePool::new(10_000);
         let count = std::sync::atomic::AtomicU64::new(0);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     while p.fetch().is_some() {
                         count.fetch_add(1, Ordering::Relaxed);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(count.load(Ordering::Relaxed), 10_000);
         assert_eq!(p.issued(), 10_000);
     }
@@ -168,17 +167,16 @@ mod tests {
     #[test]
     fn concurrent_drained_fetch_never_overshoots() {
         let p = SamplePool::new(64);
-        crossbeam::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for _ in 0..2_000 {
                         let _ = p.fetch();
                         let _ = p.fetch_many(7);
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(p.issued(), 64);
     }
 

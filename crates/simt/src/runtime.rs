@@ -3,27 +3,26 @@
 //! The paper evaluates gSWORD on two RTX 2080 Ti GPUs; this module is the
 //! CUDA-runtime analogue that lets the workspace target that shape. A
 //! [`Runtime`] owns a fixed set of [`Device`]s. Work is submitted to
-//! *streams* — ordered asynchronous launch queues, one worker thread each —
-//! and completion is observed through *events* (record / wait / elapsed),
-//! mirroring `cudaStream_t`/`cudaEvent_t`. Counters charged by finished
-//! launches accumulate on a per-device, per-stream board that feeds the
-//! existing [`DeviceModel`]: modeled time for a multi-device run is the max
-//! over devices, matching real multi-GPU wall-clock.
+//! *streams* — ordered asynchronous launch queues — and completion is
+//! observed through *events* (record / wait / elapsed), mirroring
+//! `cudaStream_t`/`cudaEvent_t`. Counters charged by finished launches
+//! accumulate on a per-device, per-stream board that feeds the existing
+//! [`DeviceModel`]: modeled time for a multi-device run is the max over
+//! devices, matching real multi-GPU wall-clock.
 //!
-//! Stream *submission* happens only inside [`Runtime::scope`], so launch
-//! closures may borrow stack data (query contexts, estimators) without
-//! `'static` gymnastics — the same shape as `std::thread::scope`. The
-//! worker threads behind the streams, however, are *persistent*: the
-//! runtime lazily creates one parked worker per (device, stream) on the
-//! first scope entry and reuses it across every subsequent `scope` call,
-//! so short launch batches don't pay thread creation on the hot path
-//! (the standard fix in the simulator-parallelization literature). Workers
-//! drain and join when the runtime drops.
+//! A `Runtime` owns no threads. [`Runtime::scope`] opens a
+//! `std::thread::scope` with one thread per (device, stream), each running
+//! its stream's jobs in submission order, and joins them all before it
+//! returns — so launch closures may borrow stack data (query contexts,
+//! estimators) with no `'static` bound. A launch with more than one sim
+//! worker fans its blocks over a `std::thread::scope` of its own. Every
+//! caller in the workspace opens one scope per run, so a run spawns its
+//! stream threads once.
 
-use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::counters::KernelCounters;
@@ -42,12 +41,12 @@ pub struct RuntimeConfig {
     /// Per-device launch geometry.
     pub device: DeviceConfig,
     /// Intra-kernel block workers: how many host threads one launch fans
-    /// its grid's blocks across. `0` = auto (the device's `host_threads`),
-    /// `1` = serial in-stream execution, `n` = a persistent pool of `n`
-    /// lockstep block workers shared by every stream. Functional results,
-    /// counters, and sanitizer verdicts are bit-identical for every value
-    /// (results merge in fixed block order; the sanitizer's detail cap is
-    /// block-keyed), so this knob trades wall-clock only.
+    /// its grid's blocks across. `0` = auto (the host's available
+    /// parallelism), `1` = serial in-stream execution, `n` = the stream's
+    /// thread plus `n − 1` helpers spawned for the launch. Functional
+    /// results, counters, and sanitizer verdicts are bit-identical for
+    /// every value (results merge in fixed block order; the sanitizer's
+    /// detail cap is block-keyed), so this knob trades wall-clock only.
     pub sim_workers: usize,
 }
 
@@ -123,7 +122,8 @@ pub struct LaunchHandle<R> {
 }
 
 impl<R> LaunchHandle<R> {
-    /// The completion event (recorded when the launch finishes).
+    /// The completion event (recorded when the launch finishes, whether or
+    /// not its blocks panicked).
     pub fn event(&self) -> &Event {
         &self.event
     }
@@ -134,19 +134,20 @@ impl<R> LaunchHandle<R> {
     }
 
     /// Block until the launch finishes and take its per-block results
-    /// (in block order).
+    /// (in block order). Panics with "kernel launch panicked" when a block
+    /// of the launch panicked.
     pub fn wait(self) -> Vec<R> {
         self.event.wait();
         self.slot
             .lock()
             .expect("launch slot")
             .take()
-            .expect("launch result taken once")
+            .expect("kernel launch panicked")
     }
 }
 
 /// The device runtime: owns the devices, the counter board, and the
-/// persistent stream worker pool. Streams accept work only inside
+/// profiler — but no threads. Streams exist, and accept work, only inside
 /// [`Runtime::scope`].
 pub struct Runtime {
     devices: Vec<Device>,
@@ -155,305 +156,9 @@ pub struct Runtime {
     board: Mutex<Vec<Vec<KernelCounters>>>,
     /// Timeline/metrics recorder (the disabled handle when not profiling).
     profiler: Profiler,
-    /// Set when any stream job panicked (surfaced when the scope joins).
-    poisoned: AtomicBool,
-    /// One parked worker thread per (device, stream), created on the first
-    /// [`Runtime::scope`] entry, reused by every later scope, and joined
-    /// when the runtime drops.
-    pool: OnceLock<WorkerPool>,
     /// Resolved intra-kernel worker count ([`RuntimeConfig::sim_workers`]
-    /// with `0` replaced by the device's `host_threads`).
+    /// with `0` replaced by the host's available parallelism).
     sim_workers: usize,
-    /// Persistent block workers shared by every stream's launches, created
-    /// lazily on the first parallel launch (only when `sim_workers > 1`).
-    block_pool: OnceLock<BlockPool>,
-}
-
-/// The persistent stream workers: `senders[device * streams + stream]`
-/// feeds the ordered queue its dedicated worker drains. Dropping the pool
-/// closes every channel and joins the workers.
-struct WorkerPool {
-    senders: Vec<mpsc::Sender<Job<'static>>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn new(workers: usize) -> Self {
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = mpsc::channel::<Job<'static>>();
-            senders.push(tx);
-            // The worker parks in `recv` between jobs and between scopes;
-            // panic isolation happens in the submission wrapper, so a job
-            // can never take its worker down.
-            handles.push(std::thread::spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            }));
-        }
-        WorkerPool { senders, handles }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Profiler attribution of one parallel launch, carried by its batch so
-/// each participating worker can record a [`Track::Worker`] span.
-struct BatchProf {
-    profiler: Profiler,
-    name: String,
-    device: u32,
-    stream: u32,
-}
-
-/// One parallel launch in flight on the block pool: a shared cursor over
-/// the block indices, a type-erased per-block body, and completion
-/// tracking. Any thread (pool worker or the submitting stream worker) can
-/// claim blocks; results land in per-block slots owned by the submitter,
-/// so the merge order is the fixed ascending block order regardless of
-/// which worker ran which block.
-struct BlockBatch {
-    /// Next unclaimed block index (0-based within the launch's range).
-    cursor: AtomicUsize,
-    nblocks: usize,
-    /// Blocks not yet finished; the submitter blocks on it.
-    remaining: Mutex<usize>,
-    done: Condvar,
-    /// Set when any block body panicked (the submitter re-panics after the
-    /// whole batch completes, so sibling blocks still produce results).
-    panicked: AtomicBool,
-    /// Worker-slot allocator for profiler track attribution.
-    participants: AtomicUsize,
-    /// The per-block runner. Lifetime-erased: see the SAFETY note in
-    /// [`BlockPool::run`].
-    body: &'static (dyn Fn(usize) + Sync),
-    prof: Option<BatchProf>,
-}
-
-impl BlockBatch {
-    /// Claim and execute blocks until the cursor is exhausted. A thread
-    /// that ran at least one block records one per-launch span on its
-    /// [`Track::Worker`] track when profiling.
-    fn participate(&self) {
-        let mut joined: Option<(usize, u64)> = None;
-        loop {
-            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= self.nblocks {
-                break;
-            }
-            if joined.is_none() {
-                let w = self.participants.fetch_add(1, Ordering::Relaxed);
-                let start = self.prof.as_ref().map_or(0, |p| p.profiler.now_us());
-                joined = Some((w, start));
-            }
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.body)(i))).is_err() {
-                self.panicked.store(true, Ordering::Release);
-            }
-            let mut rem = self.remaining.lock().expect("batch remaining");
-            *rem -= 1;
-            if *rem == 0 {
-                self.done.notify_all();
-            }
-        }
-        if let (Some((w, start)), Some(p)) = (joined, &self.prof) {
-            let track = Track::Worker {
-                device: p.device,
-                stream: p.stream,
-                worker: w as u32,
-            };
-            p.profiler
-                .record_span(track, SpanKind::Launch, &p.name, start);
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cursor.load(Ordering::Relaxed) >= self.nblocks
-    }
-
-    /// Block until every block of the batch has finished.
-    fn wait(&self) {
-        let mut rem = self.remaining.lock().expect("batch remaining");
-        while *rem > 0 {
-            rem = self.done.wait(rem).expect("batch wait");
-        }
-    }
-}
-
-struct BlockShared {
-    queue: Mutex<VecDeque<Arc<BlockBatch>>>,
-    cv: Condvar,
-    shutdown: AtomicBool,
-}
-
-/// The persistent intra-kernel worker pool: `sim_workers - 1` parked
-/// threads that drain block batches FIFO (the submitting stream worker is
-/// the remaining participant, which also guarantees progress when every
-/// pool thread is busy elsewhere). Threads are created once per runtime
-/// and joined on drop.
-struct BlockPool {
-    shared: Arc<BlockShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl BlockPool {
-    fn new(threads: usize) -> Self {
-        let shared = Arc::new(BlockShared {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let handles = (0..threads)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker_loop(&shared))
-            })
-            .collect();
-        BlockPool { shared, handles }
-    }
-
-    fn worker_loop(shared: &BlockShared) {
-        loop {
-            let batch = {
-                let mut q = shared.queue.lock().expect("block queue");
-                loop {
-                    if shared.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    while q.front().is_some_and(|b| b.exhausted()) {
-                        q.pop_front();
-                    }
-                    if let Some(b) = q.front() {
-                        break Arc::clone(b);
-                    }
-                    q = shared.cv.wait(q).expect("block queue wait");
-                }
-            };
-            batch.participate();
-        }
-    }
-
-    /// Fan one launch's blocks across the pool (the calling thread
-    /// participates too) and return the per-block results in ascending
-    /// block order. Panicking blocks poison the batch; the panic is
-    /// re-raised here once every sibling block has finished.
-    fn run<R, F>(&self, blocks: Range<usize>, body: F, prof: Option<BatchProf>) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let base = blocks.start;
-        let nb = blocks.len();
-        if nb == 0 {
-            return Vec::new();
-        }
-        let slots: Vec<crate::device::parking_slot::Slot<R>> = (0..nb)
-            .map(|_| crate::device::parking_slot::Slot::new())
-            .collect();
-        let runner = |i: usize| slots[i].put(body(base + i));
-        let runner_ref: &(dyn Fn(usize) + Sync) = &runner;
-        // SAFETY: the body reference is erased to 'static so pool threads
-        // can hold the batch, but every dereference happens between a
-        // successful cursor claim (`i < nblocks`) and that block's
-        // `remaining` decrement — and this function only returns after
-        // `remaining` reaches zero, so `runner`, `slots`, and `body`
-        // outlive every use. Workers touching the batch after completion
-        // only read its owned fields (cursor, prof), never `body`.
-        let body_static = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(
-                runner_ref,
-            )
-        };
-        let batch = Arc::new(BlockBatch {
-            cursor: AtomicUsize::new(0),
-            nblocks: nb,
-            remaining: Mutex::new(nb),
-            done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-            participants: AtomicUsize::new(0),
-            body: body_static,
-            prof,
-        });
-        self.shared
-            .queue
-            .lock()
-            .expect("block queue")
-            .push_back(Arc::clone(&batch));
-        self.shared.cv.notify_all();
-        batch.participate();
-        batch.wait();
-        // Drop the finished batch from the queue (helpers also pop
-        // exhausted fronts lazily).
-        self.shared
-            .queue
-            .lock()
-            .expect("block queue")
-            .retain(|b| !Arc::ptr_eq(b, &batch));
-        if batch.panicked.load(Ordering::Acquire) {
-            panic!("a kernel block panicked inside a parallel launch");
-        }
-        slots
-            .into_iter()
-            .map(|s| s.take().expect("all blocks executed"))
-            .collect()
-    }
-}
-
-impl Drop for BlockPool {
-    fn drop(&mut self) {
-        {
-            let _q = self.shared.queue.lock().expect("block queue");
-            self.shared.shutdown.store(true, Ordering::Release);
-        }
-        self.shared.cv.notify_all();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Per-scope completion tracking: how many submitted jobs have not yet
-/// finished. The scope's drop blocks on it, which is what makes handing
-/// `'env`-borrowing jobs to `'static` workers sound.
-struct ScopeSync {
-    pending: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl ScopeSync {
-    fn new() -> Self {
-        ScopeSync {
-            pending: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn add(&self) {
-        *self.pending.lock().expect("scope pending") += 1;
-    }
-
-    fn done(&self) {
-        let mut pending = self.pending.lock().expect("scope pending");
-        *pending -= 1;
-        if *pending == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait_all(&self) {
-        let mut pending = self.pending.lock().expect("scope pending");
-        while *pending > 0 {
-            pending = self.cv.wait(pending).expect("scope wait");
-        }
-    }
 }
 
 impl Runtime {
@@ -485,44 +190,22 @@ impl Runtime {
         let board = (0..config.num_devices)
             .map(|_| vec![KernelCounters::default(); config.streams_per_device])
             .collect();
-        let sim_workers = if config.sim_workers == 0 {
-            config.device.host_threads.max(1)
-        } else {
-            config.sim_workers
+        let sim_workers = match config.sim_workers {
+            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+            n => n,
         };
         Runtime {
             devices,
             streams_per_device: config.streams_per_device,
             board: Mutex::new(board),
             profiler,
-            poisoned: AtomicBool::new(false),
-            pool: OnceLock::new(),
             sim_workers,
-            block_pool: OnceLock::new(),
         }
-    }
-
-    /// The persistent worker pool, spawned on first use.
-    fn pool(&self) -> &WorkerPool {
-        self.pool
-            .get_or_init(|| WorkerPool::new(self.devices.len() * self.streams_per_device))
     }
 
     /// Resolved intra-kernel worker count (`1` = serial block execution).
     pub fn sim_workers(&self) -> usize {
         self.sim_workers
-    }
-
-    /// The persistent block-worker pool, or `None` when launches execute
-    /// their blocks serially on the stream worker.
-    fn block_pool(&self) -> Option<&BlockPool> {
-        if self.sim_workers <= 1 {
-            return None;
-        }
-        Some(
-            self.block_pool
-                .get_or_init(|| BlockPool::new(self.sim_workers - 1)),
-        )
     }
 
     /// Number of devices in the runtime.
@@ -617,35 +300,115 @@ impl Runtime {
         out
     }
 
-    /// Run `f` with live streams: the persistent worker behind each
-    /// (device, stream) pair consumes submitted jobs in order. Jobs may
-    /// borrow anything that outlives the runtime borrow (`'env`). All
-    /// streams drain before `scope` returns; a panicked job poisons the
-    /// scope and re-panics here. No threads are spawned per call — the
-    /// workers park between scopes and are reused.
+    /// Run `f` with live streams: one scoped thread per (device, stream)
+    /// runs that stream's jobs in submission order. Jobs may borrow
+    /// anything that outlives the runtime borrow (`'env`). Every stream
+    /// drains and its thread is joined before `scope` returns, on the
+    /// unwind path too. A job that panicked poisons this scope alone: it
+    /// re-panics here once the streams have drained.
     pub fn scope<'env, T>(&'env self, f: impl FnOnce(&RuntimeScope<'env>) -> T) -> T {
-        self.pool(); // spawn the workers before any submission races
-        let rs = RuntimeScope {
-            runtime: self,
-            sync: Arc::new(ScopeSync::new()),
-        };
-        let out = f(&rs);
-        // Dropping the scope blocks until every submitted job finished,
-        // then surfaces any poisoning.
-        drop(rs);
+        let poisoned = AtomicBool::new(false);
+        let out = std::thread::scope(|s| {
+            let streams = (0..self.devices.len() * self.streams_per_device)
+                .map(|_| {
+                    let (tx, rx) = mpsc::channel::<Job<'env>>();
+                    let poisoned = &poisoned;
+                    s.spawn(move || {
+                        for job in rx {
+                            if catch_unwind(AssertUnwindSafe(job)).is_err() {
+                                poisoned.store(true, Ordering::Relaxed);
+                            }
+                        }
+                    });
+                    tx
+                })
+                .collect();
+            // Dropping `rs` when `f` returns (or unwinds) closes every
+            // stream; each thread finishes its queue and exits, and
+            // `std::thread::scope` joins them.
+            let rs = RuntimeScope {
+                runtime: self,
+                streams,
+            };
+            f(&rs)
+        });
+        // The join above orders every job's store before this load.
+        if poisoned.load(Ordering::Relaxed) {
+            panic!("a stream job panicked inside Runtime::scope");
+        }
         out
+    }
+
+    /// Run one launch's blocks and return their results in ascending block
+    /// order. With more than one sim worker, the calling stream thread and
+    /// `min(sim_workers, blocks) − 1` scoped helpers claim block ids from a
+    /// shared cursor and each writes only the slots of the blocks it ran,
+    /// so which thread ran a block never changes what the launch returns.
+    /// Every thread that ran a block records one [`Track::Worker`] span.
+    fn fan_out<R, F>(
+        &self,
+        device: usize,
+        stream: usize,
+        blocks: Range<usize>,
+        name: &str,
+        body: &F,
+    ) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        let workers = self.sim_workers.min(blocks.len());
+        if workers <= 1 {
+            return blocks.map(body).collect();
+        }
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<R>>> = blocks.clone().map(|_| Mutex::new(None)).collect();
+        let participate = |worker: usize| {
+            let start = self.profiler.now_us();
+            let mut ran = false;
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let out = body(blocks.start + i);
+                *slot.lock().expect("block slot") = Some(out);
+                ran = true;
+            }
+            if ran {
+                let track = Track::Worker {
+                    device: device as u32,
+                    stream: stream as u32,
+                    worker: worker as u32,
+                };
+                self.profiler
+                    .record_span(track, SpanKind::Launch, name, start);
+            }
+        };
+        std::thread::scope(|s| {
+            for worker in 1..workers {
+                let participate = &participate;
+                s.spawn(move || participate(worker));
+            }
+            participate(0);
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("block slot")
+                    .expect("every block ran")
+            })
+            .collect()
     }
 }
 
 type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 /// Live streams of a [`Runtime::scope`] call: the submission surface.
-/// Holds no threads of its own — submissions are forwarded to the
-/// runtime's persistent workers, and dropping the scope waits for the jobs
-/// it submitted (not for jobs of other concurrent scopes).
+/// `streams[device * streams_per_device + stream]` feeds the scoped thread
+/// that runs that stream's jobs.
 pub struct RuntimeScope<'env> {
     runtime: &'env Runtime,
-    sync: Arc<ScopeSync>,
+    streams: Vec<mpsc::Sender<Job<'env>>>,
 }
 
 impl<'env> RuntimeScope<'env> {
@@ -667,26 +430,9 @@ impl<'env> RuntimeScope<'env> {
     /// submission order, different streams run concurrently.
     pub fn submit(&self, device: usize, stream: usize, job: impl FnOnce() + Send + 'env) {
         let idx = self.stream_index(device, stream);
-        let sync = Arc::clone(&self.sync);
-        let poisoned = &self.runtime.poisoned;
-        let wrapped: Job<'env> = Box::new(move || {
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-                poisoned.store(true, Ordering::Release);
-            }
-            sync.done();
-        });
-        // SAFETY: the job is erased to 'static so the persistent workers
-        // can hold it, but it never outlives 'env: callers only ever hold
-        // `&RuntimeScope`, so the scope cannot be leaked, and its drop
-        // blocks until `sync` reports every submitted job finished —
-        // before any 'env borrow can end. The wrapper calls `sync.done()`
-        // on both the success and the panic path.
-        let wrapped = unsafe { std::mem::transmute::<Job<'env>, Job<'static>>(wrapped) };
-        self.sync.add();
-        if self.runtime.pool().senders[idx].send(wrapped).is_err() {
-            self.sync.done();
-            panic!("stream worker alive inside scope");
-        }
+        self.streams[idx]
+            .send(Box::new(job))
+            .expect("stream thread alive inside scope");
     }
 
     /// Enqueue an event record on a stream: it records once every job
@@ -701,7 +447,7 @@ impl<'env> RuntimeScope<'env> {
     /// Asynchronously launch `body` over the global block ids in `blocks`
     /// on `(device, stream)`. Returns immediately; the handle's event
     /// records when the launch completes. Per-block results come back in
-    /// block order, exactly as [`Device::launch_blocks`] returns them.
+    /// ascending block order for every sim-worker count.
     pub fn launch<R, F>(
         &self,
         device: usize,
@@ -732,57 +478,34 @@ impl<'env> RuntimeScope<'env> {
         F: Fn(usize) -> R + Send + Sync + 'env,
     {
         let rt: &'env Runtime = self.runtime;
-        let profiler = self.runtime.profiler.clone();
         let name = name.to_string();
-        let track = Track::Stream {
-            device: device as u32,
-            stream: stream as u32,
-        };
         let slot: Arc<Mutex<Option<Vec<R>>>> = Arc::new(Mutex::new(None));
         let event = Event::new();
         let (slot2, event2) = (Arc::clone(&slot), event.clone());
-        // `BlockPool::run` drains a *different* pool than the stream
-        // workers: its threads only ever claim block batches (they never
-        // submit to or wait on the stream pool), and the submitting stream
-        // worker participates in the batch itself, so the batch completes
-        // even with zero dedicated pool threads — no self-deadlock.
-        // gsword: allow(scope-blocking)
         self.submit(device, stream, move || {
-            let start = profiler.now_us();
-            // Fan the blocks across the persistent intra-kernel pool when
-            // one is configured; either way, results come back in
-            // ascending block order, so downstream merges are identical.
-            let out = match rt.block_pool() {
-                Some(pool) => {
-                    let prof = profiler.enabled().then(|| BatchProf {
-                        profiler: profiler.clone(),
-                        name: name.clone(),
+            let start = rt.profiler.now_us();
+            let run = || rt.fan_out(device, stream, blocks, &name, &body);
+            match catch_unwind(AssertUnwindSafe(run)) {
+                Ok(out) => {
+                    let track = Track::Stream {
                         device: device as u32,
                         stream: stream as u32,
-                    });
-                    pool.run(blocks, body, prof)
+                    };
+                    rt.profiler
+                        .record_span(track, SpanKind::Launch, &name, start);
+                    *slot2.lock().expect("launch slot") = Some(out);
+                    event2.record();
                 }
-                None => blocks.map(&body).collect(),
-            };
-            profiler.record_span(track, SpanKind::Launch, &name, start);
-            *slot2.lock().expect("launch slot") = Some(out);
-            event2.record();
+                // Record the event with the slot left empty, so the
+                // handle's `wait` panics instead of hanging, then re-raise
+                // so the scope still poisons.
+                Err(panic) => {
+                    event2.record();
+                    resume_unwind(panic);
+                }
+            }
         });
         LaunchHandle { slot, event }
-    }
-}
-
-impl Drop for RuntimeScope<'_> {
-    fn drop(&mut self) {
-        // Block until every job this scope submitted has finished — the
-        // workers outlive the scope, so this is what bounds the jobs'
-        // borrows (see the SAFETY note in `submit`). Runs on the unwind
-        // path too: a panicking scope body still may have live jobs
-        // borrowing its stack.
-        self.sync.wait_all();
-        if !std::thread::panicking() && self.runtime.poisoned.swap(false, Ordering::Acquire) {
-            panic!("a stream job panicked inside Runtime::scope");
-        }
     }
 }
 
@@ -797,9 +520,8 @@ mod tests {
             device: DeviceConfig {
                 num_blocks: 4,
                 threads_per_block: 32,
-                host_threads: 1,
             },
-            sim_workers: 0,
+            sim_workers: 1,
         })
     }
 
@@ -902,9 +624,8 @@ mod tests {
                 device: DeviceConfig {
                     num_blocks: 2,
                     threads_per_block: 32,
-                    host_threads: 1,
                 },
-                sim_workers: 0,
+                sim_workers: 1,
             },
             |_| Sanitizer::off(),
             Profiler::new(2, 2),
@@ -960,30 +681,21 @@ mod tests {
             device: DeviceConfig {
                 num_blocks: blocks,
                 threads_per_block: 32,
-                host_threads: 1,
             },
             sim_workers: workers,
         })
     }
 
     #[test]
-    fn sim_workers_auto_resolves_to_host_threads() {
-        assert_eq!(tiny(1, 1).sim_workers(), 1);
+    fn sim_workers_auto_resolves_to_available_parallelism() {
+        let host = std::thread::available_parallelism().map_or(4, |n| n.get());
+        assert_eq!(with_workers(0, 4).sim_workers(), host);
+        assert_eq!(with_workers(1, 4).sim_workers(), 1);
         assert_eq!(with_workers(8, 4).sim_workers(), 8);
     }
 
     #[test]
-    fn block_pool_matches_serial_results_on_any_worker_count() {
-        let want: Vec<usize> = (0..37).map(|b| b * 3 + 1).collect();
-        for workers in [1, 2, 3, 8] {
-            let rt = with_workers(workers, 37);
-            let out = rt.scope(|rs| rs.launch(0, 0, 0..37, |b| b * 3 + 1).wait());
-            assert_eq!(out, want, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn block_pool_is_reused_across_scopes_and_launches() {
+    fn parallel_launches_repeat_across_scopes() {
         let rt = with_workers(4, 16);
         for _ in 0..3 {
             let (a, b) = rt.scope(|rs| {
@@ -1005,7 +717,6 @@ mod tests {
                 device: DeviceConfig {
                     num_blocks: 8,
                     threads_per_block: 32,
-                    host_threads: 1,
                 },
                 sim_workers: 4,
             },
@@ -1039,8 +750,8 @@ mod tests {
     fn parallel_block_panic_poisons_the_scope() {
         let rt = with_workers(4, 8);
         rt.scope(|rs| {
-            // A panicked launch never records its event, so don't wait on
-            // the handle — the scope's drop drains the stream and re-raises.
+            // The handle is never waited on: the scope's end surfaces the
+            // poison by itself.
             let _h = rs.launch(0, 0, 0..8, |b| {
                 if b == 5 {
                     panic!("block exploded");

@@ -2,10 +2,9 @@
 //!
 //! `analyze` runs the gsword-analyzer static checks (interprocedural
 //! uniformity/blocking dataflow over kernel CFGs plus the migrated repo
-//! invariants) over the workspace's crates; `lint` is an alias kept for
-//! existing CI invocations. `--sarif` writes the findings as a SARIF
-//! 2.1.0 log (validated on the way out), `--gate` fails only on findings
-//! not recorded in the checked-in baseline. `check-trace` validates
+//! invariants) over the workspace's crates. `--sarif` writes the findings
+//! as a SARIF 2.1.0 log (validated on the way out), `--gate` fails only on
+//! findings not recorded in the checked-in baseline. `check-trace` validates
 //! Chrome trace JSON emitted by the profiler; `check-sarif` validates a
 //! SARIF log the same way.
 
@@ -13,7 +12,6 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-mod lint;
 mod sarif_check;
 
 const USAGE: &str = "\
@@ -41,9 +39,6 @@ tasks:
                          charge call sites, cost-rule hits, and call-graph
                          distance from the entry — the worklist for the
                          simulator speedup (ROADMAP item 2)
-  lint [dir] [flags]   alias for analyze (the textual lint's rules are
-                       now analyzer visitors; kept so CI invocations
-                       don't break)
   check-sarif <file>   validate a SARIF 2.1.0 log written by
                        `cargo xtask analyze --sarif <file>` (parses the
                        JSON, checks driver/rules/results shape, reports
@@ -67,7 +62,7 @@ tasks:
                        all`; the optional scale divides the paper's |V|
                        (1 = full paper size)
 
-rules enforced by analyze/lint:
+rules enforced by analyze:
   1. divergent-sync: warp primitives (any/ballot/shfl/reduce_*) must not
      claim a full or stale participation mask that contradicts the
      set_active declaration or divergent control flow (static synccheck)
@@ -79,31 +74,28 @@ rules enforced by analyze/lint:
      or forwards them to a callee
   4. no-seqcst: no SeqCst atomic orderings (the device model is
      Relaxed/Acquire/Release by design)
-  5. launch-merges-counters: every Device::launch call site merges the
-     per-block KernelCounters
-  6. launch-confined: device launches (.launch/.launch_blocks) appear
-     only in crates/simt and the engine runtime module
-  7. prof-confined: counter-board reads (.stream_counters/
+  5. prof-confined: counter-board reads (.stream_counters/
      .device_counters/.take_device_counters) appear only in crates/simt,
      crates/prof, and the engine runtime module
-  8. nondet-order: HashMap/HashSet iteration order must not flow into
+  6. nondet-order: HashMap/HashSet iteration order must not flow into
      estimates, reports, or serialized output (sort the entries first)
-  9. float-reduce-order: f64/f32 accumulation whose order varies with
+  7. float-reduce-order: f64/f32 accumulation whose order varies with
      shard or device count must go through a canonically ordered merge
-  10. scope-blocking: blocking drains (scope/wait_all/wait/wait_report)
-     must not be reachable from inside a pool worker job, and 'static
-     transmute erasure needs a registered wait_all drain in the file
-  11. alloc-in-hot-loop: no heap allocation (Vec::new/vec!/format!/
+  8. scope-blocking: blocking drains (scope/wait_all/wait/wait_report)
+     must not be reachable from inside a job submitted to a stream, and
+     'static transmute erasure needs a registered wait_all drain in the
+     file
+  9. alloc-in-hot-loop: no heap allocation (Vec::new/vec!/format!/
      Box::new/.collect()) inside a loop of a kernel-reachable hot
      function; hoist the buffer (with_capacity once, .clear() per
      iteration)
-  12. charge-per-access: a loop whose only work is per-element cost
+  10. charge-per-access: a loop whose only work is per-element cost
      charging must use the batched per-round API the finding names
      (warp_load_rounds) instead of one warp_load per element
-  13. decode-in-loop: compressed adjacency decodes (neighbors_ref/
+  11. decode-in-loop: compressed adjacency decodes (neighbors_ref/
      decode_into/contains_with_probes) of a loop-invariant vertex must
      be hoisted above the loop
-  14. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
+  12. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
      unsafe-derived slices/pointers that escape the validating function
      are called out explicitly
 
@@ -113,7 +105,7 @@ flagged line; `// gsword: allow-file(rule)` anywhere in the file";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some(task @ ("analyze" | "lint")) => run_analyze(task, &args[1..]),
+        Some("analyze") => run_analyze(&args[1..]),
         Some("check-sarif") => {
             let Some(path) = args.get(1) else {
                 eprintln!("xtask check-sarif: missing <file>\n{USAGE}");
@@ -259,8 +251,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// `cargo xtask analyze|lint [dir] [--gate] [--sarif <f>] [--baseline <f>]`.
-fn run_analyze(task: &str, rest: &[String]) -> ExitCode {
+/// `cargo xtask analyze [dir] [--gate] [--sarif <f>] [--baseline <f>]`.
+fn run_analyze(rest: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut gate = false;
     let mut hot_report = false;
@@ -275,7 +267,7 @@ fn run_analyze(task: &str, rest: &[String]) -> ExitCode {
                 let flag = rest[i].clone();
                 i += 1;
                 let Some(p) = rest.get(i) else {
-                    eprintln!("xtask {task}: {flag} needs a file argument\n{USAGE}");
+                    eprintln!("xtask analyze: {flag} needs a file argument\n{USAGE}");
                     return ExitCode::from(2);
                 };
                 if flag == "--sarif" {
@@ -285,12 +277,12 @@ fn run_analyze(task: &str, rest: &[String]) -> ExitCode {
                 }
             }
             flag if flag.starts_with("--") => {
-                eprintln!("xtask {task}: unknown flag '{flag}'\n{USAGE}");
+                eprintln!("xtask analyze: unknown flag '{flag}'\n{USAGE}");
                 return ExitCode::from(2);
             }
             p => {
                 if root.is_some() {
-                    eprintln!("xtask {task}: more than one directory given\n{USAGE}");
+                    eprintln!("xtask analyze: more than one directory given\n{USAGE}");
                     return ExitCode::from(2);
                 }
                 root = Some(PathBuf::from(p));
@@ -300,11 +292,11 @@ fn run_analyze(task: &str, rest: &[String]) -> ExitCode {
     }
     let root = root.unwrap_or_else(default_analyze_root);
     if !root.exists() {
-        eprintln!("xtask {task}: no such directory: {}", root.display());
+        eprintln!("xtask analyze: no such directory: {}", root.display());
         return ExitCode::from(2);
     }
 
-    let findings = lint::run(&root);
+    let findings = gsword_analyzer::analyze_tree(&root);
 
     if hot_report {
         let rows = gsword_analyzer::hot_report_tree(&root);
@@ -319,18 +311,18 @@ fn run_analyze(task: &str, rest: &[String]) -> ExitCode {
     if let Some(path) = &sarif_out {
         let log = gsword_analyzer::sarif::to_sarif(&findings);
         if let Err(e) = std::fs::write(path, &log) {
-            eprintln!("xtask {task}: cannot write {}: {e}", path.display());
+            eprintln!("xtask analyze: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
         // The writer is hand-rolled; never ship a log we can't re-read.
         match sarif_check::validate_sarif(&log) {
             Ok(s) => println!(
-                "xtask {task}: wrote {} ({} result(s), validated)",
+                "xtask analyze: wrote {} ({} result(s), validated)",
                 path.display(),
                 s.results
             ),
             Err(e) => {
-                eprintln!("xtask {task}: emitted invalid SARIF: {e}");
+                eprintln!("xtask analyze: emitted invalid SARIF: {e}");
                 return ExitCode::FAILURE;
             }
         }
@@ -343,11 +335,11 @@ fn run_analyze(task: &str, rest: &[String]) -> ExitCode {
         let new: Vec<&String> = current.iter().filter(|f| !baseline.contains(*f)).collect();
         let stale: Vec<&String> = baseline.iter().filter(|b| !current.contains(*b)).collect();
         for s in &stale {
-            eprintln!("xtask {task}: stale baseline entry (fixed? remove it): {s}");
+            eprintln!("xtask analyze: stale baseline entry (fixed? remove it): {s}");
         }
         if new.is_empty() {
             println!(
-                "xtask {task}: gate clean ({}) — {} finding(s), all baselined",
+                "xtask analyze: gate clean ({}) — {} finding(s), all baselined",
                 root.display(),
                 current.len()
             );
@@ -357,20 +349,20 @@ fn run_analyze(task: &str, rest: &[String]) -> ExitCode {
                 eprintln!("{f}");
             }
             eprintln!(
-                "xtask {task}: {} NEW finding(s) not in {}",
+                "xtask analyze: {} NEW finding(s) not in {}",
                 new.len(),
                 bpath.display()
             );
             ExitCode::FAILURE
         }
     } else if findings.is_empty() {
-        println!("xtask {task}: clean ({})", root.display());
+        println!("xtask analyze: clean ({})", root.display());
         ExitCode::SUCCESS
     } else {
         for f in &findings {
             eprintln!("{f}");
         }
-        eprintln!("xtask {task}: {} finding(s)", findings.len());
+        eprintln!("xtask analyze: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

@@ -7,7 +7,6 @@ fn small_device() -> DeviceConfig {
     DeviceConfig {
         num_blocks: 1,
         threads_per_block: 32,
-        host_threads: 1,
     }
 }
 

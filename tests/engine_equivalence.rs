@@ -8,7 +8,6 @@ fn small_device() -> DeviceConfig {
     DeviceConfig {
         num_blocks: 2,
         threads_per_block: 64,
-        host_threads: 2,
     }
 }
 
@@ -60,7 +59,6 @@ fn engine_is_bitwise_deterministic() {
             .device(DeviceConfig {
                 num_blocks: 3,
                 threads_per_block: 96,
-                host_threads: 3,
             })
             .seed(0xF00)
             .run()
@@ -79,15 +77,15 @@ fn engine_is_bitwise_deterministic() {
 #[test]
 fn host_thread_count_does_not_change_results() {
     let (data, query, _) = fixture();
-    let run = |host_threads| {
+    let run = |sim_workers| {
         Gsword::builder(&data, &query)
             .samples(8_000)
             .backend(Backend::Gsword)
             .device(DeviceConfig {
                 num_blocks: 4,
                 threads_per_block: 64,
-                host_threads,
             })
+            .sim_workers(sim_workers)
             .seed(0xF01)
             .run()
             .expect("run")

@@ -20,7 +20,6 @@ fn device() -> DeviceConfig {
     DeviceConfig {
         num_blocks: 8,
         threads_per_block: 64,
-        host_threads: 2,
     }
 }
 

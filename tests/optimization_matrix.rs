@@ -9,7 +9,6 @@ fn small_device() -> DeviceConfig {
     DeviceConfig {
         num_blocks: 2,
         threads_per_block: 64,
-        host_threads: 2,
     }
 }
 
@@ -130,7 +129,6 @@ fn tiny_budgets_and_odd_geometries() {
                 .device(DeviceConfig {
                     num_blocks: blocks,
                     threads_per_block: tpb,
-                    host_threads: 2,
                 })
                 .run()
                 .expect("run");

@@ -16,7 +16,6 @@ fn tiny_grid() -> DeviceConfig {
     DeviceConfig {
         num_blocks: 2,
         threads_per_block: 32,
-        host_threads: 1,
     }
 }
 

@@ -97,7 +97,6 @@ fn small_device() -> DeviceConfig {
     DeviceConfig {
         num_blocks: 2,
         threads_per_block: 64,
-        host_threads: 2,
     }
 }
 

@@ -295,7 +295,6 @@ fn all_engine_presets_run_clean_under_full_sanitizer() {
     let device = DeviceConfig {
         num_blocks: 2,
         threads_per_block: 64,
-        host_threads: 2,
     };
     for (input, ctx, samples) in [
         ("triangle", QueryCtx::new(&tri_cg, &tri_order), 6_000),
@@ -356,7 +355,6 @@ fn report_names_the_kernel() {
         device: DeviceConfig {
             num_blocks: 1,
             threads_per_block: 32,
-            host_threads: 1,
         },
         ..EngineConfig::gsword(500)
     }

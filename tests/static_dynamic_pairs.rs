@@ -8,8 +8,8 @@
 //!    diagnostic;
 //!  * **dynamic**: the same bug pattern, executed against the simulator,
 //!    produces the concrete failure the rule predicts — a sanitizer
-//!    violation, a silently wrong device-time estimate, or lost counter
-//!    attribution.
+//!    violation, a silently wrong device-time estimate, a deadlocked
+//!    stream, or a counter-board read that sees nothing.
 //!
 //! The pairing table lives in DESIGN.md §10. This suite sits at the
 //! workspace root (outside the `crates/` tree the analyzer walks) so its
@@ -17,8 +17,8 @@
 
 use gsword_analyzer::Finding;
 use gsword_simt::{
-    warp, Device, DeviceConfig, DeviceModel, Event, KernelCounters, Runtime, RuntimeConfig,
-    SamplePool, Sanitizer, SanitizerMode, ViolationKind, WARP_SIZE,
+    warp, DeviceConfig, DeviceModel, Event, KernelCounters, Runtime, RuntimeConfig, SamplePool,
+    Sanitizer, SanitizerMode, ViolationKind, WARP_SIZE,
 };
 
 /// Analyze `src` under the path label `label` and assert the analyzer
@@ -174,100 +174,6 @@ fn no_seqcst_pairs_with_relaxed_exactness() {
 }
 
 // ---------------------------------------------------------------------------
-// launch-merges-counters  <->  dropped counters underestimate device time
-// ---------------------------------------------------------------------------
-
-/// Static: a launch whose per-block counters are never merged. Dynamic:
-/// dropping any block's counters makes the modeled kernel time strictly
-/// smaller — a silent underestimate, not an error.
-#[test]
-fn unmerged_launch_pairs_with_underestimated_time() {
-    assert_single_finding(
-        "simt/runner.rs",
-        "pub fn estimate_without_counters(device: &Device) -> f64 {
-            let parts = device.launch(|b| block_estimate(b));
-            parts.iter().sum()
-        }",
-        "launch-merges-counters",
-    );
-
-    let dev = Device::new(DeviceConfig {
-        num_blocks: 4,
-        threads_per_block: 64,
-        host_threads: 2,
-    });
-    let per_block: Vec<KernelCounters> = dev.launch(|_b| {
-        let mut c = KernelCounters::default();
-        for _ in 0..10_000 {
-            c.warp_instruction(u32::MAX);
-        }
-        c
-    });
-    let mut all = KernelCounters::default();
-    for c in &per_block {
-        all.merge(c);
-    }
-    let mut dropped = KernelCounters::default();
-    dropped.merge(&per_block[0]); // merged only the first block
-    let model = DeviceModel::default();
-    assert!(
-        model.modeled_ms(&all) > model.modeled_ms(&dropped),
-        "dropping block counters silently underestimates kernel time"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// launch-confined  <->  bypassing the runtime loses attribution
-// ---------------------------------------------------------------------------
-
-/// Static: a direct `device.launch` outside crates/simt and the engine
-/// runtime module. Dynamic: a launch that bypasses the runtime's counter
-/// board leaves the board empty — the work happened but no stream or
-/// device is charged for it until the runtime layer does the charging.
-#[test]
-fn stray_launch_pairs_with_lost_attribution() {
-    assert_single_finding(
-        "core/src/estimate.rs",
-        "pub fn direct_launch(device: &Device, report: &mut EngineReport) {
-            let parts = device.launch(|b| run_block(b));
-            for c in parts {
-                report.counters.merge(c);
-            }
-        }",
-        "launch-confined",
-    );
-
-    let rt = Runtime::new(RuntimeConfig {
-        num_devices: 1,
-        streams_per_device: 1,
-        device: DeviceConfig {
-            num_blocks: 2,
-            threads_per_block: 32,
-            host_threads: 1,
-        },
-        sim_workers: 1,
-    });
-    let per_block: Vec<KernelCounters> = rt.device(0).launch(|_b| {
-        let mut c = KernelCounters::default();
-        c.warp_instruction(u32::MAX);
-        c
-    });
-    assert_eq!(
-        rt.device_counters(0),
-        KernelCounters::default(),
-        "a launch that bypasses the runtime charges nothing to the board"
-    );
-    for c in &per_block {
-        rt.charge(0, 0, c);
-    }
-    assert_ne!(
-        rt.device_counters(0),
-        KernelCounters::default(),
-        "routing the launch through the runtime restores attribution"
-    );
-}
-
-// ---------------------------------------------------------------------------
 // scope-blocking  <->  a pool worker waiting on its own stream deadlocks
 // ---------------------------------------------------------------------------
 
@@ -294,7 +200,6 @@ fn scope_blocking_pairs_with_same_stream_deadlock() {
         device: DeviceConfig {
             num_blocks: 2,
             threads_per_block: 32,
-            host_threads: 1,
         },
         sim_workers: 1,
     };

@@ -1,6 +1,7 @@
 //! Block-parallel launches are bit-deterministic: fanning a grid's blocks
-//! over any number of sim workers must not change a single observable —
-//! estimates, kernel counters, or sanitizer verdicts. Likewise the
+//! over any number of sim workers, on any device × stream topology, must
+//! not change a single observable — estimates, kernel counters, or
+//! sanitizer verdicts. Likewise the
 //! decoded-block cache inside the compressed backend is a pure
 //! memoization: every `GraphStorage` method answers identically with the
 //! cache on, off, or starved down to a budget that fits nothing.
@@ -9,18 +10,21 @@ use gsword::graph::compressed::CompressedGraph;
 use gsword::prelude::*;
 use proptest::prelude::*;
 
+/// One run on `devices` × `streams` with `workers` sim workers per launch.
 fn run_with_workers(
     data: &Graph,
     query: &QueryGraph,
     kind: EstimatorKind,
     seed: u64,
-    workers: usize,
+    (devices, streams, workers): (usize, usize, usize),
 ) -> Report {
     Gsword::builder(data, query)
         .samples(2_000)
         .estimator(kind)
         .seed(seed)
         .backend(Backend::Gsword)
+        .num_devices(devices)
+        .streams_per_device(streams)
         .sim_workers(workers)
         .sanitize(SanitizerMode::FULL)
         .run()
@@ -30,35 +34,36 @@ fn run_with_workers(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// 1, 2, and 8 sim workers: same estimate bits, same counter
-    /// snapshot, same sanitizer violation set — on both a small and a
-    /// larger dataset, for both estimators.
+    /// 2 and 8 sim workers on one stream, and 3 workers on each of
+    /// 2 devices × 2 streams: same estimate bits, same counter snapshot,
+    /// same sanitizer violation set as 1 worker on 1 × 1 — on both a small
+    /// and a larger dataset, for both estimators.
     #[test]
     fn estimates_are_bit_identical_across_worker_counts(seed in any::<u64>()) {
         let dataset = if seed & 1 == 0 { "yeast" } else { "eu2005" };
         let kind = if seed & 2 == 0 { EstimatorKind::WanderJoin } else { EstimatorKind::Alley };
         let data = gsword::datasets::dataset(dataset);
         let query = QueryGraph::extract(&data, 4, seed ^ 0xA5A5).expect("query");
-        let serial = run_with_workers(&data, &query, kind, seed, 1);
-        for workers in [2usize, 8] {
-            let parallel = run_with_workers(&data, &query, kind, seed, workers);
+        let serial = run_with_workers(&data, &query, kind, seed, (1, 1, 1));
+        for setup in [(1usize, 1usize, 2usize), (1, 1, 8), (2, 2, 3)] {
+            let parallel = run_with_workers(&data, &query, kind, seed, setup);
             prop_assert_eq!(
                 serial.estimate.to_bits(),
                 parallel.estimate.to_bits(),
-                "{}/{:?}: estimate diverges at {} workers",
-                dataset, kind, workers
+                "{}/{:?}: estimate diverges at (devices, streams, workers) = {:?}",
+                dataset, kind, setup
             );
             prop_assert_eq!(
                 serial.counters.as_ref().expect("counters").snapshot(),
                 parallel.counters.as_ref().expect("counters").snapshot(),
-                "{}/{:?}: counters diverge at {} workers",
-                dataset, kind, workers
+                "{}/{:?}: counters diverge at (devices, streams, workers) = {:?}",
+                dataset, kind, setup
             );
             prop_assert_eq!(
                 serial.sanitizer.as_ref().expect("sanitizer report"),
                 parallel.sanitizer.as_ref().expect("sanitizer report"),
-                "{}/{:?}: sanitizer verdicts diverge at {} workers",
-                dataset, kind, workers
+                "{}/{:?}: sanitizer verdicts diverge at (devices, streams, workers) = {:?}",
+                dataset, kind, setup
             );
         }
     }
