@@ -1,6 +1,6 @@
-//! Known-bad: a job submitted to the stream worker pool that blocks on an
-//! event recorded by a sibling job. With every worker parked in `wait`,
-//! no worker remains to record the event — self-deadlock. Expected:
+//! Known-bad: a job submitted to a stream that blocks on an event a later
+//! job of the same stream records. The stream's only thread parks in
+//! `wait`, so the recording job never runs — self-deadlock. Expected:
 //! `scope-blocking` at the `submit` call.
 
 pub fn worker_waits_on_sibling(rs: &RuntimeScope, ev: &Event) {

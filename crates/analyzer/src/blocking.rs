@@ -1,38 +1,29 @@
-//! Rule `scope-blocking`: blocking drains reachable from inside a pool
-//! worker job, and unsafe scope-erasure without a registered drain.
+//! Rule `scope-blocking`: blocking drains reachable from inside a job
+//! submitted to a stream.
 //!
 //! Each (device, stream) of a runtime scope has exactly one thread. A job
 //! that *waits* for other jobs on its own stream — directly
-//! (`Event::wait`, `wait_all`, `wait_report`) or by opening a nested
-//! `scope` (which drains before it returns) — can self-deadlock: the
-//! stream's only thread parks waiting for a job that no other thread
-//! exists to run. The rule
-//! therefore flags any blocking call reachable (transitively, through
-//! [`crate::callgraph::Summaries`]) from the closure argument of a
-//! `submit` / `launch` / `launch_named` call.
+//! (`Event::wait`, `wait_report`) or by opening a nested `scope` (which
+//! drains before it returns) — can self-deadlock: the stream's only
+//! thread parks waiting for a job that no other thread exists to run. The
+//! rule therefore flags any blocking call reachable (transitively,
+//! through [`crate::callgraph::Summaries`]) from the closure argument of
+//! a `submit` / `launch` / `launch_named` call.
 //!
 //! Host-side closures are exempt by construction: the rule inspects only
 //! the *arguments* of submit-family method calls, never `scope`'s own
 //! closure, which runs on the submitting thread.
-//!
-//! The second check is token-level: a `transmute` that erases a lifetime
-//! to `'static` (the scope-erasure idiom used to hand borrowed closures
-//! to worker threads) is only sound if the file also registers a drain
-//! (`wait_all`) that keeps the erased borrows alive until the workers are
-//! done. `transmute` + `'static` with no `wait_all` anywhere in the file
-//! is flagged.
 
 use crate::analysis::RawFinding;
 use crate::callgraph::Summaries;
 use crate::cfg::{extract_calls, Call};
-use crate::lex::{Tok, TokKind};
 use crate::parse::{visit_exprs, FnDef};
 
-/// Submit-family methods whose closure argument runs on a pool worker.
+/// Submit-family methods whose closure argument runs on a stream thread.
 const SUBMITS: &[&str] = &["submit", "launch", "launch_named"];
 
 /// Unconditionally blocking drain primitives.
-const DRAINS: &[&str] = &["scope", "wait_all", "wait_report"];
+const DRAINS: &[&str] = &["scope", "wait_report"];
 
 /// Is this call a blocking drain — a drain primitive, a zero-argument
 /// `wait()` (`Event::wait` / handle-join style; `cv.wait(stamp)` with
@@ -67,34 +58,21 @@ pub fn check_fn(f: &FnDef, sums: &Summaries) -> Vec<RawFinding> {
             if !c.is_method || !SUBMITS.contains(&c.name.as_str()) {
                 continue;
             }
-            let mut reason: Option<String> = None;
-            for arg in &c.args {
-                for inner in extract_calls(arg) {
-                    if let Some(n) = blocking_name(&inner, sums) {
-                        reason = Some(format!("calls blocking `{n}`"));
-                        break;
-                    }
-                }
-                if reason.is_none()
-                    && arg
-                        .iter()
-                        .any(|t| t.kind == TokKind::Ident && t.text == "ScopeSync")
-                {
-                    reason = Some("creates a ScopeSync (drains on drop)".to_string());
-                }
-                if reason.is_some() {
-                    break;
-                }
-            }
-            if let Some(r) = reason {
+            let blocking = c
+                .args
+                .iter()
+                .flat_map(|arg| extract_calls(arg))
+                .find_map(|inner| blocking_name(&inner, sums));
+            if let Some(n) = blocking {
                 out.push(RawFinding {
                     line: Some(c.line),
                     col: Some(c.col),
                     rule: "scope-blocking",
                     message: format!(
-                        "job submitted via `{}` {r} — a pool worker waiting on \
-                         its own pool self-deadlocks once all workers are \
-                         parked; wait on the host side instead",
+                        "job submitted via `{}` calls blocking `{n}` — the \
+                         stream's only thread parks in it, and a later job \
+                         of the same stream can never run to release it; \
+                         wait on the host side instead",
                         c.name
                     ),
                 });
@@ -136,35 +114,6 @@ pub fn blocks_out(f: &FnDef, sums: &Summaries) -> bool {
         }
     });
     blocks
-}
-
-/// File-level erasure check over the raw token stream: a `transmute` with
-/// a `'static` lifetime nearby, in a file with no `wait_all` drain, erases
-/// borrow lifetimes with nothing holding them alive.
-pub fn check_erasure(toks: &[Tok]) -> Vec<RawFinding> {
-    let has_drain = toks.iter().any(|t| t.is_ident("wait_all"));
-    if has_drain {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !t.is_ident("transmute") {
-            continue;
-        }
-        let window = &toks[i..toks.len().min(i + 40)];
-        if window.iter().any(|w| w.is_punct("'static")) {
-            out.push(RawFinding {
-                line: Some(t.line),
-                col: Some(t.col),
-                rule: "scope-blocking",
-                message: "transmute to 'static erases borrow lifetimes with no \
-                          wait_all drain registered in this file — workers may \
-                          outlive the borrows they capture"
-                    .to_string(),
-            });
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -215,71 +164,40 @@ mod tests {
 
     #[test]
     fn blocking_reached_through_helper_summary() {
-        let src = "fn drain_all(sync: &ScopeHandle) {\n\
-            sync.wait_all();\n\
+        let src = "fn await_event(ev: &Event) {\n\
+            ev.wait();\n\
         }\n\
-        pub fn bad(rs: &RuntimeScope, sync: &ScopeHandle) {\n\
-            rs.launch_named(\"drain\", move || drain_all(sync));\n\
+        pub fn bad(rs: &RuntimeScope, ev: &Event) {\n\
+            rs.launch_named(\"drain\", move || await_event(ev));\n\
         }";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`drain_all`"), "{f:?}");
-    }
-
-    #[test]
-    fn scope_sync_construction_inside_job_flagged() {
-        let src = "pub fn nested(rs: &RuntimeScope) {\n\
-            rs.submit(0, 0, move || { let s = ScopeSync::new(); s.go(); });\n\
-        }";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("ScopeSync"), "{f:?}");
-    }
-
-    #[test]
-    fn erasure_without_drain_flagged_with_drain_clean() {
-        let bad = lex(
-            "pub fn erase(f: Box<dyn FnOnce() + '_>) -> Box<dyn FnOnce() + 'static> {\n\
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + '_>, Box<dyn FnOnce() + 'static>>(f) }\n\
-            }",
-        );
-        let f = check_erasure(&bad);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "scope-blocking");
-        assert_eq!(f[0].line, Some(2));
-
-        let good = lex(
-            "pub fn erase(f: Box<dyn FnOnce() + '_>) -> Box<dyn FnOnce() + 'static> {\n\
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + '_>, Box<dyn FnOnce() + 'static>>(f) }\n\
-            }\n\
-            pub fn drop_guard(s: &ScopeSync) { s.wait_all(); }\n",
-        );
-        assert!(check_erasure(&good).is_empty());
+        assert!(f[0].message.contains("`await_event`"), "{f:?}");
     }
 
     #[test]
     fn spawn_closure_is_a_thread_boundary() {
-        // A constructor that parks worker threads on a drain must not be
+        // A function that parks a spawned thread on a wait must not be
         // summarized as blocking: the spawner returns immediately.
-        let src = "fn new_pool(sync: &ScopeHandle) {\n\
-            std::thread::spawn(move || sync.wait_all());\n\
+        let src = "fn spawn_waiter(ev: &Event) {\n\
+            std::thread::spawn(move || ev.wait());\n\
         }\n\
-        pub fn ok(rs: &RuntimeScope, sync: &ScopeHandle) {\n\
-            rs.submit(0, 0, move || new_pool(sync));\n\
+        pub fn ok(rs: &RuntimeScope, ev: &Event) {\n\
+            rs.submit(0, 0, move || spawn_waiter(ev));\n\
         }";
         assert!(findings(src).is_empty(), "{:?}", findings(src));
 
-        // ...but a drain *outside* the spawn argument still blocks.
-        let src = "fn new_pool_then_drain(sync: &ScopeHandle) {\n\
+        // ...but a wait *outside* the spawn argument still blocks.
+        let src = "fn spawn_then_wait(ev: &Event) {\n\
             std::thread::spawn(move || step());\n\
-            sync.wait_all();\n\
+            ev.wait();\n\
         }\n\
-        pub fn bad(rs: &RuntimeScope, sync: &ScopeHandle) {\n\
-            rs.submit(0, 0, move || new_pool_then_drain(sync));\n\
+        pub fn bad(rs: &RuntimeScope, ev: &Event) {\n\
+            rs.submit(0, 0, move || spawn_then_wait(ev));\n\
         }";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`new_pool_then_drain`"), "{f:?}");
+        assert!(f[0].message.contains("`spawn_then_wait`"), "{f:?}");
     }
 
     #[test]

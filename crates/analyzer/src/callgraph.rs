@@ -1,4 +1,4 @@
-//! Call graph and per-function summaries — the interprocedural layer.
+//! Per-function summaries — the interprocedural layer.
 //!
 //! The analyses in [`crate::analysis`], [`crate::order`], and
 //! [`crate::blocking`] are statement-level and would stop at call
@@ -15,10 +15,9 @@
 //! the analysis flag more, never less — name collisions degrade to noise
 //! that a suppression or rename resolves, not to a missed violation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use crate::cfg::extract_calls;
-use crate::parse::{visit_exprs, FnDef};
+use crate::parse::FnDef;
 
 /// Pool-state constants mirrored from the analysis lattice
 /// (`Clear < Atomic < Plain`; 0 is bottom / untouched).
@@ -28,9 +27,8 @@ pub const SUM_POOL_CLEAR: u8 = 1;
 /// summary table. Summaries are keyed by bare name, and names like `drop`
 /// or `clone` have dozens of unrelated implementations plus std
 /// fallbacks; one effectful impl (e.g. a `Drop` that drains a scope)
-/// would otherwise taint every call to `drop(x)` in the corpus. The cost is precision at explicit `drop(scope)` sites — the
-/// drain-on-drop hazard inside worker jobs is still caught by the
-/// `ScopeSync` construction check in [`crate::blocking`].
+/// would otherwise taint every call to `drop(x)` in the corpus. The cost
+/// is precision at explicit `drop(scope)` sites.
 pub fn opaque_name(name: &str) -> bool {
     const OPAQUE: &[&str] = &[
         "drop",
@@ -70,8 +68,8 @@ pub struct FnSummary {
     pub sets_active: bool,
     /// The return value depends on `HashMap`/`HashSet` iteration order.
     pub unordered_out: bool,
-    /// Transitively reaches a blocking drain (`scope` / `wait_all` /
-    /// `wait()` / `wait_report`) — must not run inside a pool worker job.
+    /// Transitively reaches a blocking drain (`scope` / `wait()` /
+    /// `wait_report`) — must not run inside a job submitted to a stream.
     pub blocks: bool,
     /// Performs an atomic pool access reachable from entry with no
     /// intervening `block_barrier` on some path.
@@ -160,25 +158,6 @@ impl Summaries {
     }
 }
 
-/// The name-level call graph: caller → set of callees that are defined in
-/// the corpus. Diagnostic/debug artifact; the rule passes consult
-/// [`Summaries`] directly.
-pub fn call_graph(fns: &[FnDef]) -> BTreeMap<String, BTreeSet<String>> {
-    let defined: BTreeSet<&str> = fns.iter().map(|f| f.name.as_str()).collect();
-    let mut out: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for f in fns {
-        let entry = out.entry(f.name.clone()).or_default();
-        visit_exprs(&f.body, &mut |toks| {
-            for c in extract_calls(toks) {
-                if c.name != f.name && defined.contains(c.name.as_str()) {
-                    entry.insert(c.name.clone());
-                }
-            }
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,14 +166,6 @@ mod tests {
 
     fn fns(src: &str) -> Vec<FnDef> {
         parse_file(&lex(src))
-    }
-
-    #[test]
-    fn call_graph_links_defined_callees_only() {
-        let f = fns("fn a() { b(); external(); }\nfn b() { }\n");
-        let g = call_graph(&f);
-        assert_eq!(g["a"], BTreeSet::from(["b".to_string()]));
-        assert!(g["b"].is_empty());
     }
 
     #[test]

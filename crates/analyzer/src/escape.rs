@@ -2,10 +2,9 @@
 //! outlive their validating function.
 //!
 //! The storage layer hands out `&[u32]` slices reinterpreted from mmap'd
-//! bytes (`crates/graph/src/mmap.rs`) and the runtime transmutes a job's
-//! lifetime to `'static` to cross the worker channel
-//! (`crates/simt/src/runtime.rs`). Both are sound only because of
-//! invariants the type system cannot see — so this rule insists every
+//! bytes (`crates/graph/src/mmap.rs`, `crates/graph/src/compressed.rs`).
+//! They are sound only because of invariants the type system cannot
+//! see — so this rule insists every
 //! `unsafe` site carries a `// SAFETY:` comment stating that invariant,
 //! and upgrades the finding when the unsafe-derived value *escapes*: a
 //! slice/pointer produced by an [`DERIVE_CALLS`] call inside `unsafe`

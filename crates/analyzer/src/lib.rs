@@ -12,13 +12,13 @@
 //! partial parser ([`parse`]) that extracts function bodies, which lower
 //! to statement-level control-flow graphs ([`cfg`]) analyzed by a
 //! uniformity dataflow plus flow-sensitive mask/pool lattices
-//! ([`analysis`]). A call graph over the whole parsed corpus feeds a
-//! fixpoint of per-function summaries ([`callgraph`]) so those analyses
-//! see through helper functions. Determinism rules (hash-iteration order,
-//! float reduction order) live in [`order`], worker-pool deadlock rules in
-//! [`blocking`], and path-aware repo invariants migrated from the old
-//! textual lint in [`confined`]. Findings serialize to SARIF 2.1.0 via
-//! [`sarif`].
+//! ([`analysis`]). A fixpoint of per-function summaries over the whole
+//! parsed corpus ([`callgraph`]) lets those analyses see through helper
+//! functions. Determinism rules (hash-iteration order, float reduction
+//! order) live in [`order`], the stream-thread deadlock rule in
+//! [`blocking`], the `unsafe` audit in [`escape`], and path-aware repo
+//! invariants migrated from the old textual lint in [`confined`].
+//! Findings serialize to SARIF 2.1.0 via [`sarif`].
 //!
 //! The front-end is purpose-built on `std` alone rather than `syn`: the
 //! workspace builds hermetically from vendored stubs (see
@@ -46,9 +46,7 @@ pub mod callgraph;
 pub mod cfg;
 pub mod confined;
 pub mod escape;
-pub mod hot;
 pub mod lex;
-pub mod loops;
 pub mod order;
 pub mod parse;
 pub mod sarif;
@@ -89,19 +87,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "scope-blocking",
-        "blocking drain reachable from a pool worker job, or scope erasure with no drain",
-    ),
-    (
-        "alloc-in-hot-loop",
-        "heap allocation inside a loop of a kernel-reachable hot function",
-    ),
-    (
-        "charge-per-access",
-        "per-element cost charging in a pure charging loop where a batched per-round API exists",
-    ),
-    (
-        "decode-in-loop",
-        "compressed adjacency decode of a loop-invariant vertex repeated every iteration",
+        "blocking drain reachable from a job submitted to a stream",
     ),
     (
         "unsafe-escape",
@@ -224,13 +210,11 @@ pub fn analyze_corpus(files: &[(String, String)]) -> Vec<Finding> {
         per_file_fns.push(fns);
     }
     let sums = Summaries::build(&all_fns);
-    let dist = hot::entry_distances(&all_fns);
 
     let mut out = Vec::new();
     for ((i, toks), fns) in parsed.iter().zip(&per_file_fns) {
         let (file, src) = &files[*i];
         let mut raw = confined::check_file(file, toks);
-        raw.extend(blocking::check_erasure(toks));
         raw.extend(escape::check_file(src, toks, fns));
         for f in fns {
             if is_kernel_fn(file, f) {
@@ -238,7 +222,6 @@ pub fn analyze_corpus(files: &[(String, String)]) -> Vec<Finding> {
             }
             raw.extend(order::check_fn(f, &sums));
             raw.extend(blocking::check_fn(f, &sums));
-            raw.extend(hot::check_fn(file, f, &dist));
         }
         let sup = Suppressions::parse(src);
         out.extend(attach(file, raw).into_iter().filter(|f| !sup.allows(f)));
@@ -329,33 +312,6 @@ pub fn corpus_files(root: &Path) -> Vec<(String, String)> {
     files
 }
 
-/// Build the ranked hot-region report over a corpus: one [`hot::HotRow`]
-/// per kernel function reachable from an entry point, ranked deepest
-/// loops first (see [`hot::rank_rows`]).
-pub fn hot_report(files: &[(String, String)]) -> Vec<hot::HotRow> {
-    let mut all_fns = Vec::new();
-    let mut per_file_fns = Vec::new();
-    for (_, src) in files {
-        let fns = parse::parse_file(&lex::lex(src));
-        all_fns.extend(fns.iter().cloned());
-        per_file_fns.push(fns);
-    }
-    let dist = hot::entry_distances(&all_fns);
-    let mut rows = Vec::new();
-    for ((file, _), fns) in files.iter().zip(&per_file_fns) {
-        for f in fns {
-            rows.extend(hot::report_row(file, f, &dist));
-        }
-    }
-    hot::rank_rows(&mut rows);
-    rows
-}
-
-/// [`hot_report`] over a directory walk (same corpus as [`analyze_tree`]).
-pub fn hot_report_tree(root: &Path) -> Vec<hot::HotRow> {
-    hot_report(&corpus_files(root))
-}
-
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
@@ -432,30 +388,7 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate rule ids");
-        assert_eq!(names.len(), 12);
-    }
-
-    #[test]
-    fn hot_report_ranks_reachable_kernel_fns() {
-        let files = vec![(
-            "engine/src/kernel.rs".to_string(),
-            "pub fn run_block(ctr: &mut KernelCounters, san: &WarpSanitizer, bufs: &[Vec<usize>]) {\n\
-             for r in 0..4 {\n\
-                 warp_load(ctr, san, bufs, r);\n\
-                 refine_one(bufs, r);\n\
-             }\n\
-             }\n"
-                .to_string(),
-        )];
-        let rows = hot_report(&files);
-        assert_eq!(rows.len(), 1, "{rows:?}");
-        assert_eq!(rows[0].function, "run_block");
-        assert_eq!(rows[0].distance, 0);
-        assert_eq!(rows[0].max_loop_depth, 1);
-        assert_eq!(rows[0].charge_sites.len(), 1);
-        let text = hot::render(&rows);
-        assert!(text.contains("run_block"), "{text}");
-        assert!(text.contains("warp_load"), "{text}");
+        assert_eq!(names.len(), 9);
     }
 
     #[test]

@@ -44,7 +44,6 @@ fn analyzer_covers_every_engine_kernel() {
         "direct_sample",
         "serial_refine_sample",
         "streaming_refine_sample",
-        "serial_refine_sample_mixed",
     ] {
         assert!(
             names.iter().any(|n| n == required),

@@ -33,28 +33,12 @@ fn expectations() -> BTreeMap<&'static str, (&'static str, Option<&'static str>)
         ("float_reduce.rs", ("float-reduce-order", Some("sum += w"))),
         ("scope_block.rs", ("scope-blocking", Some("rs.submit"))),
         (
-            "unsafe_erasure.rs",
-            ("scope-blocking", Some("std::mem::transmute")),
-        ),
-        (
             "helper_divergence.rs",
             ("divergent-sync", Some("acc |= full_ballot")),
         ),
         (
             "helper_pool_race.rs",
             ("pool-race", Some("pool.read_cursor_unsync")),
-        ),
-        (
-            "alloc_in_hot_loop.rs",
-            ("alloc-in-hot-loop", Some("let tmp = Vec::new()")),
-        ),
-        (
-            "charge_per_access.rs",
-            ("charge-per-access", Some("warp_load(ctr, san, &addrs)")),
-        ),
-        (
-            "decode_in_loop.rs",
-            ("decode-in-loop", Some("neighbors_ref(u)")),
         ),
         (
             "unsafe_escape.rs",

@@ -1,28 +1,16 @@
-//! Quick-mode bench rail: times the sampling and candidate-build groups
-//! plus legacy-vs-adaptive variants of Alley Refine, and writes
-//! `BENCH_sampling.json` (median ns per op, keyed by bench id and git rev)
-//! at the workspace root. Run via `cargo xtask bench --json`.
-//!
-//! The `alley_refine/legacy` row re-implements the pre-adaptive-engine
-//! Refine (per-element binary search) over identical inputs, so the
-//! `/adaptive` ratio is the engine's speedup, self-documented in the
-//! artifact.
+//! Quick-mode bench rail: times the sampling, candidate-build, Alley
+//! Refine and storage groups, and writes `BENCH_sampling.json` (median ns
+//! per op keyed by bench id, with the git rev and dirty flag) at the
+//! workspace root. Run via `cargo xtask bench --json`.
 //!
 //! The storage group runs per dataset (yeast and eu2005) and prices the
 //! compressed backend three ways: CSR slices, cold Rice-block decode
 //! (`/compressed`, cache disabled), and the decoded-block cache
-//! (`/cached`, default budget). The `sim/wall` pair times one full device
-//! run serially and with the grid's blocks fanned over 8 sim workers —
-//! on a single-core host the two are expected to tie (fan-out only adds
-//! queueing overhead); the row records whatever the hardware delivers.
+//! (`/cached`, default budget).
 
 use std::time::Instant;
 
 use gsword_core::prelude::*;
-use gsword_graph::intersect;
-use gsword_simt::counters::KernelCounters;
-use gsword_simt::memory::{warp_load, warp_load_rounds, LaneAddr, Region};
-use gsword_simt::warp::{Lanes, WarpSanitizer, WARP_SIZE};
 
 /// Median wall nanoseconds of `samples` timed calls (after one warmup).
 fn median_ns(samples: usize, mut op: impl FnMut()) -> f64 {
@@ -36,26 +24,6 @@ fn median_ns(samples: usize, mut op: impl FnMut()) -> f64 {
         .collect();
     ns.sort_by(|a, b| a.total_cmp(b));
     ns[ns.len() / 2]
-}
-
-/// Alley minus the batched-Refine override: `refine_into` falls back to
-/// the trait default (one binary search per candidate per segment), which
-/// is exactly the pre-PR Refine path.
-struct LegacyAlley;
-
-impl Estimator for LegacyAlley {
-    fn needs_refine(&self) -> bool {
-        true
-    }
-    fn refine_one(&self, segs: &[Segment<'_>], v: VertexId) -> bool {
-        segs.iter().all(|(seg, _)| intersect::member(seg, v))
-    }
-    fn validate(&self, _segs: &[Segment<'_>], s: &SampleState, v: VertexId) -> bool {
-        !s.contains(v)
-    }
-    fn kind(&self) -> EstimatorKind {
-        EstimatorKind::Alley
-    }
 }
 
 /// One timed row of the artifact.
@@ -122,8 +90,7 @@ fn refine_scenarios<'a>(
 }
 
 /// Storage group for one dataset: CSR vs cold compressed decode vs the
-/// decoded-block cache on the same operations, plus the probe-charging
-/// pair drawn from its adjacency.
+/// decoded-block cache on the same operations.
 fn storage_rows(dsname: &str, samples: usize, rows: &mut Vec<Row>) {
     let data = gsword_core::datasets::dataset(dsname);
     let query = QueryGraph::extract(&data, 8, 0xBE).expect("storage query");
@@ -218,65 +185,6 @@ fn storage_rows(dsname: &str, samples: usize, rows: &mut Vec<Row>) {
         format!("storage/candidate_build/compressed/{dsname}"),
         ns,
     ));
-
-    // Probe-charging pair: per-access warp_load loop (the exact shape the
-    // analyzer's charge-per-access rule flagged in the kernel) vs the
-    // batched warp_load_rounds replacement it names. The snapshots must be
-    // bit-identical — only the call overhead is amortized.
-    let probe_seqs: Vec<Vec<usize>> = (0..WARP_SIZE)
-        .map(|lane| {
-            let v = (lane as VertexId * 97) % n;
-            data.neighbors(v).iter().map(|&w| w as usize).collect()
-        })
-        .collect();
-    let san = WarpSanitizer::disabled();
-    let per_access_ns = median_ns(samples, || {
-        let mut ctr = KernelCounters::default();
-        let rounds = probe_seqs.iter().map(Vec::len).max().unwrap_or(0);
-        for r in 0..rounds {
-            let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-            for (lane, buf) in probe_seqs.iter().enumerate() {
-                if let Some(&a) = buf.get(r) {
-                    addrs[lane] = Some((Region::LOCAL, a));
-                }
-            }
-            warp_load(&mut ctr, &san, &addrs);
-        }
-        std::hint::black_box(ctr.mem_transactions);
-    });
-    let batched_ns = median_ns(samples, || {
-        let mut ctr = KernelCounters::default();
-        warp_load_rounds(&mut ctr, &san, Region::LOCAL, &probe_seqs);
-        std::hint::black_box(ctr.mem_transactions);
-    });
-    {
-        let mut manual = KernelCounters::default();
-        let rounds = probe_seqs.iter().map(Vec::len).max().unwrap_or(0);
-        for r in 0..rounds {
-            let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-            for (lane, buf) in probe_seqs.iter().enumerate() {
-                if let Some(&a) = buf.get(r) {
-                    addrs[lane] = Some((Region::LOCAL, a));
-                }
-            }
-            warp_load(&mut manual, &san, &addrs);
-        }
-        let mut batched = KernelCounters::default();
-        warp_load_rounds(&mut batched, &san, Region::LOCAL, &probe_seqs);
-        assert_eq!(
-            manual.snapshot(),
-            batched.snapshot(),
-            "batched probe charging must replay the per-access loop exactly"
-        );
-    }
-    rows.push(Row::new(
-        format!("storage/charge_probes/per_access/{dsname}"),
-        per_access_ns,
-    ));
-    rows.push(Row::new(
-        format!("storage/charge_probes/batched/{dsname}"),
-        batched_ns,
-    ));
 }
 
 fn main() {
@@ -319,73 +227,31 @@ fn main() {
     });
     rows.push(Row::new("candidate_build/full/yeast", ns));
 
-    // --- Alley Refine group: batched k-way vs per-element binary search ---
+    // --- Alley Refine group: the batched k-way Refine ---
     let scenarios = refine_scenarios(&query, &cg);
     assert!(!scenarios.is_empty(), "yeast query yields refine scenarios");
+    for (cand, segs) in &scenarios {
+        let mut batched = Vec::new();
+        Alley.refine_into(segs, cand, &mut batched);
+        let per_element: Vec<VertexId> = cand
+            .iter()
+            .copied()
+            .filter(|&v| Alley.refine_one(segs, v))
+            .collect();
+        assert_eq!(
+            batched, per_element,
+            "batched Refine must match the per-element path"
+        );
+    }
     let mut out = Vec::new();
-    let refine_adaptive_ns = median_ns(samples, || {
+    let ns = median_ns(samples, || {
         for (cand, segs) in &scenarios {
             out.clear();
             Alley.refine_into(segs, cand, &mut out);
             std::hint::black_box(out.len());
         }
     });
-    let refine_legacy_ns = median_ns(samples, || {
-        for (cand, segs) in &scenarios {
-            out.clear();
-            LegacyAlley.refine_into(segs, cand, &mut out);
-            std::hint::black_box(out.len());
-        }
-    });
-    for (cand, segs) in &scenarios {
-        let (mut a, mut l) = (Vec::new(), Vec::new());
-        Alley.refine_into(segs, cand, &mut a);
-        LegacyAlley.refine_into(segs, cand, &mut l);
-        assert_eq!(a, l, "batched Refine must match the per-element path");
-    }
-    rows.push(Row::new("alley_refine/adaptive/yeast", refine_adaptive_ns));
-    rows.push(Row::new("alley_refine/legacy/yeast", refine_legacy_ns));
-    let refine_speedup = refine_legacy_ns / refine_adaptive_ns;
-
-    // --- sim wall-clock group: one full device run, serial vs the grid's
-    // blocks fanned over 8 sim workers. The estimates are bit-identical by
-    // construction (asserted); only the wall clock may differ, and on a
-    // single-core host it will not. ---
-    let wall_budget: u64 = if quick { 4_000 } else { 20_000 };
-    let run_wall = |workers: usize| -> Report {
-        Gsword::builder(&data, &query)
-            .samples(wall_budget)
-            .estimator(EstimatorKind::Alley)
-            .seed(0xBE)
-            .backend(Backend::Gsword)
-            .sim_workers(workers)
-            .run()
-            .expect("wall run")
-    };
-    let serial_est = run_wall(1).estimate;
-    let parallel_est = run_wall(8).estimate;
-    assert_eq!(
-        serial_est.to_bits(),
-        parallel_est.to_bits(),
-        "block-parallel launches must not perturb the estimate"
-    );
-    let wall_samples = samples.min(5);
-    let serial_ns = median_ns(wall_samples, || {
-        std::hint::black_box(run_wall(1).estimate);
-    });
-    let parallel_ns = median_ns(wall_samples, || {
-        std::hint::black_box(run_wall(8).estimate);
-    });
-    rows.push(Row::with_rate(
-        "sim/wall/serial/yeast",
-        serial_ns,
-        wall_budget as f64,
-    ));
-    rows.push(Row::with_rate(
-        "sim/wall/parallel/yeast",
-        parallel_ns,
-        wall_budget as f64,
-    ));
+    rows.push(Row::new("alley_refine/adaptive/yeast", ns));
 
     // --- storage group, per dataset ---
     for dsname in ["yeast", "eu2005"] {
@@ -396,21 +262,23 @@ fn main() {
     let root = std::fs::canonicalize(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
         .expect("workspace root exists");
     let root = root.to_str().expect("utf-8 workspace path");
-    let rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(root)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(root)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let rev = git(&["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".into());
+    let dirty =
+        git(&["status", "--porcelain"]).map_or("null".into(), |s| (!s.is_empty()).to_string());
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"git_rev\": \"{rev}\",\n"));
+    json.push_str(&format!("  \"git_dirty\": {dirty},\n"));
     json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!(
-        "  \"speedup\": {{\"alley_refine\": {refine_speedup:.2}}},\n"
-    ));
     json.push_str("  \"benches\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -439,6 +307,5 @@ fn main() {
             None => println!("{}: {:.1} ns", row.id, row.median_ns),
         }
     }
-    println!("alley-refine speedup (legacy/adaptive): {refine_speedup:.2}x");
     println!("wrote {path}");
 }

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use gsword_core::prelude::*;
 
@@ -106,19 +106,30 @@ impl Workload {
     }
 }
 
+/// 64-bit FNV-1a over a stream of words: the truth cache's stable
+/// content hash.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf29ce484222325u64, |h, x| {
+        (h ^ x).wrapping_mul(0x100000001b3)
+    })
+}
+
 /// Stable content hash of a query (for the truth cache key).
 fn query_hash(q: &QueryGraph) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut feed = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    feed(q.num_vertices() as u64);
-    for u in 0..q.num_vertices() as u8 {
-        feed(q.label(u) as u64);
-        feed(q.adjacency_mask(u) as u64);
-    }
-    h
+    let n = q.num_vertices() as u8;
+    fnv(std::iter::once(u64::from(n))
+        .chain((0..n).flat_map(|u| [u64::from(q.label(u)), u64::from(q.adjacency_mask(u))])))
+}
+
+/// Stable content digest of a data graph (for the truth cache key): a
+/// generator change that moves one label or edge gives a new key.
+fn graph_digest(g: &Graph) -> u64 {
+    let n = g.num_vertices() as VertexId;
+    fnv(std::iter::once(u64::from(n))
+        .chain(g.labels().iter().map(|&l| u64::from(l)))
+        .chain((0..n).flat_map(|v| {
+            std::iter::once(g.degree(v) as u64).chain(g.neighbors(v).iter().map(|&w| u64::from(w)))
+        })))
 }
 
 fn cache_dir() -> PathBuf {
@@ -132,14 +143,33 @@ fn cache_dir() -> PathBuf {
 /// Exact count with an on-disk cache (`target/gsword-truth/`). `None` when
 /// the enumeration budget trips.
 pub fn cached_truth(dataset: &str, tag: &str, data: &Graph, query: &QueryGraph) -> Option<f64> {
-    let key = format!("{dataset}-{tag}-{:016x}", query_hash(query));
-    let path = cache_dir().join(format!("{key}.json"));
+    truth_in(&cache_dir(), truth_budget(), dataset, tag, data, query)
+}
+
+/// [`cached_truth`] against the cache in `dir`, enumerating under
+/// `budget`. The key names the data graph's digest and the budget as well
+/// as the query, so a regenerated graph or a larger budget never reads a
+/// stale entry.
+fn truth_in(
+    dir: &Path,
+    budget: u64,
+    dataset: &str,
+    tag: &str,
+    data: &Graph,
+    query: &QueryGraph,
+) -> Option<f64> {
+    let key = format!(
+        "{dataset}-{tag}-{:016x}-{:016x}-b{budget}",
+        graph_digest(data),
+        query_hash(query)
+    );
+    let path = dir.join(format!("{key}.json"));
     if let Ok(body) = std::fs::read_to_string(&path) {
         if let Some(v) = parse_cached(&body) {
             return v.map(|x| x as f64);
         }
     }
-    let v = gsword_core::exact_count(data, query, truth_budget(), 0);
+    let v = gsword_core::exact_count(data, query, budget, 0);
     if let Ok(mut f) = std::fs::File::create(&path) {
         let body = match v {
             Some(x) => x.to_string(),
@@ -280,6 +310,40 @@ mod tests {
         let b = QueryGraph::new(vec![0, 1], &[(0, 1)]).unwrap();
         assert_ne!(query_hash(&a), query_hash(&b));
         assert_eq!(query_hash(&a), query_hash(&a));
+    }
+
+    #[test]
+    fn truth_cache_keys_on_the_graph_and_the_budget() {
+        let dir = std::env::temp_dir().join(format!("gsword-truth-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let k4_minus = |skip: Option<(VertexId, VertexId)>| {
+            let mut b = gsword_core::graph::GraphBuilder::with_vertices(4);
+            for u in 0..4 {
+                for v in u + 1..4 {
+                    if Some((u, v)) != skip {
+                        b.add_edge(u, v);
+                    }
+                }
+            }
+            b.build().unwrap()
+        };
+        let (full, cut) = (k4_minus(None), k4_minus(Some((2, 3))));
+        let triangle = QueryGraph::new(vec![0, 0, 0], &[(0, 1), (1, 2), (0, 2)]).unwrap();
+        let budget = 1 << 20;
+        let exact = |g: &Graph| gsword_core::exact_count(g, &triangle, budget, 0).unwrap() as f64;
+
+        // A budget-tripped `null` is not served to a larger budget.
+        assert_eq!(truth_in(&dir, 1, "toy", "k3", &full, &triangle), None);
+        assert_eq!(
+            truth_in(&dir, budget, "toy", "k3", &full, &triangle),
+            Some(exact(&full))
+        );
+
+        // Same dataset name, tag and query; one edge apart.
+        let b = truth_in(&dir, budget, "toy", "k3", &cut, &triangle);
+        assert_eq!(b, Some(exact(&cut)));
+        assert_ne!(b, Some(exact(&full)));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -527,57 +527,6 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         warp_load(&mut self.ctr, &self.san, &addrs);
     }
 
-    /// Alley's Refine without streaming: every lane scans its own candidate
-    /// array serially; the warp advances in lockstep, so lanes with short
-    /// arrays idle until the longest lane finishes (refine imbalance).
-    fn serial_refine_sample(
-        &mut self,
-        mask: WarpMask,
-        cand: &Lanes<Option<LaneCand<'c>>>,
-        chosen: &mut Lanes<Option<(VertexId, f64)>>,
-    ) {
-        let max_clen = lanes_of(mask)
-            .map(|lane| cand[lane].map_or(0, |c| c.cand.len()))
-            .max()
-            .unwrap_or(0);
-        for lane in lanes_of(mask) {
-            self.scratch[lane].clear();
-        }
-        self.reset_cursors(mask);
-        for t in 0..max_clen {
-            let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-            let mut step_mask: WarpMask = 0;
-            for lane in lanes_of(mask) {
-                let lc = cand[lane].expect("active lane");
-                if t < lc.cand.len() {
-                    step_mask |= 1 << lane;
-                    addrs[lane] = Some((lc.region, lc.addr + t));
-                }
-            }
-            if step_mask == 0 {
-                break;
-            }
-            warp_load(&mut self.ctr, &self.san, &addrs);
-            self.clear_probe_bufs();
-            for lane in lanes_of(step_mask) {
-                let v = cand[lane].expect("active lane").cand[t];
-                // Functional refine: engine scratch keeps survivors.
-                let searched = self.record_lane_probes(lane, v);
-                if self.refines(lane, v, searched) {
-                    self.scratch[lane].push(v);
-                }
-            }
-            self.charge_recorded_probes();
-        }
-        for lane in lanes_of(mask) {
-            let refined = &self.scratch[lane];
-            if !refined.is_empty() {
-                let idx = self.rng[lane].gen_range(0..refined.len());
-                chosen[lane] = Some((refined[idx], 1.0 / refined.len() as f64));
-            }
-        }
-    }
-
     /// Warp streaming (Algorithm 3): collaborative phase streams any lane's
     /// ≥32-candidate workload across the whole warp feeding an A-Res
     /// weighted reservoir; the independent phase drains the rest per lane.
@@ -774,7 +723,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         let mut chosen: Lanes<Option<(VertexId, f64)>> = [None; WARP_SIZE];
         let any_backward = lanes_of(mask).any(|lane| !self.ctx.backward(depth[lane]).is_empty());
         if self.est.needs_refine() && any_backward {
-            self.serial_refine_sample_mixed(mask, &cand, &mut chosen);
+            self.serial_refine_sample(mask, &cand, &mut chosen);
         } else {
             self.direct_sample(mask, &cand, &mut chosen);
         }
@@ -806,10 +755,13 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         next_mask
     }
 
-    /// Serial refine scan where each lane may be at a different depth.
-    /// Lanes without backward constraints (position 0) sample directly
-    /// under predication instead of scanning.
-    fn serial_refine_sample_mixed(
+    /// Alley's Refine without streaming: every lane scans its own candidate
+    /// array serially; the warp advances in lockstep, so lanes with short
+    /// arrays idle until the longest lane finishes (refine imbalance).
+    /// Under iteration sync each lane may be at a different depth: lanes
+    /// without backward constraints (position 0) sample directly under
+    /// predication instead of scanning.
+    fn serial_refine_sample(
         &mut self,
         mask: WarpMask,
         cand: &Lanes<Option<LaneCand<'c>>>,

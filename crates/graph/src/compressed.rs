@@ -605,9 +605,8 @@ impl<'a> CompressedNeighbors<'a> {
 
     /// [`Self::contains`] reporting every byte offset (within the
     /// adjacency section) the probe touches — restart-table reads and
-    /// decoded entry positions — so device kernels can charge the
-    /// coalescing memory model with the compressed stream's actual
-    /// addresses.
+    /// decoded entry positions. No kernel charges these offsets: the
+    /// device model prices candidate-graph accesses only.
     pub fn contains_with_probes(&self, x: VertexId, mut probe: impl FnMut(usize)) -> bool {
         if self.deg == 0 {
             return false;
@@ -1238,8 +1237,7 @@ impl CompressedGraph {
     /// Cached membership probe of `x` in `v`'s adjacency. Replays the
     /// exact byte-offset sequence [`CompressedNeighbors::contains_with_probes`]
     /// reports — restart-table reads, block-first decodes, and per-entry
-    /// stream positions — so the coalescing memory model charges identical
-    /// modeled traffic whether the decoded list was cached or the Rice
+    /// stream positions — whether the decoded list was cached or the Rice
     /// stream was walked.
     pub fn contains_with_probes(
         &self,

@@ -23,8 +23,8 @@ use gsword_sanitizer::Space;
 pub const LINE_WORDS: usize = 32;
 
 /// A distinct array/address-space a lane address can point into. Candidate
-/// graph arrays, per-thread buffers, and the data graph live in different
-/// regions; a single transaction never spans regions.
+/// graph arrays and per-thread buffers live in different regions; a single
+/// transaction never spans regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region(pub u32);
 
@@ -35,8 +35,6 @@ impl Region {
     pub const CAND: Region = Region(1);
     /// Local candidate lists (third CSR).
     pub const LOCAL: Region = Region(2);
-    /// Data-graph adjacency (direct sampling mode).
-    pub const ADJ: Region = Region(3);
     /// Per-thread scratch (refine buffers) — modeled as thread-private and
     /// always coalesced.
     pub const SCRATCH: Region = Region(4);
@@ -51,32 +49,6 @@ impl Region {
 /// One lane's address for a warp-wide load: a `(region, element offset)`
 /// pair, or `None` when the lane is inactive for this load.
 pub type LaneAddr = Option<(Region, usize)>;
-
-/// Bytes per line; word addressing above is 4-byte elements.
-pub const LINE_BYTES: usize = LINE_WORDS * 4;
-
-/// Issue a warp-wide load at per-lane *byte* offsets and charge the
-/// coalesced transaction count.
-///
-/// The compressed adjacency image is gap-coded, so membership probes land
-/// on arbitrary byte positions (the restart-table reads and varint entry
-/// starts reported by `CompressedNeighbors::contains_with_probes`) rather
-/// than aligned `u32` elements. Bytes coalesce into the same 128-byte
-/// lines as words: lanes decoding neighbouring blocks share transactions,
-/// lanes scattered across hubs pay one line each. Offsets are mapped to
-/// the 4-byte word containing them, then charged through [`warp_load`] so
-/// line math and sanitizer bookkeeping stay identical across granularities.
-pub fn warp_load_bytes(
-    ctr: &mut KernelCounters,
-    san: &WarpSanitizer,
-    byte_addrs: &Lanes<LaneAddr>,
-) -> u64 {
-    let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-    for (lane, a) in byte_addrs.iter().enumerate() {
-        addrs[lane] = a.map(|(region, byte_off)| (region, byte_off / 4));
-    }
-    warp_load(ctr, san, &addrs)
-}
 
 /// Issue a warp-wide load of one element per lane at each lane's address,
 /// and charge the coalesced transaction count.
@@ -158,10 +130,8 @@ pub fn warp_load_round(
 /// series of warp-wide loads into `region`, one load per probe step.
 ///
 /// `lane_offs[lane]` holds lane `lane`'s element offsets in probe order;
-/// round `r` loads the `r`-th offset of every lane that has one. This is
-/// the batched replacement for hand-written per-access charging loops
-/// (the analyzer's `charge-per-access` rule points here): the charge
-/// sequence — including sanitizer read order and the `mem_instructions`
+/// round `r` loads the `r`-th offset of every lane that has one. The
+/// charge sequence — including sanitizer read order and the `mem_instructions`
 /// bump of rounds where some lanes have run dry — is bit-identical to
 /// issuing the same [`warp_load`] calls one by one.
 ///
@@ -368,25 +338,6 @@ mod tests {
         assert_eq!(c.mem_transactions, 3);
         warp_scan(&mut c, &san(), u32::MAX, Region::LOCAL, 0, 0); // empty: free
         assert_eq!(c.mem_instructions, 2);
-    }
-
-    #[test]
-    fn byte_probes_coalesce_within_a_line() {
-        let mut c = KernelCounters::default();
-        let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-        for (i, a) in addrs.iter_mut().enumerate() {
-            *a = Some((Region::ADJ, 256 + i * 3)); // varint-ish strides, one line
-        }
-        assert_eq!(warp_load_bytes(&mut c, &san(), &addrs), 1);
-    }
-
-    #[test]
-    fn byte_probes_split_on_line_boundaries() {
-        let mut c = KernelCounters::default();
-        let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-        addrs[0] = Some((Region::ADJ, LINE_BYTES - 1));
-        addrs[1] = Some((Region::ADJ, LINE_BYTES));
-        assert_eq!(warp_load_bytes(&mut c, &san(), &addrs), 2);
     }
 
     /// The per-access loop [`warp_load_rounds`] replaces: one [`warp_load`]

@@ -33,12 +33,6 @@ tasks:
                          analyzer-baseline.txt at the workspace root;
                          missing file = empty baseline; lines starting
                          with '#' and blank lines are ignored)
-        --hot-report     also print the ranked hot-region table: every
-                         kernel function reachable from a run/run_block
-                         entry, with its max loop nesting depth, in-loop
-                         charge call sites, cost-rule hits, and call-graph
-                         distance from the entry — the worklist for the
-                         simulator speedup (ROADMAP item 2)
   check-sarif <file>   validate a SARIF 2.1.0 log written by
                        `cargo xtask analyze --sarif <file>` (parses the
                        JSON, checks driver/rules/results shape, reports
@@ -47,12 +41,12 @@ tasks:
                        `gsword estimate --profile --trace-out <file>`
                        (parses the JSON, checks event shape, reports the
                        track count) — used by the CI profile-smoke step
-  bench --json         run the sampling + candidate bench groups in
-                       quick mode (release build) and write
-                       BENCH_sampling.json at the workspace root: median
-                       ns per op keyed by bench id and git rev, plus the
-                       legacy-vs-adaptive Alley Refine speedup; the
-                       artifact is validated after the run
+  bench --json         run the sampling, candidate, Alley Refine and
+                       storage bench groups in quick mode (release build)
+                       and write BENCH_sampling.json at the workspace
+                       root: median ns per op keyed by bench id, with the
+                       git rev and dirty flag; the artifact is validated
+                       after the run
   check-bench <file>   validate a BENCH_sampling.json artifact (parses
                        the JSON, checks every row has an id and a finite
                        median_ns) — used by the CI bench-smoke step
@@ -81,21 +75,9 @@ rules enforced by analyze:
      estimates, reports, or serialized output (sort the entries first)
   7. float-reduce-order: f64/f32 accumulation whose order varies with
      shard or device count must go through a canonically ordered merge
-  8. scope-blocking: blocking drains (scope/wait_all/wait/wait_report)
-     must not be reachable from inside a job submitted to a stream, and
-     'static transmute erasure needs a registered wait_all drain in the
-     file
-  9. alloc-in-hot-loop: no heap allocation (Vec::new/vec!/format!/
-     Box::new/.collect()) inside a loop of a kernel-reachable hot
-     function; hoist the buffer (with_capacity once, .clear() per
-     iteration)
-  10. charge-per-access: a loop whose only work is per-element cost
-     charging must use the batched per-round API the finding names
-     (warp_load_rounds) instead of one warp_load per element
-  11. decode-in-loop: compressed adjacency decodes (neighbors_ref/
-     decode_into/contains_with_probes) of a loop-invariant vertex must
-     be hoisted above the loop
-  12. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
+  8. scope-blocking: blocking drains (scope/wait/wait_report) must not
+     be reachable from inside a job submitted to a stream
+  9. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
      unsafe-derived slices/pointers that escape the validating function
      are called out explicitly
 
@@ -255,14 +237,12 @@ fn main() -> ExitCode {
 fn run_analyze(rest: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut gate = false;
-    let mut hot_report = false;
     let mut sarif_out: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
             "--gate" => gate = true,
-            "--hot-report" => hot_report = true,
             "--sarif" | "--baseline" => {
                 let flag = rest[i].clone();
                 i += 1;
@@ -297,16 +277,6 @@ fn run_analyze(rest: &[String]) -> ExitCode {
     }
 
     let findings = gsword_analyzer::analyze_tree(&root);
-
-    if hot_report {
-        let rows = gsword_analyzer::hot_report_tree(&root);
-        println!(
-            "hot-region report ({} function(s) reachable from {:?}):",
-            rows.len(),
-            gsword_analyzer::hot::HOT_ENTRIES
-        );
-        print!("{}", gsword_analyzer::hot::render(&rows));
-    }
 
     if let Some(path) = &sarif_out {
         let log = gsword_analyzer::sarif::to_sarif(&findings);
@@ -443,18 +413,11 @@ fn check_bench_file(path: &str) -> ExitCode {
     }
     // The rail's contract: every comparison the docs cite must be present,
     // including the compressed-vs-CSR storage rows.
-    const REQUIRED_IDS: [&str; 25] = [
-        "storage/charge_probes/per_access/yeast",
-        "storage/charge_probes/batched/yeast",
-        "storage/charge_probes/per_access/eu2005",
-        "storage/charge_probes/batched/eu2005",
+    const REQUIRED_IDS: [&str; 18] = [
         "cpu_sampling/WJ/yeast",
         "cpu_sampling/AL/yeast",
         "candidate_build/full/yeast",
         "alley_refine/adaptive/yeast",
-        "alley_refine/legacy/yeast",
-        "sim/wall/serial/yeast",
-        "sim/wall/parallel/yeast",
         "storage/neighbor_scan/csr/yeast",
         "storage/neighbor_scan/compressed/yeast",
         "storage/neighbor_scan/cached/yeast",
