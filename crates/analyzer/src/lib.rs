@@ -16,8 +16,8 @@
 //! parsed corpus ([`callgraph`]) lets those analyses see through helper
 //! functions. Determinism rules (hash-iteration order, float reduction
 //! order) live in [`order`], the stream-thread deadlock rule in
-//! [`blocking`], the `unsafe` audit in [`escape`], and path-aware repo
-//! invariants migrated from the old textual lint in [`confined`].
+//! [`blocking`], the `unsafe` audit in [`escape`], and the file-level
+//! `SeqCst` ban migrated from the old textual lint in [`confined`].
 //! Findings serialize to SARIF 2.1.0 via [`sarif`].
 //!
 //! The front-end is purpose-built on `std` alone rather than `syn`: the
@@ -72,10 +72,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "no-seqcst",
         "SeqCst atomic ordering outside the allow-listed handshake sites",
-    ),
-    (
-        "prof-confined",
-        "profiler scopes constructed outside the instrumented runtime layer",
     ),
     (
         "nondet-order",
@@ -214,7 +210,7 @@ pub fn analyze_corpus(files: &[(String, String)]) -> Vec<Finding> {
     let mut out = Vec::new();
     for ((i, toks), fns) in parsed.iter().zip(&per_file_fns) {
         let (file, src) = &files[*i];
-        let mut raw = confined::check_file(file, toks);
+        let mut raw = confined::check_file(toks);
         raw.extend(escape::check_file(src, toks, fns));
         for f in fns {
             if is_kernel_fn(file, f) {
@@ -261,7 +257,7 @@ pub fn analyze_source(file: &str, src: &str) -> Vec<Finding> {
 /// interprocedural tests can assert before/after deltas.
 pub fn analyze_source_intraprocedural(file: &str, src: &str) -> Vec<Finding> {
     let toks = lex::lex(src);
-    let mut raw = confined::check_file(file, &toks);
+    let mut raw = confined::check_file(&toks);
     for f in parse::parse_file(&toks) {
         if is_kernel_fn(file, &f) {
             raw.extend(analyze_kernel_fn(&f));
@@ -339,12 +335,12 @@ mod tests {
             file: "core/src/builder.rs".into(),
             line: Some(7),
             col: Some(13),
-            rule: "prof-confined",
-            message: "direct counter-board read".into(),
+            rule: "no-seqcst",
+            message: "SeqCst ordering is banned".into(),
         };
         assert_eq!(
             with_line.to_string(),
-            "core/src/builder.rs:7:13: prof-confined: direct counter-board read"
+            "core/src/builder.rs:7:13: no-seqcst: SeqCst ordering is banned"
         );
         let no_line = Finding {
             file: "warp.rs".into(),
@@ -371,13 +367,12 @@ mod tests {
         );
         let g = analyze_source(
             "core/src/builder.rs",
-            "fn f() { let c = rt.stream_counters(0, 0); }\n",
+            "fn f() { let n = c.load(Ordering::SeqCst); }\n",
         );
         assert_eq!(
             g[0].to_string(),
-            "core/src/builder.rs:1:21: prof-confined: direct counter-board \
-             read outside crates/simt, crates/prof, and the engine runtime \
-             module (consume ProfReport / EngineReport instead)"
+            "core/src/builder.rs:1:35: no-seqcst: SeqCst ordering is banned \
+             (use Relaxed or Acquire/Release and document why)"
         );
     }
 
@@ -388,7 +383,7 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate rule ids");
-        assert_eq!(names.len(), 9);
+        assert_eq!(names.len(), 8);
     }
 
     #[test]

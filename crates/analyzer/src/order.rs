@@ -39,7 +39,7 @@ const GENERIC_ITERS: &[&str] = &["iter", "iter_mut", "into_iter", "drain"];
 const SEQ_SINKS: &[&str] = &["push", "push_str", "extend"];
 
 /// Estimate-merge sinks: f64 accumulation whose result must not depend on
-/// visit order (the `EngineReport::merge_devices` family).
+/// visit order (`Estimate::merge` and per-device or per-stream merges).
 const MERGE_SINKS: &[&str] = &["merge", "merge_devices", "merge_streams"];
 
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];

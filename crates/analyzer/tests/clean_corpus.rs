@@ -1,8 +1,8 @@
 //! Golden clean-corpus test: the analyzer over every in-tree kernel —
 //! every `.rs` file under `crates/` — must produce zero findings, and it
-//! must actually be *seeing* the kernel bodies it claims to verify
-//! (`RsvKernel` / `BaselineKernel` / `EstimateKernel` code paths under
-//! every optimization flag live in `engine/src/kernel.rs`).
+//! must actually be *seeing* the kernel bodies it claims to verify (the
+//! RSV kernel's code paths under every optimization flag, the NextDoor
+//! baseline's flag shape included, live in `engine/src/kernel.rs`).
 
 use std::path::PathBuf;
 

@@ -27,7 +27,6 @@ fn expectations() -> BTreeMap<&'static str, (&'static str, Option<&'static str>)
             ("pool-race", Some("read_cursor_unsync")),
         ),
         ("uncharged_any.rs", ("primitive-charges-counters", None)),
-        ("board_read.rs", ("prof-confined", Some("stream_counters"))),
         ("seqcst_ordering.rs", ("no-seqcst", Some("SeqCst)"))),
         ("nondet_order.rs", ("nondet-order", Some("out.push"))),
         ("float_reduce.rs", ("float-reduce-order", Some("sum += w"))),
@@ -126,17 +125,17 @@ fn fixture_findings_are_machine_readable() {
     // `file:line:col: rule: message` — one line per finding, parseable by
     // splitting on ": " after an optional line:col position.
     let root = fixtures_root();
-    let src = std::fs::read_to_string(root.join("board_read.rs")).unwrap();
-    let findings = gsword_analyzer::analyze_source("board_read.rs", &src);
+    let src = std::fs::read_to_string(root.join("seqcst_ordering.rs")).unwrap();
+    let findings = gsword_analyzer::analyze_source("seqcst_ordering.rs", &src);
     assert_eq!(findings.len(), 1);
     let line = findings[0].to_string();
     let (loc, rest) = line.split_once(": ").unwrap();
     let mut parts = loc.split(':');
-    assert_eq!(parts.next(), Some("board_read.rs"));
+    assert_eq!(parts.next(), Some("seqcst_ordering.rs"));
     let lineno = parts.next().unwrap();
     let colno = parts.next().unwrap();
     assert_eq!(parts.next(), None, "{line}");
     assert!(lineno.parse::<u32>().is_ok(), "{line}");
     assert!(colno.parse::<u32>().is_ok(), "{line}");
-    assert!(rest.starts_with("prof-confined: "), "{line}");
+    assert!(rest.starts_with("no-seqcst: "), "{line}");
 }

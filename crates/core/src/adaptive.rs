@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use gsword_engine::{kernel_for_config, runtime_for, spawn_estimate, EngineConfig, Kernel};
+use gsword_engine::{runtime_for, spawn_estimate, EngineConfig};
 use gsword_estimators::{Estimate, Estimator, QueryCtx};
 use gsword_simt::{KernelCounters, ProfReport};
 
@@ -81,8 +81,7 @@ pub fn run_adaptive<E: Estimator + ?Sized>(
     let mut modeled_ms = 0.0;
     let mut batches = 0u32;
     let mut converged = false;
-    let kernel_name = kernel_for_config(ctx, est, engine).name();
-    let runtime = runtime_for(engine, &kernel_name);
+    let runtime = runtime_for(engine);
     runtime.scope(|rs| loop {
         let batch_cfg = EngineConfig {
             samples: cfg.batch,

@@ -27,7 +27,14 @@ pub enum Backend {
     /// Full gSWORD: block pools, sample inheritance, warp streaming.
     Gsword,
     /// Any custom engine configuration (ablations, iteration sync, …).
-    /// The configuration's `samples`/`seed` are overridden by the builder.
+    /// The configuration contributes its discipline flags (`sync`, `pool`,
+    /// `inheritance`, `streaming`), its
+    /// [`DeviceModel`](gsword_simt::DeviceModel), and its launch geometry
+    /// unless [`GswordBuilder::device`] was called. The builder overwrites
+    /// the rest with its own settings — `samples`, `seed`, `sanitize`,
+    /// `profile`, `num_devices`, `streams_per_device` and `sim_workers` —
+    /// so `Backend::Device(cfg.with_topology(2, 2))` runs on the builder's
+    /// topology (1×1 unless set on the builder).
     Device(EngineConfig),
 }
 

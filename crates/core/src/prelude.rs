@@ -6,7 +6,7 @@ pub use crate::exact_count;
 
 pub use gsword_candidate::{build_candidate_graph, BuildConfig, CandidateGraph};
 pub use gsword_engine::{
-    run_engine, split_budget, EngineConfig, EngineReport, Kernel, LaunchSpec, PoolMode, SyncMode,
+    run_engine, split_budget, EngineConfig, EngineReport, LaunchSpec, PoolMode, SyncMode,
 };
 pub use gsword_enumeration::{count_instances, count_instances_parallel, EnumLimits};
 pub use gsword_estimators::{

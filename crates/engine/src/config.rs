@@ -165,14 +165,6 @@ impl EngineConfig {
         self.streams_per_device = streams_per_device;
         self
     }
-
-    /// Builder-style intra-kernel worker override (`0` = auto, `1` =
-    /// serial, `n` = a pool of `n`). Purely a wall-clock knob: estimates,
-    /// counters, and sanitizer verdicts are identical for every value.
-    pub fn with_sim_workers(mut self, sim_workers: usize) -> Self {
-        self.sim_workers = sim_workers;
-        self
-    }
 }
 
 /// Outcome of one engine launch.
@@ -220,60 +212,6 @@ impl EngineReport {
             return self.modeled_ms;
         }
         self.modeled_ms * n as f64 / self.samples_collected as f64
-    }
-
-    /// Merge per-device reports from one logical launch into the report of
-    /// the whole launch.
-    ///
-    /// Totals (estimate, collected samples, counters) are *summed* before
-    /// any normalization — averaging per-device `modeled_ms_for_samples`
-    /// values would weight devices equally even when their collected-sample
-    /// counts differ, biasing the per-sample cost. Modeled time is the
-    /// makespan (max over devices, which run concurrently); wall time
-    /// likewise. Sanitizer reports are merged when any part carries one.
-    pub fn merge_devices(parts: &[EngineReport]) -> EngineReport {
-        assert!(!parts.is_empty(), "cannot merge zero device reports");
-        let mut estimate = Estimate::default();
-        let mut counters = KernelCounters::default();
-        let mut samples_collected = 0u64;
-        let mut per_device_modeled_ms = Vec::new();
-        let mut wall_ms = 0.0f64;
-        let mut sanitizer: Option<SanitizerReport> = None;
-        let mut prof: Option<ProfReport> = None;
-        for p in parts {
-            estimate.merge(&p.estimate);
-            counters.merge(&p.counters);
-            samples_collected += p.samples_collected;
-            if p.per_device_modeled_ms.is_empty() {
-                per_device_modeled_ms.push(p.modeled_ms);
-            } else {
-                per_device_modeled_ms.extend_from_slice(&p.per_device_modeled_ms);
-            }
-            wall_ms = wall_ms.max(p.wall_ms);
-            if let Some(s) = &p.sanitizer {
-                match &mut sanitizer {
-                    Some(acc) => acc.merge(s),
-                    None => sanitizer = Some(s.clone()),
-                }
-            }
-            if let Some(pr) = &p.prof {
-                match &mut prof {
-                    Some(acc) => acc.merge(pr),
-                    None => prof = Some(pr.clone()),
-                }
-            }
-        }
-        let modeled_ms = per_device_modeled_ms.iter().copied().fold(0.0, f64::max);
-        EngineReport {
-            estimate,
-            samples_collected,
-            counters,
-            modeled_ms,
-            per_device_modeled_ms,
-            wall_ms,
-            sanitizer,
-            prof,
-        }
     }
 }
 

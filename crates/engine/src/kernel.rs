@@ -1,4 +1,4 @@
-//! The warp-level RSV kernels (Algorithms 1–3) as first-class values.
+//! The warp-level RSV kernel (Algorithms 1–3).
 //!
 //! Kernels are written at warp granularity: every "instruction" is a loop
 //! over the 32-lane arrays, cross-lane communication goes through the warp
@@ -6,11 +6,11 @@
 //! coalescing memory model. Functional results (the HT estimate) are exact;
 //! counters drive the modeled device time.
 //!
-//! This module defines *what* runs: [`RsvKernel`] (gSWORD's RSV kernel
-//! under any flag combination) and [`BaselineKernel`] (the NextDoor-style
-//! static/iteration-sync baseline), both implementing the
-//! [`Kernel`](crate::runtime::Kernel) trait. *Where and when* they run —
-//! devices, streams, shards — is the [`crate::runtime`] module's job.
+//! This module defines *what* runs: [`run_block`] executes one block of
+//! gSWORD's RSV kernel under any flag combination, the NextDoor-style
+//! static/iteration-sync baseline being one flag shape. *Where and when*
+//! blocks run — devices, streams, shards — is the [`crate::runtime`]
+//! module's job.
 
 use std::ops::Range;
 
@@ -21,19 +21,26 @@ use gsword_simt::memory::{
     LaneAddr,
 };
 use gsword_simt::warp::{self, Lanes, WarpMask};
-use gsword_simt::{
-    Device, DeviceConfig, KernelCounters, Region, SamplePool, WarpSanitizer, WARP_SIZE,
-};
+use gsword_simt::{Device, KernelCounters, Region, SamplePool, WarpSanitizer, WARP_SIZE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{EngineConfig, PoolMode, SyncMode};
-use crate::runtime::{split_budget, Kernel};
+use crate::runtime::split_budget;
 
-/// Kernel name reported by the sanitizer, derived from the configured
-/// discipline and optimizations (mirrors compute-sanitizer's per-kernel
-/// attribution).
+/// Kernel name reported by the sanitizer and the profiler, derived from
+/// the configured discipline and optimizations (mirrors
+/// compute-sanitizer's per-kernel attribution). The NextDoor flag shape —
+/// static pool, iteration sync, no inheritance, no streaming — is named
+/// as the baseline it reproduces.
 pub(crate) fn kernel_name(cfg: &EngineConfig) -> String {
+    if cfg.pool == PoolMode::Static
+        && cfg.sync == SyncMode::IterationSync
+        && !cfg.inheritance
+        && !cfg.streaming
+    {
+        return "nextdoor_static+iter-sync".to_string();
+    }
     let sync = match cfg.sync {
         SyncMode::SampleSync => "sample-sync",
         SyncMode::IterationSync => "iter-sync",
@@ -48,165 +55,14 @@ pub(crate) fn kernel_name(cfg: &EngineConfig) -> String {
     name
 }
 
-/// The gSWORD RSV kernel as a first-class value: Algorithms 1–3 under the
-/// configuration's sync/pool/optimization flags, bound to a query context
-/// and estimator but to no particular device.
-pub struct RsvKernel<'e, 'c, E: ?Sized> {
-    ctx: &'e QueryCtx<'c>,
-    est: &'e E,
-    cfg: EngineConfig,
-}
+/// What one block returns: its estimate, the counters it charged, and how
+/// many samples it started as inherited continuations.
+pub(crate) type BlockOut = (Estimate, KernelCounters, u64);
 
-// Manual impls: `derive` would demand `E: Clone`/`E: Copy`, but only
-// references to `E` are stored.
-impl<E: ?Sized> Clone for RsvKernel<'_, '_, E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<E: ?Sized> Copy for RsvKernel<'_, '_, E> {}
-
-impl<'e, 'c, E: Estimator + ?Sized> RsvKernel<'e, 'c, E> {
-    /// Bind the RSV kernel to a query context, estimator, and flags.
-    pub fn new(ctx: &'e QueryCtx<'c>, est: &'e E, cfg: &EngineConfig) -> Self {
-        RsvKernel {
-            ctx,
-            est,
-            cfg: *cfg,
-        }
-    }
-}
-
-impl<E: Estimator + ?Sized> Kernel for RsvKernel<'_, '_, E> {
-    type BlockOut = (Estimate, KernelCounters, u64);
-
-    fn name(&self) -> String {
-        kernel_name(&self.cfg)
-    }
-
-    fn grid(&self) -> DeviceConfig {
-        self.cfg.device
-    }
-
-    fn run_block(&self, device: &Device, block: usize, samples: u64, seed: u64) -> Self::BlockOut {
-        run_block(self.ctx, self.est, &self.cfg, device, block, samples, seed)
-    }
-
-    fn block_counters(out: &Self::BlockOut) -> KernelCounters {
-        out.1
-    }
-}
-
-/// The NextDoor-style GPU baseline as its own kernel value: static
-/// per-lane sample assignment and iteration synchronization, no warp
-/// optimizations — whatever the incoming flags said.
-pub struct BaselineKernel<'e, 'c, E: ?Sized>(RsvKernel<'e, 'c, E>);
-
-impl<E: ?Sized> Clone for BaselineKernel<'_, '_, E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<E: ?Sized> Copy for BaselineKernel<'_, '_, E> {}
-
-impl<'e, 'c, E: Estimator + ?Sized> BaselineKernel<'e, 'c, E> {
-    /// Bind the baseline kernel; the discipline flags are forced to the
-    /// NextDoor shape regardless of what `cfg` carries.
-    pub fn new(ctx: &'e QueryCtx<'c>, est: &'e E, cfg: &EngineConfig) -> Self {
-        let cfg = EngineConfig {
-            pool: PoolMode::Static,
-            sync: SyncMode::IterationSync,
-            inheritance: false,
-            streaming: false,
-            ..*cfg
-        };
-        BaselineKernel(RsvKernel { ctx, est, cfg })
-    }
-}
-
-impl<E: Estimator + ?Sized> Kernel for BaselineKernel<'_, '_, E> {
-    type BlockOut = (Estimate, KernelCounters, u64);
-
-    fn name(&self) -> String {
-        "nextdoor_static+iter-sync".to_string()
-    }
-
-    fn grid(&self) -> DeviceConfig {
-        self.0.cfg.device
-    }
-
-    fn run_block(&self, device: &Device, block: usize, samples: u64, seed: u64) -> Self::BlockOut {
-        self.0.run_block(device, block, samples, seed)
-    }
-
-    fn block_counters(out: &Self::BlockOut) -> KernelCounters {
-        out.1
-    }
-}
-
-/// Either estimator kernel, selected from an [`EngineConfig`].
-pub enum EstimateKernel<'e, 'c, E: ?Sized> {
-    /// gSWORD's RSV kernel (any flag combination outside the baseline's).
-    Rsv(RsvKernel<'e, 'c, E>),
-    /// The NextDoor-style baseline.
-    Baseline(BaselineKernel<'e, 'c, E>),
-}
-
-impl<E: ?Sized> Clone for EstimateKernel<'_, '_, E> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<E: ?Sized> Copy for EstimateKernel<'_, '_, E> {}
-
-/// Pick the kernel a configuration describes: the exact NextDoor flag
-/// shape routes to [`BaselineKernel`], everything else to [`RsvKernel`].
-pub fn kernel_for_config<'e, 'c, E: Estimator + ?Sized>(
-    ctx: &'e QueryCtx<'c>,
-    est: &'e E,
-    cfg: &EngineConfig,
-) -> EstimateKernel<'e, 'c, E> {
-    let baseline = cfg.pool == PoolMode::Static
-        && cfg.sync == SyncMode::IterationSync
-        && !cfg.inheritance
-        && !cfg.streaming;
-    if baseline {
-        EstimateKernel::Baseline(BaselineKernel::new(ctx, est, cfg))
-    } else {
-        EstimateKernel::Rsv(RsvKernel::new(ctx, est, cfg))
-    }
-}
-
-impl<E: Estimator + ?Sized> Kernel for EstimateKernel<'_, '_, E> {
-    type BlockOut = (Estimate, KernelCounters, u64);
-
-    fn name(&self) -> String {
-        match self {
-            EstimateKernel::Rsv(k) => k.name(),
-            EstimateKernel::Baseline(k) => k.name(),
-        }
-    }
-
-    fn grid(&self) -> DeviceConfig {
-        match self {
-            EstimateKernel::Rsv(k) => k.grid(),
-            EstimateKernel::Baseline(k) => k.grid(),
-        }
-    }
-
-    fn run_block(&self, device: &Device, block: usize, samples: u64, seed: u64) -> Self::BlockOut {
-        match self {
-            EstimateKernel::Rsv(k) => k.run_block(device, block, samples, seed),
-            EstimateKernel::Baseline(k) => k.run_block(device, block, samples, seed),
-        }
-    }
-
-    fn block_counters(out: &Self::BlockOut) -> KernelCounters {
-        out.1
-    }
-}
-
-fn run_block<E: Estimator + ?Sized>(
+/// Execute one block of the RSV kernel: `block` is the *global* block id,
+/// `block_samples` the block's quota from the global [`split_budget`], and
+/// `seed` the base seed.
+pub(crate) fn run_block<E: Estimator + ?Sized>(
     ctx: &QueryCtx<'_>,
     est: &E,
     cfg: &EngineConfig,
@@ -214,7 +70,7 @@ fn run_block<E: Estimator + ?Sized>(
     block: usize,
     block_samples: u64,
     seed: u64,
-) -> (Estimate, KernelCounters, u64) {
+) -> BlockOut {
     let warps = cfg.device.warps_per_block();
     let pool = SamplePool::new(block_samples);
     let mut estimate = Estimate::default();

@@ -21,22 +21,19 @@
 //! ([`EngineConfig::o0`] / [`EngineConfig::o1`] / [`EngineConfig::o2`])
 //! reproduce Figure 12.
 //!
-//! Execution is layered: [`kernel`] defines *what* runs — the RSV and
-//! baseline kernels as first-class [`Kernel`] values — while [`runtime`]
-//! decides *where and when*: it shards a fixed sample budget over the
-//! devices and streams of a [`gsword_simt::Runtime`] via [`LaunchSpec`]
-//! descriptors and merges per-device results back into one
-//! [`EngineReport`]. All device launches go through the runtime module:
-//! a [`gsword_simt::RuntimeScope`] launch is the only way to run a
-//! kernel's blocks.
+//! Execution is layered: [`kernel`] defines *what* runs — one block of the
+//! RSV kernel, a plain function of the configuration's flags — while
+//! [`runtime`] decides *where and when*: it shards a fixed sample budget
+//! over the devices and streams of a [`gsword_simt::Runtime`] via
+//! [`LaunchSpec`] descriptors and collects the shards back into one
+//! [`EngineReport`]. [`spawn_estimate`] → [`EstimateRun::wait_report`] is
+//! the only launch path; [`run_engine`] wraps it for one query.
 
 pub mod config;
 pub mod kernel;
 pub mod runtime;
 
 pub use config::{EngineConfig, EngineReport, PoolMode, SyncMode};
-pub use kernel::{kernel_for_config, BaselineKernel, EstimateKernel, RsvKernel};
 pub use runtime::{
-    plan_shards, run_engine, runtime_for, spawn_estimate, spawn_kernel, split_budget, EstimateRun,
-    Kernel, KernelRun, LaunchSpec,
+    plan_shards, run_engine, runtime_for, spawn_estimate, split_budget, EstimateRun, LaunchSpec,
 };

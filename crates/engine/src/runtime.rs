@@ -1,12 +1,13 @@
-//! The engine's execution layer: kernels as first-class values, launch
-//! descriptors, and the sharded multi-device driver.
+//! The engine's execution layer: launch descriptors, sharding over
+//! devices and streams, and the one launch path every caller shares.
 //!
-//! A [`Kernel`] is *what* runs (name, grid shape, per-block body, counter
-//! extraction); a [`LaunchSpec`] is *where and when* it runs (device,
-//! stream, block range, shard budget, seed). [`spawn_kernel`] plans one
-//! global grid into shards — contiguous global-block ranges spread over
-//! every `(device, stream)` pair — and launches them asynchronously on the
-//! [`Runtime`]'s streams.
+//! A [`LaunchSpec`] is *where and when* one shard of the RSV kernel runs
+//! (device, stream, block range, shard budget, seed). [`spawn_estimate`]
+//! plans the global grid into shards — contiguous global-block ranges
+//! spread over every `(device, stream)` pair — and launches them
+//! asynchronously on the [`Runtime`]'s streams; [`EstimateRun::wait_report`]
+//! collects them into one [`EngineReport`], attributing each shard's
+//! counters to its device and stream as the shard's results come back.
 //!
 //! Determinism across topologies is load-bearing: per-block sample quotas
 //! come from [`split_budget`] over the *global* grid, per-lane RNG streams
@@ -15,16 +16,17 @@
 //! bit-identical estimates to the same budget on 1 device × 1 stream.
 
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 use gsword_estimators::{Estimate, Estimator, QueryCtx};
 use gsword_simt::{
-    Device, DeviceConfig, Event, KernelCounters, LaunchHandle, Profiler, Runtime, RuntimeConfig,
-    RuntimeScope, Sanitizer, SpanKind, Track,
+    Device, KernelCounters, LaunchHandle, Profiler, Runtime, RuntimeConfig, RuntimeScope,
+    Sanitizer, SpanKind, Track,
 };
 
 use crate::config::{EngineConfig, EngineReport};
-use crate::kernel::{kernel_for_config, EstimateKernel};
+use crate::kernel::{kernel_name, run_block, BlockOut};
 
 /// Split `total` into `parts` near-equal shares: the first `total % parts`
 /// shares get one extra. The single source of truth for every
@@ -51,27 +53,6 @@ pub struct LaunchSpec {
     /// Base RNG seed; per-lane streams derive from it and the *global*
     /// block id, so the seed is deterministic per shard by construction.
     pub seed: u64,
-}
-
-/// A kernel the runtime can launch: the "what" of an execution, decoupled
-/// from the devices and streams it lands on.
-pub trait Kernel: Sync {
-    /// Per-block result type.
-    type BlockOut: Send;
-
-    /// Kernel name, as attributed by the sanitizer and reports.
-    fn name(&self) -> String;
-
-    /// Grid geometry of the global launch.
-    fn grid(&self) -> DeviceConfig;
-
-    /// Execute one block: `block` is the *global* block id, `samples` the
-    /// block's quota from the global [`split_budget`], `seed` the base seed.
-    fn run_block(&self, device: &Device, block: usize, samples: u64, seed: u64) -> Self::BlockOut;
-
-    /// Extract the counters a block charged (zero for kernels whose cost
-    /// is not modeled, e.g. host-side task generation).
-    fn block_counters(out: &Self::BlockOut) -> KernelCounters;
 }
 
 /// Plan a global grid of `num_blocks` into contiguous shards over
@@ -114,56 +95,46 @@ pub fn plan_shards(
     specs
 }
 
-/// An in-flight sharded kernel: per-shard launch handles plus the events
-/// needed to observe completion without blocking.
-pub struct KernelRun<'env, K: Kernel> {
+/// An in-flight estimate run: one launch handle per shard, plus the
+/// bookkeeping to assemble an [`EngineReport`] on completion.
+pub struct EstimateRun<'env> {
     runtime: &'env Runtime,
     name: String,
-    shards: Vec<(LaunchSpec, LaunchHandle<K::BlockOut>)>,
-    start: Event,
+    shards: Vec<(LaunchSpec, LaunchHandle<BlockOut>)>,
+    t0: Instant,
 }
 
-impl<'env, K: Kernel> KernelRun<'env, K> {
-    /// Have all shards completed? (Non-blocking, event-based.)
-    pub fn is_complete(&self) -> bool {
-        self.shards.iter().all(|(_, h)| h.is_complete())
-    }
-
-    /// The launch descriptors this run was planned into.
-    pub fn specs(&self) -> Vec<LaunchSpec> {
-        self.shards.iter().map(|(s, _)| s.clone()).collect()
-    }
-
-    /// Wall milliseconds from spawn to the last shard's completion event,
-    /// once every shard has recorded (`None` while still running).
-    pub fn elapsed_ms(&self) -> Option<f64> {
-        self.shards
-            .iter()
-            .map(|(_, h)| self.start.elapsed_ms(h.event()))
-            .try_fold(0.0f64, |acc, ms| ms.map(|m| acc.max(m)))
-    }
-
-    /// Block until every shard finishes; charge each shard's counters to
-    /// the runtime's `(device, stream)` board and return the per-block
-    /// outputs in ascending *global* block order. When the runtime
-    /// profiles, the host-side block shows up as an event-wait span on the
-    /// timeline's host track.
-    pub fn wait(self) -> Vec<K::BlockOut> {
+impl EstimateRun<'_> {
+    /// Block until every shard is back and assemble the report. Each
+    /// shard's block counters are summed and charged to its device — and,
+    /// when profiling, to its `(device, stream)` row — as it returns; the
+    /// host-side block shows up as an event-wait span on the timeline's
+    /// host track. The estimate merges in ascending global block order
+    /// (bit-stable across topologies), totals are summed before anything
+    /// is normalized, and modeled time is the max over devices —
+    /// concurrent silicon, one clock. The report's `sanitizer` is left
+    /// `None`: per-run attribution belongs to whoever owns the runtime
+    /// (see [`run_engine`]), since device sanitizers accumulate across
+    /// launches.
+    pub fn wait_report(self, cfg: &EngineConfig) -> EngineReport {
         let profiler = self.runtime.profiler();
         let wait_start = profiler.now_us();
-        let mut shards: Vec<(LaunchSpec, Vec<K::BlockOut>)> = self
+        let mut per_device = vec![KernelCounters::default(); self.runtime.num_devices()];
+        let mut shards: Vec<(LaunchSpec, Vec<BlockOut>)> = self
             .shards
             .into_iter()
             .map(|(spec, handle)| {
                 let blocks = handle.wait();
                 let mut counters = KernelCounters::default();
-                for out in &blocks {
-                    counters.merge(&K::block_counters(out));
+                for (_, c, _) in &blocks {
+                    counters.merge(c);
                 }
-                self.runtime.charge(spec.device, spec.stream, &counters);
+                per_device[spec.device].merge(&counters);
+                profiler.on_charge(spec.device, spec.stream, &counters.snapshot());
                 (spec, blocks)
             })
             .collect();
+        let wall_ms = self.t0.elapsed().as_secs_f64() * 1e3;
         profiler.record_span(
             Track::Host,
             SpanKind::EventWait,
@@ -171,137 +142,21 @@ impl<'env, K: Kernel> KernelRun<'env, K> {
             wait_start,
         );
         shards.sort_by_key(|(spec, _)| spec.blocks.start);
-        shards.into_iter().flat_map(|(_, blocks)| blocks).collect()
-    }
-}
-
-/// Launch `kernel` over its full grid, sharded across every device and
-/// stream of the runtime, without blocking. `samples` is the *global*
-/// budget; `seed` the base seed shared by all shards.
-pub fn spawn_kernel<'env, K>(
-    rs: &RuntimeScope<'env>,
-    kernel: K,
-    samples: u64,
-    seed: u64,
-) -> KernelRun<'env, K>
-where
-    K: Kernel + Clone + Send + 'env,
-    K::BlockOut: 'env,
-{
-    let runtime = rs.runtime();
-    let grid = kernel.grid();
-    let name = kernel.name();
-    let specs = plan_shards(
-        grid.num_blocks,
-        runtime.num_devices(),
-        runtime.streams_per_device(),
-        samples,
-        seed,
-    );
-    let quotas = std::sync::Arc::new(split_budget(samples, grid.num_blocks));
-    let start = Event::new();
-    start.record();
-    let shards = specs
-        .into_iter()
-        .map(|spec| {
-            let k = kernel.clone();
-            let q = std::sync::Arc::clone(&quotas);
-            let dev: &'env Device = runtime.device(spec.device);
-            let shard_seed = spec.seed;
-            // `run_block` only reaches `WarpExec::run`, which never drains
-            // the pool; the analyzer's name-keyed summaries conflate it
-            // with `SamplingRunBuilder::run`, which does block.
-            // gsword: allow(scope-blocking)
-            let handle = rs.launch_named(
-                spec.device,
-                spec.stream,
-                spec.blocks.clone(),
-                &name,
-                move |b| k.run_block(dev, b, q[b], shard_seed),
-            );
-            (spec, handle)
-        })
-        .collect();
-    KernelRun {
-        runtime,
-        name,
-        shards,
-        start,
-    }
-}
-
-/// Build the runtime an [`EngineConfig`] asks for: `num_devices` devices ×
-/// `streams_per_device` streams, each device carrying its own sanitizer
-/// instance (attributed to the same kernel name, as one rig-wide
-/// `compute-sanitizer` session would).
-pub fn runtime_for(cfg: &EngineConfig, kernel_name: &str) -> Runtime {
-    let num_devices = cfg.num_devices.max(1);
-    let streams_per_device = cfg.streams_per_device.max(1);
-    let profiler = if cfg.profile {
-        Profiler::new(num_devices, streams_per_device)
-    } else {
-        Profiler::off()
-    };
-    Runtime::with_instrumentation(
-        RuntimeConfig {
-            num_devices,
-            streams_per_device,
-            device: cfg.device,
-            sim_workers: cfg.sim_workers,
-        },
-        |_| Sanitizer::new(cfg.sanitize, kernel_name),
-        profiler,
-    )
-}
-
-/// An in-flight estimate run: a [`KernelRun`] plus the bookkeeping to
-/// assemble an [`EngineReport`] on completion.
-pub struct EstimateRun<'env, 'e, 'c, E: Estimator + ?Sized> {
-    inner: KernelRun<'env, EstimateKernel<'e, 'c, E>>,
-    t0: Instant,
-}
-
-impl<'env, 'e, 'c, E: Estimator + ?Sized> EstimateRun<'env, 'e, 'c, E> {
-    /// Has the whole launch completed? (Event-backed, non-blocking.)
-    pub fn is_complete(&self) -> bool {
-        self.inner.is_complete()
-    }
-
-    /// The shards this run was planned into.
-    pub fn specs(&self) -> Vec<LaunchSpec> {
-        self.inner.specs()
-    }
-
-    /// Block until done and assemble the report. The estimate merges in
-    /// global block order (bit-stable across topologies); counters drain
-    /// from the runtime's board per device, and modeled time is the max
-    /// over devices — concurrent silicon, one clock. The report's
-    /// `sanitizer` is left `None`: per-run attribution belongs to whoever
-    /// owns the runtime (see [`run_engine`]), since device sanitizers
-    /// accumulate across launches.
-    pub fn wait_report(self, cfg: &EngineConfig) -> EngineReport {
-        let event_ms = self.inner.elapsed_ms();
-        let runtime = self.inner.runtime;
-        let kernel_name = self.inner.name.clone();
-        let blocks = self.inner.wait();
         let mut estimate = Estimate::default();
         let mut inherited = 0u64;
-        for (e, _, inh) in &blocks {
+        for (e, _, inh) in shards.iter().flat_map(|(_, blocks)| blocks) {
             estimate.merge(e);
             inherited += inh;
         }
-        let per_device = runtime.take_device_counters();
         let mut counters = KernelCounters::default();
         for c in &per_device {
             counters.merge(c);
         }
-        let modeled_ms = per_device
-            .iter()
-            .map(|c| cfg.model.modeled_ms(c))
-            .fold(0.0, f64::max);
-        let wall_ms = event_ms.unwrap_or_else(|| self.t0.elapsed().as_secs_f64() * 1e3);
-        runtime.profiler().on_kernel(
-            &kernel_name,
+        let per_device_modeled_ms: Vec<f64> =
+            per_device.iter().map(|c| cfg.model.modeled_ms(c)).collect();
+        let modeled_ms = per_device_modeled_ms.iter().copied().fold(0.0, f64::max);
+        profiler.on_kernel(
+            &self.name,
             &counters.snapshot(),
             modeled_ms,
             wall_ms,
@@ -313,7 +168,7 @@ impl<'env, 'e, 'c, E: Estimator + ?Sized> EstimateRun<'env, 'e, 'c, E> {
             estimate,
             counters,
             modeled_ms,
-            per_device_modeled_ms: per_device.iter().map(|c| cfg.model.modeled_ms(c)).collect(),
+            per_device_modeled_ms,
             wall_ms,
             sanitizer: None,
             prof: None,
@@ -321,19 +176,80 @@ impl<'env, 'e, 'c, E: Estimator + ?Sized> EstimateRun<'env, 'e, 'c, E> {
     }
 }
 
-/// Asynchronously launch the estimator kernel `cfg` selects (RSV or the
-/// NextDoor-style baseline) across the runtime's devices and streams.
+/// Launch the RSV kernel `cfg` describes (the NextDoor-style baseline is
+/// one of its flag shapes) over its full grid, sharded across every device
+/// and stream of the runtime, without blocking. `cfg.samples` is the
+/// *global* budget; `cfg.seed` the base seed shared by all shards.
 pub fn spawn_estimate<'env, 'e: 'env, 'c: 'e, E: Estimator + ?Sized>(
     rs: &RuntimeScope<'env>,
     ctx: &'e QueryCtx<'c>,
     est: &'e E,
     cfg: &EngineConfig,
-) -> EstimateRun<'env, 'e, 'c, E> {
-    let kernel = kernel_for_config(ctx, est, cfg);
+) -> EstimateRun<'env> {
+    let runtime = rs.runtime();
+    let num_blocks = cfg.device.num_blocks;
+    let name = kernel_name(cfg);
+    let specs = plan_shards(
+        num_blocks,
+        runtime.num_devices(),
+        runtime.streams_per_device(),
+        cfg.samples,
+        cfg.seed,
+    );
+    let quota = Arc::new(split_budget(cfg.samples, num_blocks));
+    let cfg = *cfg;
+    let t0 = Instant::now();
+    let shards = specs
+        .into_iter()
+        .map(|spec| {
+            let quota = Arc::clone(&quota);
+            let dev: &'env Device = runtime.device(spec.device);
+            let seed = spec.seed;
+            // `run_block` only reaches `WarpExec::run`, which never drains
+            // a stream; the analyzer's name-keyed summaries conflate it
+            // with `GswordBuilder::run`, which does block.
+            // gsword: allow(scope-blocking)
+            let handle = rs.launch_named(
+                spec.device,
+                spec.stream,
+                spec.blocks.clone(),
+                &name,
+                move |b| run_block(ctx, est, &cfg, dev, b, quota[b], seed),
+            );
+            (spec, handle)
+        })
+        .collect();
     EstimateRun {
-        inner: spawn_kernel(rs, kernel, cfg.samples, cfg.seed),
-        t0: Instant::now(),
+        runtime,
+        name,
+        shards,
+        t0,
     }
+}
+
+/// Build the runtime an [`EngineConfig`] asks for: `num_devices` devices ×
+/// `streams_per_device` streams, each device carrying its own sanitizer
+/// instance (attributed to the configuration's kernel name, as one
+/// rig-wide `compute-sanitizer` session would).
+pub fn runtime_for(cfg: &EngineConfig) -> Runtime {
+    let num_devices = cfg.num_devices.max(1);
+    let streams_per_device = cfg.streams_per_device.max(1);
+    let profiler = if cfg.profile {
+        Profiler::new(num_devices, streams_per_device)
+    } else {
+        Profiler::off()
+    };
+    let name = kernel_name(cfg);
+    Runtime::with_instrumentation(
+        RuntimeConfig {
+            num_devices,
+            streams_per_device,
+            device: cfg.device,
+            sim_workers: cfg.sim_workers,
+        },
+        |_| Sanitizer::new(cfg.sanitize, &name),
+        profiler,
+    )
 }
 
 /// Run the configured kernel for one query and return the aggregated
@@ -346,16 +262,8 @@ pub fn run_engine<E: Estimator + ?Sized>(
     cfg: &EngineConfig,
 ) -> EngineReport {
     let t0 = Instant::now();
-    let kernel = kernel_for_config(ctx, est, cfg);
-    let name = kernel.name();
-    let runtime = runtime_for(cfg, &name);
-    let mut report = runtime.scope(|rs| {
-        EstimateRun {
-            inner: spawn_kernel(rs, kernel, cfg.samples, cfg.seed),
-            t0,
-        }
-        .wait_report(cfg)
-    });
+    let runtime = runtime_for(cfg);
+    let mut report = runtime.scope(|rs| spawn_estimate(rs, ctx, est, cfg).wait_report(cfg));
     report.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     if runtime.sanitizing() {
         report.sanitizer = Some(runtime.sanitizer_report());

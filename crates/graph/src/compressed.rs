@@ -30,14 +30,14 @@
 //! images instead of misreading them.
 //!
 //! Repeated access is served by a **per-thread decoded-adjacency cache**
-//! (DESIGN.md §15): the storage-trait entry points and the cached
-//! membership probe decode a vertex's list once per thread and serve later
-//! touches from the decoded copy, LRU-evicted under a per-graph byte
-//! budget ([`CompressedGraph::with_decode_cache`]). The cache is invisible
-//! to the memory model — cached probes replay the exact byte-offset
-//! sequence the streaming decoder would report, so modeled traffic is
-//! bit-identical with the cache on or off — and `mem_bytes` stays
-//! capacity-honest by counting resident cache bytes.
+//! (DESIGN.md §15): the storage-trait entry points and `has_edge` decode a
+//! vertex's list once per thread and serve later touches from the decoded
+//! copy, CLOCK-evicted under a per-graph byte budget
+//! ([`CompressedGraph::with_decode_cache`]). An entry holds the decoded
+//! list only — `4·deg` bytes plus a fixed 64-byte overhead. The cache is
+//! invisible to the memory model, which prices candidate-graph accesses
+//! only, and `mem_bytes` stays capacity-honest by counting resident cache
+//! bytes.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -529,10 +529,6 @@ pub struct CompressedNeighbors<'a> {
     /// zero-padded tail to the section's last few bytes.
     stream: &'a [u8],
     deg: usize,
-    /// Byte offset of the region within the whole adjacency section — what
-    /// probe callbacks report, so the coalescing model charges real
-    /// stream addresses.
-    base: usize,
 }
 
 impl<'a> CompressedNeighbors<'a> {
@@ -600,14 +596,6 @@ impl<'a> CompressedNeighbors<'a> {
     /// Membership probe: binary-search the restart table, decode at most
     /// one block. `O(log #blocks + BLOCK)`.
     pub fn contains(&self, x: VertexId) -> bool {
-        self.contains_with_probes(x, |_| {})
-    }
-
-    /// [`Self::contains`] reporting every byte offset (within the
-    /// adjacency section) the probe touches — restart-table reads and
-    /// decoded entry positions. No kernel charges these offsets: the
-    /// device model prices candidate-graph accesses only.
-    pub fn contains_with_probes(&self, x: VertexId, mut probe: impl FnMut(usize)) -> bool {
         if self.deg == 0 {
             return false;
         }
@@ -618,9 +606,6 @@ impl<'a> CompressedNeighbors<'a> {
             let (mut lo, mut hi) = (0usize, nb);
             while lo + 1 < hi {
                 let mid = lo + (hi - lo) / 2;
-                probe(self.base + mid * 4); // restart-table read
-                let pos = self.data_start() + self.block_off(mid);
-                probe(self.base + pos); // block-first decode
                 if self.block_first(mid) <= x {
                     lo = mid;
                 } else {
@@ -629,14 +614,12 @@ impl<'a> CompressedNeighbors<'a> {
             }
             block = lo;
         }
-        // Linear decode within the block. Entries after the first are bit
-        // stream reads; the probe reports the byte each read starts in.
+        // Linear decode within the block.
         let mut cur = BlockCursor::at(self.data_start() + self.block_off(block));
         let mut idx = block * BLOCK;
         let end = ((block + 1) * BLOCK).min(self.deg);
         let mut prev = 0;
         while idx < end {
-            probe(self.base + cur.pos);
             let v = decode_next(
                 &mut cur,
                 self.stream,
@@ -847,12 +830,9 @@ impl std::hash::Hasher for FastHasher {
 
 type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FastHasher>>;
 
-/// One cached vertex: the decoded list plus the byte offset each entry's
-/// decode starts at, so membership probes replay the streaming decoder's
-/// exact address sequence.
+/// One cached vertex: its decoded list.
 struct CacheEntry {
     decoded: Vec<VertexId>,
-    pos: Vec<u32>,
     bytes: usize,
     /// Second-chance bit: set on every hit, cleared (one rotation's grace)
     /// by the eviction clock hand.
@@ -896,21 +876,19 @@ impl GraphShard {
     /// Insert under `capacity`, advancing the clock hand as needed. A list
     /// too large to ever fit — or arriving while the thrash guard is
     /// engaged — is handed back instead of flushing the shard.
-    #[allow(clippy::result_large_err)]
     fn insert(
         &mut self,
         v: VertexId,
         decoded: Vec<VertexId>,
-        pos: Vec<u32>,
         capacity: usize,
         counter: &Arc<AtomicUsize>,
-    ) -> Result<&CacheEntry, (Vec<VertexId>, Vec<u32>)> {
-        let bytes = decoded.capacity() * 4 + pos.capacity() * 4 + CACHE_ENTRY_OVERHEAD;
+    ) -> Result<&CacheEntry, Vec<VertexId>> {
+        let bytes = decoded.capacity() * 4 + CACHE_ENTRY_OVERHEAD;
         if bytes > capacity {
-            return Err((decoded, pos));
+            return Err(decoded);
         }
         if self.futile_evictions >= self.entries.len().max(64) {
-            return Err((decoded, pos));
+            return Err(decoded);
         }
         while self.bytes + bytes > capacity {
             let Some(victim) = self.ring.pop_front() else {
@@ -933,7 +911,6 @@ impl GraphShard {
         self.ring.push_back(v);
         Ok(self.entries.entry(v).or_insert(CacheEntry {
             decoded,
-            pos,
             bytes,
             hot: false,
             touched: false,
@@ -1196,7 +1173,6 @@ impl CompressedGraph {
         CompressedNeighbors {
             stream: &self.bytes.as_slice()[self.adj.start + start..self.adj.end],
             deg: self.degree(v),
-            base: start,
         }
     }
 
@@ -1208,7 +1184,7 @@ impl CompressedGraph {
         } else {
             (v, u)
         };
-        match self.with_cached(a, |decoded, _| decoded.binary_search(&b).is_ok()) {
+        match self.with_cached(a, |decoded| decoded.binary_search(&b).is_ok()) {
             Some(hit) => hit,
             None => self.neighbors(a).contains(b),
         }
@@ -1217,7 +1193,7 @@ impl CompressedGraph {
     /// Override the per-thread decoded-adjacency cache budget, in bytes
     /// (default [`DECODE_CACHE_DEFAULT_BYTES`]); `0` disables the cache.
     /// Purely a wall-clock knob: every query result and every modeled
-    /// probe address is identical with the cache on or off.
+    /// counter is identical with the cache on or off.
     pub fn with_decode_cache(mut self, capacity_bytes: usize) -> Self {
         self.cache_capacity = capacity_bytes;
         self
@@ -1234,55 +1210,11 @@ impl CompressedGraph {
         self.cache_bytes.load(Ordering::Relaxed)
     }
 
-    /// Cached membership probe of `x` in `v`'s adjacency. Replays the
-    /// exact byte-offset sequence [`CompressedNeighbors::contains_with_probes`]
-    /// reports — restart-table reads, block-first decodes, and per-entry
-    /// stream positions — whether the decoded list was cached or the Rice
-    /// stream was walked.
-    pub fn contains_with_probes(
-        &self,
-        v: VertexId,
-        x: VertexId,
-        mut probe: impl FnMut(usize),
-    ) -> bool {
-        let nb = self.neighbors(v);
-        match self.with_cached(v, |decoded, pos| {
-            replay_contains(&nb, decoded, pos, x, &mut probe)
-        }) {
-            Some(hit) => hit,
-            None => nb.contains_with_probes(x, probe),
-        }
-    }
-
-    /// Decode `v`'s full adjacency, recording the byte offset each entry's
-    /// decode starts at — exactly the positions the per-block probe path
-    /// reports, so a cached entry can replay them.
-    fn decode_with_positions(&self, v: VertexId) -> (Vec<VertexId>, Vec<u32>) {
-        let nb = self.neighbors(v);
-        let mut decoded = Vec::with_capacity(nb.deg);
-        let mut pos = Vec::with_capacity(nb.deg);
-        let mut cur = BlockCursor::at(nb.data_start());
-        let mut prev = 0;
-        for idx in 0..nb.deg {
-            if idx.is_multiple_of(BLOCK) {
-                // `decode_next` re-aligns at block starts; align first so
-                // the recorded position is the block's byte-aligned
-                // restart — what `contains_with_probes` probes.
-                cur.align();
-            }
-            pos.push(cur.pos as u32);
-            let w = decode_next(&mut cur, nb.stream, idx, nb.deg, prev);
-            decoded.push(w);
-            prev = w;
-        }
-        (decoded, pos)
-    }
-
     /// Run `f` over the cached decode of `v` (inserting on miss). `None`
     /// when the cache is disabled, unavailable (re-entrant storage call on
     /// this thread — `f` runs under the cache borrow), or the list exceeds
     /// the whole budget — callers fall back to the streaming decoder.
-    fn with_cached<R>(&self, v: VertexId, f: impl FnOnce(&[VertexId], &[u32]) -> R) -> Option<R> {
+    fn with_cached<R>(&self, v: VertexId, f: impl FnOnce(&[VertexId]) -> R) -> Option<R> {
         if self.cache_capacity == 0 {
             return None;
         }
@@ -1298,12 +1230,14 @@ impl CompressedGraph {
                 e.hot = true;
                 e.touched = true;
                 *futile_evictions = 0;
-                return Some(f(&e.decoded, &e.pos));
+                return Some(f(&e.decoded));
             }
-            let (decoded, pos) = self.decode_with_positions(v);
-            match shard.insert(v, decoded, pos, self.cache_capacity, &self.cache_bytes) {
-                Ok(e) => Some(f(&e.decoded, &e.pos)),
-                Err((decoded, pos)) => Some(f(&decoded, &pos)),
+            let nb = self.neighbors(v);
+            let mut decoded = Vec::with_capacity(nb.len());
+            decoded.extend(nb.iter());
+            match shard.insert(v, decoded, self.cache_capacity, &self.cache_bytes) {
+                Ok(e) => Some(f(&e.decoded)),
+                Err(decoded) => Some(f(&decoded)),
             }
         })
     }
@@ -1353,47 +1287,6 @@ impl CompressedGraph {
     }
 }
 
-/// Replay [`CompressedNeighbors::contains_with_probes`] from a cached
-/// decode: the same restart-table binary search (probing table reads and
-/// block-first positions) followed by the same truncated in-block scan,
-/// with every probe address taken from the recorded entry positions.
-fn replay_contains(
-    nb: &CompressedNeighbors<'_>,
-    decoded: &[VertexId],
-    pos: &[u32],
-    x: VertexId,
-    probe: &mut impl FnMut(usize),
-) -> bool {
-    if decoded.is_empty() {
-        return false;
-    }
-    let nblocks = nb.nblocks();
-    let mut block = 0usize;
-    if nblocks > 1 {
-        let (mut lo, mut hi) = (0usize, nblocks);
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            probe(nb.base + mid * 4); // restart-table read
-            probe(nb.base + pos[mid * BLOCK] as usize); // block-first decode
-            if decoded[mid * BLOCK] <= x {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        block = lo;
-    }
-    let end = ((block + 1) * BLOCK).min(decoded.len());
-    for idx in block * BLOCK..end {
-        probe(nb.base + pos[idx] as usize);
-        let v = decoded[idx];
-        if v >= x {
-            return v == x;
-        }
-    }
-    false
-}
-
 /// View an 8-byte-aligned little-endian section as `&[u64]`.
 fn words_u64<'a>(bytes: &'a Bytes, r: &Range) -> &'a [u64] {
     let s = &bytes.as_slice()[r.clone()];
@@ -1438,7 +1331,7 @@ impl GraphStorage for CompressedGraph {
     }
 
     fn neighbors_ref(&self, v: VertexId) -> NeighborsRef<'_> {
-        match self.with_cached(v, |decoded, _| decoded.to_vec()) {
+        match self.with_cached(v, |decoded| decoded.to_vec()) {
             Some(out) => NeighborsRef::Owned(out),
             None => {
                 let nb = self.neighbors(v);
@@ -1452,7 +1345,7 @@ impl GraphStorage for CompressedGraph {
     fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
         if self
-            .with_cached(v, |decoded, _| out.extend_from_slice(decoded))
+            .with_cached(v, |decoded| out.extend_from_slice(decoded))
             .is_none()
         {
             self.neighbors(v).decode_into(out);
@@ -1464,7 +1357,7 @@ impl GraphStorage for CompressedGraph {
         // back to the streaming decoder (`with_cached` → `None`) rather
         // than deadlocking or panicking.
         if self
-            .with_cached(v, |decoded, _| {
+            .with_cached(v, |decoded| {
                 for &w in decoded {
                     if !f(w) {
                         break;
@@ -1662,24 +1555,23 @@ mod tests {
     }
 
     #[test]
-    fn cached_probes_replay_the_streaming_sequence_bitwise() {
+    fn cached_and_streaming_membership_agree() {
         let g = hub_graph(1000);
         let cached = CompressedGraph::from_graph(&g);
-        let uncached = cached.clone().with_decode_cache(0);
+        let streaming = cached.clone().with_decode_cache(0);
         assert!(cached.neighbors(0).nblocks() > 1);
         for v in [0u32, 1, 500] {
             for x in 0..1002u32 {
-                let mut want = Vec::new();
-                let miss = uncached
-                    .neighbors(v)
-                    .contains_with_probes(x, |p| want.push(p));
-                // First call may populate the cache (miss), second must
-                // hit — both replay the identical probe sequence.
+                let want = streaming.neighbors(v).contains(x);
+                assert_eq!(
+                    want,
+                    g.neighbors(v).binary_search(&x).is_ok(),
+                    "v={v} x={x}"
+                );
+                // First call may fill the cache (miss), second must hit.
                 for round in 0..2 {
-                    let mut got = Vec::new();
-                    let hit = cached.contains_with_probes(v, x, |p| got.push(p));
-                    assert_eq!(hit, miss, "v={v} x={x} round={round}");
-                    assert_eq!(got, want, "probe addresses v={v} x={x} round={round}");
+                    let got = cached.with_cached(v, |decoded| decoded.binary_search(&x).is_ok());
+                    assert_eq!(got, Some(want), "v={v} x={x} round={round}");
                 }
             }
         }
@@ -1687,49 +1579,6 @@ mod tests {
             cached.decode_cache_bytes() > 0,
             "probes populated the cache"
         );
-    }
-
-    #[test]
-    fn cache_respects_its_budget_and_accounts_in_mem_bytes() {
-        let g = hub_graph(4000);
-        let c = CompressedGraph::from_graph(&g).with_decode_cache(8 * 1024);
-        let base = c.mem_bytes();
-        for v in 0..g.num_vertices() as VertexId {
-            let _ = c.neighbors_ref(v);
-        }
-        let resident = c.decode_cache_bytes();
-        assert!(resident > 0, "scan populated the cache");
-        assert!(
-            resident <= 8 * 1024,
-            "resident {resident}B exceeds the 8KiB budget"
-        );
-        assert_eq!(c.mem_bytes(), base + resident, "mem_bytes counts the cache");
-        // Disabled cache: no growth, identical answers.
-        let off = CompressedGraph::from_graph(&g).with_decode_cache(0);
-        let before = off.mem_bytes();
-        for v in 0..64 {
-            assert_eq!(&*off.neighbors_ref(v), &*c.neighbors_ref(v), "v={v}");
-        }
-        assert_eq!(off.mem_bytes(), before, "disabled cache never grows");
-    }
-
-    #[test]
-    fn thrash_guard_freezes_admission_under_cyclic_scans() {
-        // A working set far beyond the budget: without the guard every
-        // access would decode, insert, and evict for zero hits. With it,
-        // admission freezes after a capacity's worth of futile evictions,
-        // the resident set pins, and answers stay exact.
-        let g = hub_graph(4000);
-        let c = CompressedGraph::from_graph(&g).with_decode_cache(8 * 1024);
-        let n = g.num_vertices() as VertexId;
-        for _ in 0..3 {
-            for v in 0..n {
-                assert_eq!(&*c.neighbors_ref(v), g.neighbors(v));
-            }
-        }
-        let resident = c.decode_cache_bytes();
-        assert!(resident > 0, "pinned set survives the scans");
-        assert!(resident <= 8 * 1024, "guard never overflows the budget");
     }
 
     #[test]

@@ -10,9 +10,7 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use gsword_engine::{
-    kernel_for_config, runtime_for, spawn_estimate, split_budget, EngineConfig, Kernel,
-};
+use gsword_engine::{runtime_for, spawn_estimate, split_budget, EngineConfig};
 
 use crate::report::PipelineReport;
 
@@ -121,7 +119,8 @@ type TrawlTask = Option<SampleState>;
 /// `trawl.batches` batches via [`split_budget`]. Each batch is launched
 /// asynchronously on the device runtime's streams ([`spawn_estimate`]);
 /// batch `b`'s trawl tasks are enumerated by the CPU pool *while* batch
-/// `b+1` samples on the device. Waiting on the batch's completion event —
+/// `b+1` samples on the device. Blocking on the batch's results
+/// ([`EstimateRun::wait_report`](gsword_engine::EstimateRun::wait_report)) —
 /// not a busy poll — ends the overlap window: the pool is preempted and
 /// unfinished tasks are dropped (the paper's timeout mechanism). The last
 /// batch's tasks get a grace window equal to the mean batch duration.
@@ -160,8 +159,7 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
     // One runtime for the whole pipeline: its streams carry every batch,
     // and its per-device sanitizers accumulate across batches (fetched once
     // at the end, like a single rig-wide compute-sanitizer session).
-    let kernel_name = kernel_for_config(ctx, est, engine_cfg).name();
-    let runtime = runtime_for(engine_cfg, &kernel_name);
+    let runtime = runtime_for(engine_cfg);
 
     runtime.scope(|rs| {
         for (b, &batch_samples) in batch_budgets.iter().enumerate() {
@@ -179,8 +177,8 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
 
             // Overlap: launch this batch asynchronously on the runtime's
             // streams, enumerate the *previous* batch's tasks on the CPU
-            // pool meanwhile, and preempt the pool when the batch's
-            // completion event fires.
+            // pool meanwhile, and preempt the pool once every shard of
+            // the batch is back.
             let stop = AtomicBool::new(false);
             let batch_cfg = EngineConfig {
                 samples: batch_samples,

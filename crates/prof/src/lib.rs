@@ -14,9 +14,9 @@
 //!   divergence replay share, coalescing efficiency (transactions per
 //!   request), modeled vs measured wall-clock, and the inherited-vs-fetched
 //!   sample ratio of the RSV optimizations.
-//! * **boards** — per-(device, stream) counter totals mirrored off the
-//!   runtime's charge path, so coalescing quality is attributable to the
-//!   stream that produced the traffic.
+//! * **boards** — per-(device, stream) counter totals, charged by the
+//!   engine as each shard's results come back, so coalescing quality is
+//!   attributable to the stream that produced the traffic.
 //!
 //! The handle follows the sanitizer's zero-cost idiom: [`Profiler`] is an
 //! `Option<Arc<..>>` and every hook starts with an inlined `None` check, so
@@ -44,7 +44,7 @@ pub const SPAN_CAP: usize = 1 << 16;
 pub enum SpanKind {
     /// A kernel (or raw job) executing on a stream.
     Launch,
-    /// The host blocking on a completion event.
+    /// The host blocking until a launch's shards are back.
     EventWait,
     /// A pipeline phase (batch windows, grace windows, …).
     Phase,
@@ -209,16 +209,6 @@ impl KernelMetrics {
         }
     }
 
-    /// Fold another row of the same kernel into this one.
-    pub fn merge(&mut self, other: &KernelMetrics) {
-        self.launches += other.launches;
-        self.counters.merge(&other.counters);
-        self.modeled_ms += other.modeled_ms;
-        self.wall_ms += other.wall_ms;
-        self.samples_fetched += other.samples_fetched;
-        self.samples_inherited += other.samples_inherited;
-    }
-
     /// Inherited share of collected samples, in [0, 1] (the RSV
     /// inheritance ratio); 0.0 when nothing was collected.
     pub fn inherited_ratio(&self) -> f64 {
@@ -239,8 +229,8 @@ impl KernelMetrics {
     }
 }
 
-/// Counter totals one stream charged, attributable thanks to the
-/// runtime's per-(device, stream) board.
+/// Counter totals of the launches one stream ran, charged per shard by
+/// the engine when it collects the shard's results.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamCounters {
     pub device: u32,
@@ -345,47 +335,6 @@ impl ProfReport {
     /// Whole-run makespan: the max over devices (concurrent silicon).
     pub fn makespan_us(&self) -> u64 {
         self.device_makespan_us.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Fold another runtime's profile into this one (multi-runtime runs
-    /// merged by `EngineReport::merge_devices`). Spans re-sort; kernel
-    /// rows merge by name; per-stream boards merge positionally.
-    pub fn merge(&mut self, other: &ProfReport) {
-        self.num_devices = self.num_devices.max(other.num_devices);
-        self.streams_per_device = self.streams_per_device.max(other.streams_per_device);
-        let room = SPAN_CAP.saturating_sub(self.spans.len());
-        self.spans_dropped += other.spans_dropped + (other.spans.len().saturating_sub(room)) as u64;
-        self.spans.extend(other.spans.iter().take(room).cloned());
-        self.spans.sort_by_key(Span::sort_key);
-        for k in &other.kernels {
-            match self.kernels.iter_mut().find(|m| m.kernel == k.kernel) {
-                Some(m) => m.merge(k),
-                None => self.kernels.push(k.clone()),
-            }
-        }
-        self.kernels.sort_by(|a, b| a.kernel.cmp(&b.kernel));
-        for sc in &other.streams {
-            match self
-                .streams
-                .iter_mut()
-                .find(|m| m.device == sc.device && m.stream == sc.stream)
-            {
-                Some(m) => m.counters.merge(&sc.counters),
-                None => self.streams.push(sc.clone()),
-            }
-        }
-        self.streams.sort_by_key(|s| (s.device, s.stream));
-        if self.device_makespan_us.len() < other.device_makespan_us.len() {
-            self.device_makespan_us
-                .resize(other.device_makespan_us.len(), 0);
-        }
-        for (mine, theirs) in self
-            .device_makespan_us
-            .iter_mut()
-            .zip(&other.device_makespan_us)
-        {
-            *mine = (*mine).max(*theirs);
-        }
     }
 
     /// Export the timeline as Chrome `chrome://tracing` JSON (see
@@ -552,8 +501,8 @@ impl Profiler {
         }
     }
 
-    /// Mirror of the runtime's counter-board charge path: counters one
-    /// launch charged to `(device, stream)`.
+    /// Charge the counters one shard ran up on `(device, stream)` — the
+    /// engine calls this once per shard as its results come back.
     #[inline]
     pub fn on_charge(&self, device: usize, stream: usize, counters: &CounterSnapshot) {
         let Some(inner) = &self.inner else { return };
@@ -840,24 +789,6 @@ mod tests {
         let r = p.report();
         assert_eq!(r.spans.len(), SPAN_CAP);
         assert_eq!(r.spans_dropped, 5);
-    }
-
-    #[test]
-    fn reports_merge() {
-        let p = Profiler::new(1, 1);
-        p.record_span_at(stream(0, 0), SpanKind::Launch, "k", 0, 10);
-        p.on_kernel("k", &CounterSnapshot::default(), 1.0, 1.0, 5, 0);
-        let mut a = p.report();
-        let q = Profiler::new(2, 1);
-        q.record_span_at(stream(1, 0), SpanKind::Launch, "k", 0, 30);
-        q.on_kernel("k", &CounterSnapshot::default(), 2.0, 1.0, 5, 5);
-        a.merge(&q.report());
-        assert_eq!(a.num_devices, 2);
-        assert_eq!(a.spans.len(), 2);
-        assert_eq!(a.kernels.len(), 1);
-        assert_eq!(a.kernels[0].launches, 2);
-        assert_eq!(a.device_makespan_us, vec![10, 30]);
-        assert!(a.validate().is_ok());
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! * [`device`] — launch geometry, the device handle kernels take their
 //!   sanitizer from, and a [`device::DeviceModel`] that converts counters
 //!   into modeled device milliseconds.
-//! * [`runtime`] — the CUDA-runtime analogue: N devices, per-device
-//!   streams (ordered async launch queues), events, and a per-device /
-//!   per-stream counter board (the paper's two-GPU testbed shape). Its
-//!   streams and block workers are scoped host threads, spawned per
-//!   [`Runtime::scope`] and per launch; a `Runtime` owns none.
+//! * [`runtime`] — the CUDA-runtime analogue: N devices (the paper's
+//!   two-GPU testbed shape), per-device streams (ordered async launch
+//!   queues), events, and launch handles that carry each launch's
+//!   per-block results back to the caller. Its streams and block workers
+//!   are scoped host threads, spawned per [`Runtime::scope`] and per
+//!   launch; a `Runtime` owns none.
 //!
 //! Functional behaviour (the estimates) is exact; device time is *modeled*
 //! from the counters. DESIGN.md §1 documents the substitution.

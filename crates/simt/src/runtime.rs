@@ -5,10 +5,9 @@
 //! [`Runtime`] owns a fixed set of [`Device`]s. Work is submitted to
 //! *streams* — ordered asynchronous launch queues — and completion is
 //! observed through *events* (record / wait / elapsed), mirroring
-//! `cudaStream_t`/`cudaEvent_t`. Counters charged by finished launches
-//! accumulate on a per-device, per-stream board that feeds the existing
-//! [`DeviceModel`]: modeled time for a multi-device run is the max over
-//! devices, matching real multi-GPU wall-clock.
+//! `cudaStream_t`/`cudaEvent_t`. A launch hands its per-block results back
+//! through its [`LaunchHandle`]; the runtime keeps no counters of its own —
+//! whoever collects the results attributes them to devices and streams.
 //!
 //! A `Runtime` owns no threads. [`Runtime::scope`] opens a
 //! `std::thread::scope` with one thread per (device, stream), each running
@@ -20,13 +19,12 @@
 //! stream threads once.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use crate::counters::KernelCounters;
-use crate::device::{Device, DeviceConfig, DeviceModel};
+use crate::device::{Device, DeviceConfig};
 use gsword_prof::{Profiler, SpanKind, Track};
 use gsword_sanitizer::{Sanitizer, SanitizerReport};
 
@@ -114,46 +112,28 @@ impl Event {
     }
 }
 
-/// Result cell of an asynchronous launch: an [`Event`] that records on
-/// completion plus the per-block outputs.
+/// Result channel of an asynchronous launch: the launch job sends its
+/// per-block outputs once every block has run.
 pub struct LaunchHandle<R> {
-    slot: Arc<Mutex<Option<Vec<R>>>>,
-    event: Event,
+    rx: mpsc::Receiver<Vec<R>>,
 }
 
 impl<R> LaunchHandle<R> {
-    /// The completion event (recorded when the launch finishes, whether or
-    /// not its blocks panicked).
-    pub fn event(&self) -> &Event {
-        &self.event
-    }
-
-    /// Has the launch finished?
-    pub fn is_complete(&self) -> bool {
-        self.event.is_complete()
-    }
-
     /// Block until the launch finishes and take its per-block results
     /// (in block order). Panics with "kernel launch panicked" when a block
-    /// of the launch panicked.
+    /// of the launch panicked: the job unwinds without sending, and its
+    /// dropped sender ends the wait.
     pub fn wait(self) -> Vec<R> {
-        self.event.wait();
-        self.slot
-            .lock()
-            .expect("launch slot")
-            .take()
-            .expect("kernel launch panicked")
+        self.rx.recv().expect("kernel launch panicked")
     }
 }
 
-/// The device runtime: owns the devices, the counter board, and the
-/// profiler — but no threads. Streams exist, and accept work, only inside
+/// The device runtime: owns the devices and the profiler — but no
+/// threads. Streams exist, and accept work, only inside
 /// [`Runtime::scope`].
 pub struct Runtime {
     devices: Vec<Device>,
     streams_per_device: usize,
-    /// Counters charged by completed launches, `[device][stream]`.
-    board: Mutex<Vec<Vec<KernelCounters>>>,
     /// Timeline/metrics recorder (the disabled handle when not profiling).
     profiler: Profiler,
     /// Resolved intra-kernel worker count ([`RuntimeConfig::sim_workers`]
@@ -164,19 +144,14 @@ pub struct Runtime {
 impl Runtime {
     /// Build a runtime with no sanitizers attached.
     pub fn new(config: RuntimeConfig) -> Self {
-        Self::with_sanitizers(config, |_| Sanitizer::off())
+        Self::with_instrumentation(config, |_| Sanitizer::off(), Profiler::off())
     }
 
-    /// Build a runtime with a per-device sanitizer instance produced by
-    /// `make(device_index)` — the multi-GPU analogue of attaching
-    /// `compute-sanitizer` to every device in the rig.
-    pub fn with_sanitizers(config: RuntimeConfig, make: impl FnMut(usize) -> Sanitizer) -> Self {
-        Self::with_instrumentation(config, make, Profiler::off())
-    }
-
-    /// Build a fully instrumented runtime: per-device sanitizers plus a
-    /// profiler recording the launch timeline and counter boards (the
-    /// Nsight analogue; pass [`Profiler::off`] when not profiling).
+    /// Build a fully instrumented runtime: a per-device sanitizer instance
+    /// produced by `make(device_index)` — the multi-GPU analogue of
+    /// attaching `compute-sanitizer` to every device in the rig — plus a
+    /// profiler recording the launch timeline (the Nsight analogue; pass
+    /// [`Profiler::off`] when not profiling).
     pub fn with_instrumentation(
         config: RuntimeConfig,
         mut make: impl FnMut(usize) -> Sanitizer,
@@ -187,9 +162,6 @@ impl Runtime {
         let devices = (0..config.num_devices)
             .map(|d| Device::with_sanitizer(config.device, make(d)))
             .collect::<Vec<_>>();
-        let board = (0..config.num_devices)
-            .map(|_| vec![KernelCounters::default(); config.streams_per_device])
-            .collect();
         let sim_workers = match config.sim_workers {
             0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
             n => n,
@@ -197,7 +169,6 @@ impl Runtime {
         Runtime {
             devices,
             streams_per_device: config.streams_per_device,
-            board: Mutex::new(board),
             profiler,
             sim_workers,
         }
@@ -227,60 +198,6 @@ impl Runtime {
     /// [`Runtime::with_instrumentation`]).
     pub fn profiler(&self) -> &Profiler {
         &self.profiler
-    }
-
-    /// Charge counters produced on `(device, stream)` to the board. The
-    /// profiler mirrors every charge, so per-stream attribution survives
-    /// the board being drained between batches.
-    pub fn charge(&self, device: usize, stream: usize, counters: &KernelCounters) {
-        let mut board = self.board.lock().expect("counter board");
-        board[device][stream].merge(counters);
-        drop(board);
-        if self.profiler.enabled() {
-            self.profiler
-                .on_charge(device, stream, &counters.snapshot());
-        }
-    }
-
-    /// Counters charged on one stream since the last [`Runtime::take_device_counters`].
-    pub fn stream_counters(&self, device: usize, stream: usize) -> KernelCounters {
-        self.board.lock().expect("counter board")[device][stream]
-    }
-
-    /// Counters of one device, merged across its streams.
-    pub fn device_counters(&self, device: usize) -> KernelCounters {
-        let board = self.board.lock().expect("counter board");
-        let mut out = KernelCounters::default();
-        for c in &board[device] {
-            out.merge(c);
-        }
-        out
-    }
-
-    /// Drain the board: per-device counters (merged across streams), with
-    /// every slot reset to zero. Lets one runtime serve successive batches
-    /// that each want their own report.
-    pub fn take_device_counters(&self) -> Vec<KernelCounters> {
-        let mut board = self.board.lock().expect("counter board");
-        board
-            .iter_mut()
-            .map(|streams| {
-                let mut out = KernelCounters::default();
-                for c in streams.iter_mut() {
-                    out.merge(c);
-                    *c = KernelCounters::default();
-                }
-                out
-            })
-            .collect()
-    }
-
-    /// Modeled milliseconds of the board's current charge: the max over
-    /// devices, since devices run concurrently (real multi-GPU wall-clock).
-    pub fn modeled_ms(&self, model: &DeviceModel) -> f64 {
-        (0..self.num_devices())
-            .map(|d| model.modeled_ms(&self.device_counters(d)))
-            .fold(0.0, f64::max)
     }
 
     /// Whether any device carries an enabled sanitizer.
@@ -445,8 +362,8 @@ impl<'env> RuntimeScope<'env> {
     }
 
     /// Asynchronously launch `body` over the global block ids in `blocks`
-    /// on `(device, stream)`. Returns immediately; the handle's event
-    /// records when the launch completes. Per-block results come back in
+    /// on `(device, stream)`. Returns immediately; the handle's `wait`
+    /// returns once the launch completes. Per-block results come back in
     /// ascending block order for every sim-worker count.
     pub fn launch<R, F>(
         &self,
@@ -479,33 +396,21 @@ impl<'env> RuntimeScope<'env> {
     {
         let rt: &'env Runtime = self.runtime;
         let name = name.to_string();
-        let slot: Arc<Mutex<Option<Vec<R>>>> = Arc::new(Mutex::new(None));
-        let event = Event::new();
-        let (slot2, event2) = (Arc::clone(&slot), event.clone());
+        let (tx, rx) = mpsc::channel();
         self.submit(device, stream, move || {
             let start = rt.profiler.now_us();
-            let run = || rt.fan_out(device, stream, blocks, &name, &body);
-            match catch_unwind(AssertUnwindSafe(run)) {
-                Ok(out) => {
-                    let track = Track::Stream {
-                        device: device as u32,
-                        stream: stream as u32,
-                    };
-                    rt.profiler
-                        .record_span(track, SpanKind::Launch, &name, start);
-                    *slot2.lock().expect("launch slot") = Some(out);
-                    event2.record();
-                }
-                // Record the event with the slot left empty, so the
-                // handle's `wait` panics instead of hanging, then re-raise
-                // so the scope still poisons.
-                Err(panic) => {
-                    event2.record();
-                    resume_unwind(panic);
-                }
-            }
+            let out = rt.fan_out(device, stream, blocks, &name, &body);
+            let track = Track::Stream {
+                device: device as u32,
+                stream: stream as u32,
+            };
+            rt.profiler
+                .record_span(track, SpanKind::Launch, &name, start);
+            // A handle dropped unwaited leaves no receiver; its results
+            // are unwanted.
+            let _ = tx.send(out);
         });
-        LaunchHandle { slot, event }
+        LaunchHandle { rx }
     }
 }
 
@@ -579,44 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_board_charges_and_drains_per_device() {
-        let rt = tiny(2, 2);
-        let mut c = KernelCounters::default();
-        c.warp_instruction(u32::MAX);
-        rt.charge(0, 0, &c);
-        rt.charge(0, 1, &c);
-        rt.charge(1, 0, &c);
-        assert_eq!(rt.stream_counters(0, 1), c);
-        assert_eq!(
-            rt.device_counters(0).alu_instructions,
-            2 * c.alu_instructions
-        );
-        let drained = rt.take_device_counters();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].alu_instructions, 2 * c.alu_instructions);
-        assert_eq!(drained[1], c);
-        // Board is zeroed afterwards.
-        assert_eq!(rt.device_counters(0), KernelCounters::default());
-    }
-
-    #[test]
-    fn modeled_ms_takes_max_over_devices() {
-        let rt = tiny(2, 1);
-        let mut big = KernelCounters::default();
-        let mut small = KernelCounters::default();
-        for _ in 0..10_000 {
-            big.warp_instruction(u32::MAX);
-        }
-        small.warp_instruction(u32::MAX);
-        rt.charge(0, 0, &small);
-        rt.charge(1, 0, &big);
-        let model = DeviceModel::default();
-        let expect = model.modeled_ms(&big);
-        assert_eq!(rt.modeled_ms(&model), expect);
-    }
-
-    #[test]
-    fn profiled_runtime_records_launch_spans_and_boards() {
+    fn profiled_runtime_records_launch_spans() {
         let rt = Runtime::with_instrumentation(
             RuntimeConfig {
                 num_devices: 2,
@@ -641,17 +509,13 @@ mod tests {
                 h.wait();
             }
         });
-        let mut c = KernelCounters::default();
-        c.warp_load(32, 4);
-        rt.charge(1, 0, &c);
         let report = rt.profiler().report();
         report.validate().expect("live profile is well-formed");
         assert_eq!(report.spans.len(), 4);
         assert!(report.spans.iter().all(|s| s.name == "tiny"));
-        assert_eq!(report.streams.len(), 1);
-        assert_eq!(report.streams[0].counters.mem_transactions, 4);
-        // The charge also landed on the ordinary counter board.
-        assert_eq!(rt.stream_counters(1, 0).mem_transactions, 4);
+        // Counters are attributed by whoever collects the results, not by
+        // the runtime.
+        assert!(report.streams.is_empty());
     }
 
     #[test]

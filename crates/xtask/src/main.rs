@@ -68,16 +68,13 @@ rules enforced by analyze:
      or forwards them to a callee
   4. no-seqcst: no SeqCst atomic orderings (the device model is
      Relaxed/Acquire/Release by design)
-  5. prof-confined: counter-board reads (.stream_counters/
-     .device_counters/.take_device_counters) appear only in crates/simt,
-     crates/prof, and the engine runtime module
-  6. nondet-order: HashMap/HashSet iteration order must not flow into
+  5. nondet-order: HashMap/HashSet iteration order must not flow into
      estimates, reports, or serialized output (sort the entries first)
-  7. float-reduce-order: f64/f32 accumulation whose order varies with
+  6. float-reduce-order: f64/f32 accumulation whose order varies with
      shard or device count must go through a canonically ordered merge
-  8. scope-blocking: blocking drains (scope/wait/wait_report) must not
+  7. scope-blocking: blocking drains (scope/wait/wait_report) must not
      be reachable from inside a job submitted to a stream
-  9. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
+  8. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
      unsafe-derived slices/pointers that escape the validating function
      are called out explicitly
 

@@ -84,63 +84,72 @@ fn two_devices_report_per_device_times() {
 }
 
 #[test]
+fn profiled_run_attributes_counters_per_stream() {
+    let (data, query) = fixture();
+    let (cg, _) = build_candidate_graph(&data, &query, &BuildConfig::default());
+    let order = quicksi_order(&query, &data);
+    let ctx = QueryCtx::new(&cg, &order);
+    let cfg = EngineConfig {
+        device: device(),
+        ..EngineConfig::gsword(10_000)
+    }
+    .with_seed(0xD15C)
+    .with_topology(2, 2)
+    .with_profile(true);
+    let report = run_engine(&ctx, &Alley, &cfg);
+    let total = report.counters.snapshot();
+
+    // Each shard's counters land on its own (device, stream) row, and the
+    // rows sum to the run's counters.
+    let prof = report
+        .prof
+        .as_ref()
+        .expect("profiled run carries a profile");
+    assert_eq!(prof.streams.len(), 4);
+    let mut summed = CounterSnapshot::default();
+    for s in &prof.streams {
+        assert_ne!(
+            s.counters,
+            CounterSnapshot::default(),
+            "d{}.s{} charged nothing",
+            s.device,
+            s.stream
+        );
+        summed.merge(&s.counters);
+    }
+    assert_eq!(summed, total);
+    assert_eq!(prof.kernels.len(), 1);
+    assert_eq!(prof.kernels[0].counters, total);
+}
+
+/// `EstimateRun::wait_report` merges the devices' shards: it sums their
+/// collected samples and counters, takes the device makespan, and only then
+/// normalizes per sample.
+#[test]
 fn merge_devices_normalizes_after_summing() {
-    // Two devices, very different collected-sample counts. The per-sample
-    // cost of the merged report must come from the *summed* totals, not
-    // from averaging the per-device normalized values.
-    let mut fast = KernelCounters::default();
-    for _ in 0..1_000 {
-        fast.warp_instruction(u32::MAX);
-    }
-    let mut slow = KernelCounters::default();
-    for _ in 0..9_000 {
-        slow.warp_instruction(u32::MAX);
-    }
-    let model = DeviceModel::default();
-    let mk = |counters: KernelCounters, fetched: u64, inherited: u64| {
-        let estimate = Estimate {
-            samples: fetched,
-            ..Estimate::default()
-        };
-        EngineReport {
-            samples_collected: fetched + inherited,
-            estimate,
-            modeled_ms: model.modeled_ms(&counters),
-            per_device_modeled_ms: vec![model.modeled_ms(&counters)],
-            counters,
-            wall_ms: 1.0,
-            sanitizer: None,
-            prof: None,
-        }
-    };
-    let a = mk(fast, 1_000, 500); // 1 500 collected
-    let b = mk(slow, 8_000, 500); // 8 500 collected
-    let merged = EngineReport::merge_devices(&[a.clone(), b.clone()]);
+    let single = run_with_topology(EstimatorKind::Alley, 1, 1);
+    let report = run_with_topology(EstimatorKind::Alley, 2, 2);
+    assert_eq!(report.samples_collected, single.samples_collected);
+    assert_eq!(report.counters, single.counters);
 
-    assert_eq!(merged.samples_collected, 10_000, "fetched+inherited summed");
-    assert_eq!(merged.estimate.samples, 9_000);
-    assert_eq!(merged.per_device_modeled_ms.len(), 2);
+    let max = report
+        .per_device_modeled_ms
+        .iter()
+        .copied()
+        .fold(0.0f64, f64::max);
+    assert_eq!(report.modeled_ms.to_bits(), max.to_bits());
+    let n = 10_000;
+    let per_sample = report.modeled_ms * n as f64 / report.samples_collected as f64;
     assert_eq!(
-        merged.modeled_ms,
-        a.modeled_ms.max(b.modeled_ms),
-        "modeled time is the device makespan"
-    );
-
-    // The correct per-sample normalization: makespan over summed samples.
-    let expected = merged.modeled_ms * 10_000.0 / merged.samples_collected as f64;
-    assert!((merged.modeled_ms_for_samples(10_000) - expected).abs() < 1e-12);
-    // And it must differ from the naive average of per-part normalizations
-    // (the bug this API exists to prevent).
-    let naive = (a.modeled_ms_for_samples(10_000) + b.modeled_ms_for_samples(10_000)) / 2.0;
-    assert!(
-        (merged.modeled_ms_for_samples(10_000) - naive).abs() > 1e-6,
-        "fixture must distinguish sum-then-normalize from averaging"
+        report.modeled_ms_for_samples(n).to_bits(),
+        per_sample.to_bits()
     );
 }
 
 #[test]
 fn merge_devices_handles_empty_reports() {
-    let rep = EngineReport {
+    // Zero collected samples: normalization falls back to the raw makespan.
+    let empty = EngineReport {
         estimate: Estimate::default(),
         samples_collected: 0,
         counters: KernelCounters::default(),
@@ -150,10 +159,7 @@ fn merge_devices_handles_empty_reports() {
         sanitizer: None,
         prof: None,
     };
-    let merged = EngineReport::merge_devices(&[rep]);
-    assert_eq!(merged.samples_collected, 0);
-    // Zero collected samples: normalization falls back to the raw makespan.
-    assert_eq!(merged.modeled_ms_for_samples(1_000), 0.5);
+    assert_eq!(empty.modeled_ms_for_samples(1_000), 0.5);
 }
 
 proptest! {

@@ -8,10 +8,11 @@
 //!    diagnostic;
 //!  * **dynamic**: the same bug pattern, executed against the simulator,
 //!    produces the concrete failure the rule predicts — a sanitizer
-//!    violation, a silently wrong device-time estimate, a deadlocked
-//!    stream, or a counter-board read that sees nothing.
+//!    violation, a silently wrong device-time estimate, an inexact
+//!    counter, or a deadlocked stream.
 //!
-//! The pairing table lives in DESIGN.md §10. This suite sits at the
+//! Five of the analyzer's eight rules pair this way; DESIGN.md §10 holds
+//! the pairing table and names the tier-1 test behind the other three. This suite sits at the
 //! workspace root (outside the `crates/` tree the analyzer walks) so its
 //! own deliberately-misbehaving runtime calls are not self-flagged.
 
@@ -234,43 +235,4 @@ fn scope_blocking_pairs_with_same_stream_deadlock() {
         Err(e) => panic!("watchdog channel broke: {e}"),
     }
     drop(stuck);
-}
-
-// ---------------------------------------------------------------------------
-// prof-confined  <->  board reads race the runtime's own drain
-// ---------------------------------------------------------------------------
-
-/// Static: a direct counter-board read outside crates/simt, crates/prof,
-/// and the engine runtime module. Dynamic: the board is drained by
-/// `take_device_counters` between batches, so an outside reader sees
-/// whatever is left — here, nothing — while the report layers
-/// (ProfReport / EngineReport) persist the charge.
-#[test]
-fn board_read_pairs_with_drain_data_loss() {
-    assert_single_finding(
-        "core/src/metrics.rs",
-        "pub fn stream_time(rt: &Runtime, model: &DeviceModel) -> f64 {
-            model.modeled_ms(&rt.stream_counters(0, 0))
-        }",
-        "prof-confined",
-    );
-
-    let rt = Runtime::new(RuntimeConfig::default());
-    let mut c = KernelCounters::default();
-    c.warp_instruction(u32::MAX);
-    rt.charge(0, 0, &c);
-    assert_ne!(rt.stream_counters(0, 0), KernelCounters::default());
-
-    // The engine runtime drains the board between batches; a drained
-    // snapshot keeps the data...
-    let drained = rt.take_device_counters();
-    assert_ne!(drained[0], KernelCounters::default());
-    // ...but any outside reader consulting the board afterwards sees
-    // zeros: direct board reads are only coherent inside the layer that
-    // owns the drain schedule.
-    assert_eq!(
-        rt.stream_counters(0, 0),
-        KernelCounters::default(),
-        "board reads after a drain observe nothing"
-    );
 }
