@@ -39,8 +39,8 @@ const GENERIC_ITERS: &[&str] = &["iter", "iter_mut", "into_iter", "drain"];
 const SEQ_SINKS: &[&str] = &["push", "push_str", "extend"];
 
 /// Estimate-merge sinks: f64 accumulation whose result must not depend on
-/// visit order (`Estimate::merge` and per-device or per-stream merges).
-const MERGE_SINKS: &[&str] = &["merge", "merge_devices", "merge_streams"];
+/// visit order (`Estimate::merge`).
+const MERGE_SINKS: &[&str] = &["merge"];
 
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet"];
 const ORDERED_TYPES: &[&str] = &["BTreeMap", "BTreeSet", "BinaryHeap"];
@@ -477,15 +477,15 @@ mod tests {
 
     #[test]
     fn merge_under_hash_loop_is_float_reduce_order() {
-        let src = "pub fn combine(parts: &HashMap<u32, EngineReport>, acc: &mut EngineReport) {\n\
+        let src = "pub fn combine(parts: &HashMap<u32, Estimate>, acc: &mut Estimate) {\n\
             for p in parts.values() {\n\
-                acc.merge_devices(p);\n\
+                acc.merge(p);\n\
             }\n\
         }";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "float-reduce-order");
-        assert!(f[0].message.contains("merge_devices"), "{f:?}");
+        assert!(f[0].message.contains("`merge`"), "{f:?}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! The storage group runs per dataset (yeast and eu2005) and prices the
 //! compressed backend three ways: CSR slices, cold Rice-block decode
-//! (`/compressed`, cache disabled), and the decoded-block cache
-//! (`/cached`, default budget).
+//! (`/compressed`, budget 0), and the decoded adjacency (`/cached`,
+//! default budget).
 
 use std::time::Instant;
 
@@ -90,19 +90,19 @@ fn refine_scenarios<'a>(
 }
 
 /// Storage group for one dataset: CSR vs cold compressed decode vs the
-/// decoded-block cache on the same operations.
+/// decoded adjacency on the same operations.
 fn storage_rows(dsname: &str, samples: usize, rows: &mut Vec<Row>) {
     let data = gsword_core::datasets::dataset(dsname);
     let query = QueryGraph::extract(&data, 8, 0xBE).expect("storage query");
-    // `packed` disables the decode cache to keep the `/compressed` rows
-    // measuring the raw Rice stream; `cached` keeps the default budget.
+    // `packed` has a zero budget, so the `/compressed` rows measure the raw
+    // Rice stream; `cached` keeps the default budget, which holds both
+    // datasets' decoded adjacency.
     let packed = CompressedGraph::from_graph(&data).with_decode_cache(0);
     let cached = CompressedGraph::from_graph(&data);
     let n = data.num_vertices() as VertexId;
 
     // Full neighbor scan: CSR reads slices, compressed decodes Rice
-    // blocks, cached answers from per-thread decoded blocks after the
-    // warmup pass primes them.
+    // blocks, cached reads the decoded adjacency its warmup pass builds.
     let ns = median_ns(samples, || {
         let mut acc = 0usize;
         for v in 0..n {

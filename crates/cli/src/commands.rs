@@ -28,9 +28,11 @@ usage:
 --storage picks the data-graph backend: csr (in-memory, default) or
 compressed (succinct gap-coded adjacency; the default for packed images).
 Estimates are bit-identical across backends.
---decode-cache sets the compressed backend's per-thread decoded-adjacency
-budget in bytes (0 disables; default 16 MiB). Purely a wall-clock knob:
-results and modeled counters are identical with the cache on or off.
+--decode-cache sets the compressed backend's decoded-adjacency budget per
+graph in bytes (default 16 MiB). When the budget holds the whole decoded
+adjacency, the first adjacency read decodes it once; otherwise every read
+streams the Rice decoder (0 always streams). Purely a wall-clock knob:
+results and modeled counters are identical either way.
 --sim-workers fans each kernel launch's blocks over N host threads
 (0 = auto, 1 = serial; default 1). Results are bit-identical for every N.
 pack writes a dataset as a compressed mmap-able image; --scale N divides

@@ -29,21 +29,18 @@
 //! little-endian; a header magic/version/endianness probe rejects foreign
 //! images instead of misreading them.
 //!
-//! Repeated access is served by a **per-thread decoded-adjacency cache**
-//! (DESIGN.md §15): the storage-trait entry points and `has_edge` decode a
-//! vertex's list once per thread and serve later touches from the decoded
-//! copy, CLOCK-evicted under a per-graph byte budget
-//! ([`CompressedGraph::with_decode_cache`]). An entry holds the decoded
-//! list only — `4·deg` bytes plus a fixed 64-byte overhead. The cache is
-//! invisible to the memory model, which prices candidate-graph accesses
-//! only, and `mem_bytes` stays capacity-honest by counting resident cache
-//! bytes.
+//! Repeated access is served by **one decoded adjacency per graph**
+//! (DESIGN.md §15). When a per-graph byte budget
+//! ([`CompressedGraph::with_decode_cache`], default
+//! [`DECODE_CACHE_DEFAULT_BYTES`]) holds the whole adjacency as CSR arrays
+//! — `n + 1` offsets and `2|E|` ids — the first adjacency read decodes it
+//! once, and every thread and clone reads that copy. When it does not,
+//! every access streams the Rice decoder: a partial cache measured slower
+//! than streaming. The copy is invisible to the memory model, which prices
+//! candidate-graph accesses only, and `mem_bytes` counts its bytes.
 
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::mmap::Bytes;
 use crate::storage::{GraphStorage, NeighborsRef};
@@ -785,162 +782,42 @@ pub fn pack_to_vec(g: &Graph) -> Vec<u8> {
 type Range = std::ops::Range<usize>;
 
 // ---------------------------------------------------------------------------
-// The per-thread decoded-adjacency cache
+// The decoded adjacency
 // ---------------------------------------------------------------------------
 
-/// Default per-thread decoded-adjacency budget per graph, in bytes
-/// (16 MiB — enough to hold every suite dataset's decoded adjacency;
-/// eu2005, the largest, needs ~7.5 MiB).
+/// Default decoded-adjacency budget per graph, in bytes (16 MiB). It holds
+/// the decoded adjacency of every suite dataset whole: orkut's, the
+/// largest, takes 4.67 MiB.
 pub const DECODE_CACHE_DEFAULT_BYTES: usize = 1 << 24;
 
-/// Fixed per-entry overhead charged against the budget (map slot, LRU
-/// bookkeeping) on top of the decoded vectors themselves.
-const CACHE_ENTRY_OVERHEAD: usize = 64;
-
-static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// One decode cache per thread (per *sim worker* under the parallel
-    /// runtime): lockstep block workers never contend on it, and the
-    /// graph's shared byte counter keeps `mem_bytes` honest across all of
-    /// them.
-    static DECODE_CACHE: RefCell<DecodeCache> =
-        const { RefCell::new(DecodeCache { shards: Vec::new() }) };
+/// A packed graph's whole adjacency decoded into CSR arrays: `n + 1`
+/// offsets into `2|E|` neighbor ids.
+#[derive(Debug)]
+struct Decoded {
+    offsets: Vec<usize>,
+    neighbors: Vec<VertexId>,
 }
 
-/// Multiplicative hasher for the cache's small integer keys. The hit path
-/// runs once per adjacency access, where SipHash is most of the lookup
-/// cost; one multiply plus an xor-fold is plenty for vertex ids.
-#[derive(Default)]
-struct FastHasher(u64);
-
-impl std::hash::Hasher for FastHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
+impl Decoded {
+    #[inline]
+    fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        &self.neighbors[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
-    fn write_u32(&mut self, v: u32) {
-        self.0 = (self.0 ^ u64::from(v)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
 
-type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FastHasher>>;
-
-/// One cached vertex: its decoded list.
-struct CacheEntry {
-    decoded: Vec<VertexId>,
-    bytes: usize,
-    /// Second-chance bit: set on every hit, cleared (one rotation's grace)
-    /// by the eviction clock hand.
-    hot: bool,
-    /// Sticky hit bit (never cleared): did this entry serve at least one
-    /// hit while resident? Feeds the shard's thrash guard.
-    touched: bool,
-    /// The owning graph's resident-bytes counter; decremented on drop
-    /// (eviction or thread exit) so accounting never leaks.
-    counter: Arc<AtomicUsize>,
-}
-
-impl Drop for CacheEntry {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(self.bytes, Ordering::Relaxed);
-    }
-}
-
-/// This thread's cache shard for one graph. Eviction is CLOCK
-/// (second-chance): hits only set a flag — no queue traffic — and the
-/// ring holds each resident vertex exactly once, rotated at insert time.
-///
-/// A thrash guard keeps the cache from degrading below the uncached
-/// path: when a working set far exceeds the budget (a cyclic scan over a
-/// large graph, say), every admission evicts an entry that never served a
-/// hit, paying map and eviction overhead for nothing. After a full
-/// capacity's worth of consecutive *futile* evictions (victim never hit
-/// while resident) the shard stops admitting and serves as a pinned set —
-/// residents keep hitting, everything else streams at uncached cost. Any
-/// hit resets the guard, so workloads with real reuse never trip it.
-#[derive(Default)]
-struct GraphShard {
-    entries: FastMap<VertexId, CacheEntry>,
-    ring: VecDeque<VertexId>,
-    bytes: usize,
-    /// Consecutive evictions of never-hit entries; cleared on every hit.
-    futile_evictions: usize,
-}
-
-impl GraphShard {
-    /// Insert under `capacity`, advancing the clock hand as needed. A list
-    /// too large to ever fit — or arriving while the thrash guard is
-    /// engaged — is handed back instead of flushing the shard.
-    fn insert(
-        &mut self,
-        v: VertexId,
-        decoded: Vec<VertexId>,
-        capacity: usize,
-        counter: &Arc<AtomicUsize>,
-    ) -> Result<&CacheEntry, Vec<VertexId>> {
-        let bytes = decoded.capacity() * 4 + CACHE_ENTRY_OVERHEAD;
-        if bytes > capacity {
-            return Err(decoded);
-        }
-        if self.futile_evictions >= self.entries.len().max(64) {
-            return Err(decoded);
-        }
-        while self.bytes + bytes > capacity {
-            let Some(victim) = self.ring.pop_front() else {
-                break;
-            };
-            let e = self.entries.get_mut(&victim).expect("ring tracks entries");
-            if e.hot {
-                e.hot = false;
-                self.ring.push_back(victim);
-            } else {
-                let e = self.entries.remove(&victim).expect("present");
-                self.bytes -= e.bytes;
-                if !e.touched {
-                    self.futile_evictions += 1;
-                }
-            }
-        }
-        counter.fetch_add(bytes, Ordering::Relaxed);
-        self.bytes += bytes;
-        self.ring.push_back(v);
-        Ok(self.entries.entry(v).or_insert(CacheEntry {
-            decoded,
-            bytes,
-            hot: false,
-            touched: false,
-            counter: Arc::clone(counter),
-        }))
-    }
-}
-
-/// A thread's shards, one per live graph image. A linear scan over a
-/// two-or-three element vec beats hashing on the per-access path.
-struct DecodeCache {
-    shards: Vec<(u64, GraphShard)>,
-}
-
-impl DecodeCache {
-    fn shard(&mut self, id: u64) -> &mut GraphShard {
-        if let Some(i) = self.shards.iter().position(|(sid, _)| *sid == id) {
-            return &mut self.shards[i].1;
-        }
-        self.shards.push((id, GraphShard::default()));
-        &mut self.shards.last_mut().expect("just pushed").1
+    /// Resident bytes of the two arrays.
+    fn mem_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.neighbors.capacity() * std::mem::size_of::<VertexId>()
     }
 }
 
 /// The succinct, mmap-backed graph backend.
 ///
 /// Holds the packed image (owned or mapped) plus two small select
-/// indexes built at load time; adjacency is never materialized as
-/// per-vertex vectors — repeated access goes through the per-thread
-/// decoded cache instead.
+/// indexes built at load time. When the decode budget holds the whole
+/// decoded adjacency, the first adjacency read decodes it once into CSR
+/// arrays that every thread and clone shares; otherwise every access
+/// streams the Rice decoder.
 #[derive(Debug, Clone)]
 pub struct CompressedGraph {
     bytes: Bytes,
@@ -959,14 +836,13 @@ pub struct CompressedGraph {
     adj: Range,
     deg_select: SelectIndex,
     off_select: SelectIndex,
-    /// Identity of this image in the per-thread decode cache. Clones share
-    /// it (same bytes, same decoded lists).
-    cache_id: u64,
-    /// Per-thread decoded-adjacency budget in bytes; `0` disables caching.
+    /// Decoded-adjacency budget in bytes: the adjacency is decoded only
+    /// when its CSR arrays fit.
     cache_capacity: usize,
-    /// Bytes currently resident in this graph's decode-cache entries,
-    /// summed over every thread — the capacity-honest `mem_bytes` input.
-    cache_bytes: Arc<AtomicUsize>,
+    /// The decoded adjacency, built on the first adjacency read when it
+    /// fits the budget. Clones share it; `with_decode_cache` starts a
+    /// fresh cell.
+    decoded: Arc<OnceLock<Decoded>>,
 }
 
 fn parse_err(message: impl Into<String>) -> GraphError {
@@ -1086,9 +962,8 @@ impl CompressedGraph {
         let g = CompressedGraph {
             deg_select,
             off_select,
-            cache_id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
             cache_capacity: DECODE_CACHE_DEFAULT_BYTES,
-            cache_bytes: Arc::new(AtomicUsize::new(0)),
+            decoded: Arc::default(),
             bytes,
             n,
             m,
@@ -1160,19 +1035,31 @@ impl CompressedGraph {
         u16::from_le_bytes(self.bytes.as_slice()[p..p + 2].try_into().unwrap())
     }
 
-    /// Degree of vertex `v` (one paired Elias-Fano lookup).
+    /// Degree of vertex `v`: two offsets of the decoded adjacency once it
+    /// is built, else one paired Elias-Fano lookup. Degrees alone never
+    /// build the copy, so a degree scan (`GraphStats`) decodes nothing and
+    /// leaves `mem_bytes` at the image's footprint.
     pub fn degree(&self, v: VertexId) -> usize {
+        match self.decoded.get() {
+            Some(d) => d.neighbors(v).len(),
+            None => self.stream_degree(v),
+        }
+    }
+
+    fn stream_degree(&self, v: VertexId) -> usize {
         let (lo, hi) = self.deg_ef().get_pair(v as usize);
         (hi - lo) as usize
     }
 
     /// The compressed adjacency region of `v` — decode or probe without
     /// materializing. Two selects: the region start and the degree pair.
+    /// Reads only the image, never the decoded adjacency, which is built
+    /// from it.
     pub fn neighbors(&self, v: VertexId) -> CompressedNeighbors<'_> {
         let start = self.off_ef().get(v as usize) as usize;
         CompressedNeighbors {
             stream: &self.bytes.as_slice()[self.adj.start + start..self.adj.end],
-            deg: self.degree(v),
+            deg: self.stream_degree(v),
         }
     }
 
@@ -1184,62 +1071,64 @@ impl CompressedGraph {
         } else {
             (v, u)
         };
-        match self.with_cached(a, |decoded| decoded.binary_search(&b).is_ok()) {
-            Some(hit) => hit,
+        match self.decoded() {
+            Some(d) => d.neighbors(a).binary_search(&b).is_ok(),
             None => self.neighbors(a).contains(b),
         }
     }
 
-    /// Override the per-thread decoded-adjacency cache budget, in bytes
-    /// (default [`DECODE_CACHE_DEFAULT_BYTES`]); `0` disables the cache.
-    /// Purely a wall-clock knob: every query result and every modeled
-    /// counter is identical with the cache on or off.
+    /// Override the decoded-adjacency budget, in bytes (default
+    /// [`DECODE_CACHE_DEFAULT_BYTES`]). When the budget holds the whole
+    /// decoded adjacency, the first adjacency read decodes it once for every
+    /// thread and clone; otherwise every access streams the Rice decoder,
+    /// so `0` always streams. The graph starts with no copy of its own: a
+    /// copy built before stays with the clones that share it. Purely a
+    /// wall-clock knob: every query result and every modeled counter is
+    /// identical whichever way the graph is read.
     pub fn with_decode_cache(mut self, capacity_bytes: usize) -> Self {
         self.cache_capacity = capacity_bytes;
+        self.decoded = Arc::default();
         self
     }
 
-    /// The configured per-thread cache budget in bytes (`0` = disabled).
+    /// The configured decoded-adjacency budget in bytes.
     pub fn decode_cache_capacity(&self) -> usize {
         self.cache_capacity
     }
 
-    /// Bytes currently resident in this graph's decode-cache entries,
-    /// summed over all threads.
+    /// Bytes of the decoded adjacency: its capacity once built, and 0
+    /// before that or when the graph streams.
     pub fn decode_cache_bytes(&self) -> usize {
-        self.cache_bytes.load(Ordering::Relaxed)
+        self.decoded.get().map_or(0, Decoded::mem_bytes)
     }
 
-    /// Run `f` over the cached decode of `v` (inserting on miss). `None`
-    /// when the cache is disabled, unavailable (re-entrant storage call on
-    /// this thread — `f` runs under the cache borrow), or the list exceeds
-    /// the whole budget — callers fall back to the streaming decoder.
-    fn with_cached<R>(&self, v: VertexId, f: impl FnOnce(&[VertexId]) -> R) -> Option<R> {
-        if self.cache_capacity == 0 {
+    /// The decoded adjacency, decoding it on the first call when its
+    /// `(n + 1)` offsets and `2|E|` ids fit the budget; `None` when they
+    /// do not, and the graph streams.
+    #[inline]
+    fn decoded(&self) -> Option<&Decoded> {
+        if let Some(d) = self.decoded.get() {
+            return Some(d);
+        }
+        let need = (self.n + 1)
+            .saturating_mul(std::mem::size_of::<usize>())
+            .saturating_add(self.m.saturating_mul(2 * std::mem::size_of::<VertexId>()));
+        if need > self.cache_capacity {
             return None;
         }
-        DECODE_CACHE.with(|tls| {
-            let mut cache = tls.try_borrow_mut().ok()?;
-            let shard = cache.shard(self.cache_id);
-            let GraphShard {
-                ref mut entries,
-                ref mut futile_evictions,
-                ..
-            } = *shard;
-            if let Some(e) = entries.get_mut(&v) {
-                e.hot = true;
-                e.touched = true;
-                *futile_evictions = 0;
-                return Some(f(&e.decoded));
+        // The decode pass reads only the image (`neighbors` takes its
+        // degree from the Elias-Fano index), never this cell, which is
+        // not re-entrant.
+        Some(self.decoded.get_or_init(|| {
+            let mut offsets = Vec::with_capacity(self.n + 1);
+            let mut neighbors = Vec::with_capacity(2 * self.m);
+            offsets.push(0);
+            for v in 0..self.n as VertexId {
+                neighbors.extend(self.neighbors(v).iter());
+                offsets.push(neighbors.len());
             }
-            let nb = self.neighbors(v);
-            let mut decoded = Vec::with_capacity(nb.len());
-            decoded.extend(nb.iter());
-            match shard.insert(v, decoded, self.cache_capacity, &self.cache_bytes) {
-                Ok(e) => Some(f(&e.decoded)),
-                Err(decoded) => Some(f(&decoded)),
-            }
-        })
+            Decoded { offsets, neighbors }
+        }))
     }
 
     /// Vertices carrying label `l`, sorted by id — zero-copy from the
@@ -1260,9 +1149,8 @@ impl CompressedGraph {
     }
 
     /// Resident footprint: the image (mapped extent or owned capacity),
-    /// the load-time select indexes (rank tables and samples), and every byte currently held by
-    /// this graph's decode-cache entries across all threads — the cache
-    /// is capacity-bounded, and its cost is never hidden from the
+    /// the load-time select indexes (rank tables and samples), and the
+    /// decoded adjacency once built — its cost is never hidden from the
     /// compression accounting.
     pub fn mem_bytes(&self) -> usize {
         self.bytes.mem_bytes()
@@ -1331,46 +1219,35 @@ impl GraphStorage for CompressedGraph {
     }
 
     fn neighbors_ref(&self, v: VertexId) -> NeighborsRef<'_> {
-        match self.with_cached(v, |decoded| decoded.to_vec()) {
-            Some(out) => NeighborsRef::Owned(out),
-            None => {
-                let nb = self.neighbors(v);
-                let mut out = Vec::with_capacity(nb.len());
-                nb.decode_into(&mut out);
-                NeighborsRef::Owned(out)
-            }
+        match self.decoded() {
+            Some(d) => NeighborsRef::Borrowed(d.neighbors(v)),
+            None => NeighborsRef::Owned(self.neighbors(v).iter().collect()),
         }
     }
 
     fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
         out.clear();
-        if self
-            .with_cached(v, |decoded| out.extend_from_slice(decoded))
-            .is_none()
-        {
-            self.neighbors(v).decode_into(out);
+        match self.decoded() {
+            Some(d) => out.extend_from_slice(d.neighbors(v)),
+            None => self.neighbors(v).decode_into(out),
         }
     }
 
     fn for_each_neighbor(&self, v: VertexId, mut f: impl FnMut(VertexId) -> bool) {
-        // `f` runs under the cache borrow; a storage call inside it falls
-        // back to the streaming decoder (`with_cached` → `None`) rather
-        // than deadlocking or panicking.
-        if self
-            .with_cached(v, |decoded| {
-                for &w in decoded {
+        match self.decoded() {
+            Some(d) => {
+                for &w in d.neighbors(v) {
                     if !f(w) {
                         break;
                     }
                 }
-            })
-            .is_some()
-        {
-            return;
-        }
-        for w in self.neighbors(v).iter() {
-            if !f(w) {
-                break;
+            }
+            None => {
+                for w in self.neighbors(v).iter() {
+                    if !f(w) {
+                        break;
+                    }
+                }
             }
         }
     }
@@ -1560,7 +1437,12 @@ mod tests {
         let cached = CompressedGraph::from_graph(&g);
         let streaming = cached.clone().with_decode_cache(0);
         assert!(cached.neighbors(0).nblocks() > 1);
+        let decoded = cached
+            .decoded()
+            .expect("the default budget holds the hub graph");
+        assert!(streaming.decoded().is_none(), "a zero budget streams");
         for v in [0u32, 1, 500] {
+            assert_eq!(decoded.neighbors(v), g.neighbors(v), "v={v}");
             for x in 0..1002u32 {
                 let want = streaming.neighbors(v).contains(x);
                 assert_eq!(
@@ -1568,27 +1450,25 @@ mod tests {
                     g.neighbors(v).binary_search(&x).is_ok(),
                     "v={v} x={x}"
                 );
-                // First call may fill the cache (miss), second must hit.
-                for round in 0..2 {
-                    let got = cached.with_cached(v, |decoded| decoded.binary_search(&x).is_ok());
-                    assert_eq!(got, Some(want), "v={v} x={x} round={round}");
-                }
+                let got = decoded.neighbors(v).binary_search(&x).is_ok();
+                assert_eq!(got, want, "v={v} x={x}");
             }
         }
-        assert!(
-            cached.decode_cache_bytes() > 0,
-            "probes populated the cache"
-        );
+        assert_eq!(cached.decode_cache_bytes(), decoded.mem_bytes());
+        assert_eq!(streaming.decode_cache_bytes(), 0);
     }
 
     #[test]
     fn cached_storage_methods_match_streaming_decode() {
         let g = hub_graph(1000);
         let c = CompressedGraph::from_graph(&g);
-        // Twice: first pass misses, second hits the cache.
+        // Twice: the first touch decodes the adjacency, the second reads
+        // the copy.
         for round in 0..2 {
             for v in [0u32, 5, 999] {
-                assert_eq!(&*c.neighbors_ref(v), g.neighbors(v), "round={round}");
+                let list = c.neighbors_ref(v);
+                assert!(matches!(list, NeighborsRef::Borrowed(_)), "round={round}");
+                assert_eq!(&*list, g.neighbors(v), "round={round}");
                 let mut buf = Vec::new();
                 c.neighbors_into(v, &mut buf);
                 assert_eq!(buf, g.neighbors(v));
@@ -1607,6 +1487,7 @@ mod tests {
                 }
             }
         }
+        assert!(c.decode_cache_bytes() > 0, "the first touch decoded");
     }
 
     #[test]

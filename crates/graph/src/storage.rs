@@ -23,10 +23,11 @@ use crate::{Graph, Label, VertexId};
 /// Borrow-or-decode view of one sorted neighbor list.
 ///
 /// CSR storage hands out a borrowed slice (zero copy); compressed storage
-/// decodes into an owned buffer. Both deref to `&[VertexId]`, so callers
-/// that need random access stay backend-agnostic. Hot paths that only
-/// stream should prefer [`GraphStorage::for_each_neighbor`], which never
-/// materializes on the compressed backend.
+/// borrows from its decoded adjacency when it holds one and decodes into
+/// an owned buffer when it streams. Both deref to `&[VertexId]`, so
+/// callers that need random access stay backend-agnostic. Hot paths that
+/// only stream should prefer [`GraphStorage::for_each_neighbor`], which
+/// never materializes on the compressed backend.
 #[derive(Debug, Clone)]
 pub enum NeighborsRef<'a> {
     /// A zero-copy slice into backend storage.

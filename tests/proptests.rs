@@ -286,14 +286,14 @@ proptest! {
 
     #[test]
     fn candidate_graph_equals_its_definition(g in shared_label_hub_strategy(), seed in any::<u64>()) {
-        let uncached = CompressedGraph::from_graph(&g).with_decode_cache(0);
-        let cached = CompressedGraph::from_graph(&g).with_decode_cache(1024);
+        let streaming = CompressedGraph::from_graph(&g).with_decode_cache(0);
+        let decoded = CompressedGraph::from_graph(&g);
         for q in definition_queries(&g, seed) {
             for cfg in [BuildConfig::default(), BuildConfig::strong(), BuildConfig::unfiltered()] {
                 let (cg, _) = build_candidate_graph(&g, &q, &cfg);
                 check_definition(&g, &q, &cfg, &cg)?;
-                prop_assert_eq!(&build_candidate_graph(&uncached, &q, &cfg).0, &cg);
-                prop_assert_eq!(&build_candidate_graph(&cached, &q, &cfg).0, &cg);
+                prop_assert_eq!(&build_candidate_graph(&streaming, &q, &cfg).0, &cg);
+                prop_assert_eq!(&build_candidate_graph(&decoded, &q, &cfg).0, &cg);
             }
         }
     }

@@ -1,12 +1,14 @@
 //! Property-based tests for the storage-generic graph layer: the packed
 //! on-disk image round-trips byte-identically through mmap, and the
 //! compressed backend is observationally equivalent to CSR through every
-//! `GraphStorage` method — on small random graphs and on sparse graphs
-//! over a large id space, whose long gaps reach the Rice decoder's edge
-//! cases. On those edge cases the streaming decoder's membership probe,
-//! the decode cache and CSR agree on every target. The decode cache stays
-//! within its budget, charges exactly its decoded lists to `mem_bytes`,
-//! and freezes admission under cyclic scans that would only thrash it.
+//! `GraphStorage` method, both streaming and from its decoded adjacency —
+//! on small random graphs and on sparse graphs over a large id space,
+//! whose long gaps reach the Rice decoder's edge cases. On those edge
+//! cases the streaming decoder's membership probe, the decoded adjacency
+//! and CSR agree on every target. The decoded adjacency is built only
+//! when the budget holds all of it, charges exactly its arrays to
+//! `mem_bytes`, is decoded once when two threads touch it first, and is
+//! never shared with a clone given its own budget.
 
 use gsword::graph::compressed::CompressedGraph;
 use gsword::prelude::*;
@@ -87,18 +89,29 @@ fn checked_ids(g: &Graph) -> Vec<(VertexId, Vec<VertexId>)> {
         .collect()
 }
 
-/// Every `GraphStorage` method of the compressed backend agrees with CSR.
+/// Every `GraphStorage` method of the compressed backend agrees with CSR,
+/// on a graph that streams every access (budget 0) and on one that reads
+/// its decoded adjacency (the default budget).
 fn check_equivalent_to_csr(g: &Graph) -> Result<(), TestCaseError> {
-    let c = CompressedGraph::from_graph(g);
-    prop_assert_eq!(GraphStorage::num_vertices(&c), g.num_vertices());
-    prop_assert_eq!(GraphStorage::num_edges(&c), g.num_edges());
-    prop_assert_eq!(GraphStorage::label_count(&c), g.label_count());
+    let streaming = CompressedGraph::from_graph(g).with_decode_cache(0);
+    check_backend_equivalent_to_csr(g, &streaming)?;
+    prop_assert_eq!(streaming.decode_cache_bytes(), 0);
+    let decoded = CompressedGraph::from_graph(g);
+    check_backend_equivalent_to_csr(g, &decoded)?;
+    prop_assert!(decoded.decode_cache_bytes() > 0);
+    Ok(())
+}
+
+fn check_backend_equivalent_to_csr(g: &Graph, c: &CompressedGraph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(GraphStorage::num_vertices(c), g.num_vertices());
+    prop_assert_eq!(GraphStorage::num_edges(c), g.num_edges());
+    prop_assert_eq!(GraphStorage::label_count(c), g.label_count());
 
     for (v, probes) in &checked_ids(g) {
         let v = *v;
-        prop_assert_eq!(GraphStorage::label(&c, v), g.label(v));
-        prop_assert_eq!(GraphStorage::degree(&c, v), g.degree(v));
-        prop_assert_eq!(&*GraphStorage::neighbors_ref(&c, v), g.neighbors(v));
+        prop_assert_eq!(GraphStorage::label(c, v), g.label(v));
+        prop_assert_eq!(GraphStorage::degree(c, v), g.degree(v));
+        prop_assert_eq!(&*GraphStorage::neighbors_ref(c, v), g.neighbors(v));
 
         let mut streamed = Vec::new();
         c.for_each_neighbor(v, |w| {
@@ -108,13 +121,13 @@ fn check_equivalent_to_csr(g: &Graph) -> Result<(), TestCaseError> {
         prop_assert_eq!(streamed.as_slice(), g.neighbors(v));
 
         for &w in probes {
-            prop_assert_eq!(GraphStorage::has_edge(&c, v, w), g.has_edge(v, w));
+            prop_assert_eq!(GraphStorage::has_edge(c, v, w), g.has_edge(v, w));
         }
     }
 
     for l in 0..g.label_count() {
         prop_assert_eq!(
-            GraphStorage::vertices_with_label(&c, l as Label),
+            GraphStorage::vertices_with_label(c, l as Label),
             g.vertices_with_label(l as Label)
         );
     }
@@ -200,8 +213,8 @@ fn wide_gap_graph() -> Graph {
 }
 
 /// Membership of `x` in `v`'s list from the streaming decoder, from the
-/// decode cache (a miss that fills it, then a hit) and from CSR; all must
-/// agree. Returns the verdict.
+/// decoded adjacency (twice: the first touch decodes it) and from CSR; all
+/// must agree. Returns the verdict.
 fn membership(
     g: &Graph,
     streaming: &CompressedGraph,
@@ -272,55 +285,153 @@ fn hub_graph(n: u32) -> Graph {
     b.build().expect("edges are in range")
 }
 
+/// Bytes of a graph's decoded adjacency: `n + 1` offsets and `2|E|` ids.
+fn decoded_bytes(g: &Graph) -> usize {
+    (g.num_vertices() + 1) * std::mem::size_of::<usize>()
+        + 2 * g.num_edges() * std::mem::size_of::<VertexId>()
+}
+
 #[test]
 fn cache_respects_its_budget_and_accounts_in_mem_bytes() {
     let g = hub_graph(4000);
     let n = g.num_vertices() as VertexId;
-    let c = CompressedGraph::from_graph(&g).with_decode_cache(8 * 1024);
-    let base = c.mem_bytes();
-    for v in 0..n {
-        let _ = c.neighbors_ref(v);
+    let decoded = decoded_bytes(&g);
+    assert_eq!(decoded, 4001 * 8 + 2 * 2666 * 4);
+
+    // One byte short of the copy: every access streams and nothing is held.
+    let short = CompressedGraph::from_graph(&g).with_decode_cache(decoded - 1);
+    let base = short.mem_bytes();
+    for _ in 0..3 {
+        for v in 0..n {
+            assert_eq!(&*short.neighbors_ref(v), g.neighbors(v), "v={v}");
+        }
     }
-    let resident = c.decode_cache_bytes();
-    assert!(resident > 0, "scan populated the cache");
-    assert!(
-        resident <= 8 * 1024,
-        "resident {resident}B exceeds the 8KiB budget"
+    assert_eq!(
+        short.decode_cache_bytes(),
+        0,
+        "a short budget holds nothing"
     );
-    assert_eq!(c.mem_bytes(), base + resident, "mem_bytes counts the cache");
-    // Disabled cache: no growth, identical answers.
+    assert_eq!(short.mem_bytes(), base, "a short budget never grows");
+
+    // Exactly the copy: a degree scan decodes nothing, the first
+    // adjacency access decodes all of it, and mem_bytes counts it.
+    let whole = CompressedGraph::from_graph(&g).with_decode_cache(decoded);
+    let base = whole.mem_bytes();
+    assert_eq!(
+        GraphStats::of(&whole).mem_bytes,
+        base,
+        "degrees decode nothing"
+    );
+    assert_eq!(
+        whole.decode_cache_bytes(),
+        0,
+        "nothing before the first adjacency access"
+    );
+    assert_eq!(&*whole.neighbors_ref(0), g.neighbors(0));
+    assert_eq!(whole.decode_cache_bytes(), decoded);
+    assert_eq!(
+        whole.mem_bytes(),
+        base + decoded,
+        "mem_bytes counts the copy"
+    );
+
+    // A zero budget: no growth, identical answers.
     let off = CompressedGraph::from_graph(&g).with_decode_cache(0);
     let before = off.mem_bytes();
-    for v in 0..64 {
-        assert_eq!(&*off.neighbors_ref(v), &*c.neighbors_ref(v), "v={v}");
-    }
-    assert_eq!(off.mem_bytes(), before, "disabled cache never grows");
-    // A budget that holds the whole graph: one scan leaves every list
-    // resident, each at 4 bytes per neighbor plus the 64-byte entry
-    // overhead, and nothing else.
-    let whole = CompressedGraph::from_graph(&g).with_decode_cache(1 << 20);
     for v in 0..n {
-        let _ = whole.neighbors_ref(v);
+        assert_eq!(&*off.neighbors_ref(v), &*whole.neighbors_ref(v), "v={v}");
+        assert_eq!(off.degree(v), whole.degree(v), "v={v}");
     }
-    let want: usize = (0..n).map(|v| 4 * g.degree(v) + 64).sum();
-    assert_eq!(whole.decode_cache_bytes(), want);
+    assert_eq!(off.decode_cache_bytes(), 0);
+    assert_eq!(off.mem_bytes(), before, "a zero budget never grows");
+}
+
+/// Every `GraphStorage` answer for `c`, vertex by vertex, with
+/// `neighbors_ref`, `neighbors_into` and `for_each_neighbor` compared
+/// against each other on the way.
+fn storage_answers(c: &CompressedGraph) -> Vec<(usize, Label, Vec<VertexId>, Vec<bool>)> {
+    let n = c.num_vertices() as VertexId;
+    let mut buf = Vec::new();
+    (0..n)
+        .map(|v| {
+            let mut seen = Vec::new();
+            c.for_each_neighbor(v, |w| {
+                seen.push(w);
+                true
+            });
+            assert_eq!(&*c.neighbors_ref(v), seen.as_slice(), "neighbors_ref({v})");
+            c.neighbors_into(v, &mut buf);
+            assert_eq!(buf, seen, "neighbors_into({v})");
+            let probes = [0, v, (v * 7 + 3) % n, n - 1];
+            let edges = probes
+                .iter()
+                .map(|&w| GraphStorage::has_edge(c, v, w))
+                .collect();
+            (
+                GraphStorage::degree(c, v),
+                GraphStorage::label(c, v),
+                seen,
+                edges,
+            )
+        })
+        .collect()
 }
 
 #[test]
-fn thrash_guard_freezes_admission_under_cyclic_scans() {
-    // A working set far beyond the budget: without the guard every
-    // access would decode, insert, and evict for zero hits. With it,
-    // admission freezes after a capacity's worth of futile evictions,
-    // the resident set pins, and answers stay exact.
-    let g = hub_graph(4000);
-    let c = CompressedGraph::from_graph(&g).with_decode_cache(8 * 1024);
-    let n = g.num_vertices() as VertexId;
-    for _ in 0..3 {
-        for v in 0..n {
-            assert_eq!(&*c.neighbors_ref(v), g.neighbors(v));
-        }
+fn first_touch_from_two_threads_decodes_once() {
+    // Both threads reach their first access together: one through
+    // `degree` (served by the index until the copy exists), one through
+    // `for_each_neighbor`. The cell decodes once, and the decode pass must
+    // not read the cell it is filling (that hangs).
+    let g = gsword::datasets::dataset("yeast");
+    let c = CompressedGraph::from_graph(&g);
+    assert_eq!(c.decode_cache_bytes(), 0);
+    let start = std::sync::Barrier::new(2);
+    let [first, second] = std::thread::scope(|s| {
+        let threads = [0, 1].map(|t| {
+            let (c, start) = (&c, &start);
+            s.spawn(move || {
+                start.wait();
+                if t == 0 {
+                    let _ = c.degree(0);
+                } else {
+                    c.for_each_neighbor(0, |_| true);
+                }
+                storage_answers(c)
+            })
+        });
+        threads.map(|t| t.join().expect("storage thread"))
+    });
+    assert!(first == second, "threads disagree");
+    let streaming = CompressedGraph::from_graph(&g).with_decode_cache(0);
+    assert!(
+        first == storage_answers(&streaming),
+        "decoded and streaming disagree"
+    );
+    for (v, (degree, _, list, _)) in first.iter().enumerate() {
+        assert_eq!(*degree, g.degree(v as VertexId));
+        assert_eq!(list.as_slice(), g.neighbors(v as VertexId));
     }
-    let resident = c.decode_cache_bytes();
-    assert!(resident > 0, "pinned set survives the scans");
-    assert!(resident <= 8 * 1024, "guard never overflows the budget");
+    assert_eq!(c.decode_cache_bytes(), decoded_bytes(&g), "one copy");
+}
+
+#[test]
+fn rebudgeted_clone_keeps_the_originals_copy() {
+    let g = hub_graph(4000);
+    let c = CompressedGraph::from_graph(&g);
+    for v in 0..2000 {
+        assert_eq!(&*c.neighbors_ref(v), g.neighbors(v), "v={v}");
+    }
+    let held = c.decode_cache_bytes();
+    assert!(held > 0, "the default budget decoded the graph");
+    let small = c.clone().with_decode_cache(4096);
+    for v in 2000..4000 {
+        assert_eq!(&*small.neighbors_ref(v), g.neighbors(v), "v={v}");
+    }
+    assert_eq!(
+        c.decode_cache_bytes(),
+        held,
+        "the clone left the copy alone"
+    );
+    assert_eq!(small.decode_cache_bytes(), 0, "4 KiB holds no copy");
 }
