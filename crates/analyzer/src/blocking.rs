@@ -3,12 +3,12 @@
 //!
 //! Each (device, stream) of a runtime scope has exactly one thread. A job
 //! that *waits* for other jobs on its own stream — directly
-//! (`Event::wait`, `wait_report`) or by opening a nested `scope` (which
+//! (`LaunchHandle::wait`, `wait_report`) or by opening a nested `scope` (which
 //! drains before it returns) — can self-deadlock: the stream's only
 //! thread parks waiting for a job that no other thread exists to run. The
 //! rule therefore flags any blocking call reachable (transitively,
 //! through [`crate::callgraph::Summaries`]) from the closure argument of
-//! a `submit` / `launch` / `launch_named` call.
+//! a `submit` / `launch_named` call.
 //!
 //! Host-side closures are exempt by construction: the rule inspects only
 //! the *arguments* of submit-family method calls, never `scope`'s own
@@ -20,13 +20,13 @@ use crate::cfg::{extract_calls, Call};
 use crate::parse::{visit_exprs, FnDef};
 
 /// Submit-family methods whose closure argument runs on a stream thread.
-const SUBMITS: &[&str] = &["submit", "launch", "launch_named"];
+const SUBMITS: &[&str] = &["submit", "launch_named"];
 
 /// Unconditionally blocking drain primitives.
 const DRAINS: &[&str] = &["scope", "wait_report"];
 
 /// Is this call a blocking drain — a drain primitive, a zero-argument
-/// `wait()` (`Event::wait` / handle-join style; `cv.wait(stamp)` with
+/// `wait()` (`LaunchHandle::wait` style; `cv.wait(stamp)` with
 /// arguments is a different, host-side API), or a call into a function
 /// whose summary says it blocks?
 fn blocking_name(c: &Call, sums: &Summaries) -> Option<String> {
@@ -130,8 +130,8 @@ mod tests {
 
     #[test]
     fn wait_inside_submitted_job_flagged() {
-        let src = "pub fn worker_waits(rs: &RuntimeScope, ev: &Event) {\n\
-            rs.submit(0, 0, move || ev.wait());\n\
+        let src = "pub fn worker_waits(rs: &RuntimeScope, h: LaunchHandle<u32>) {\n\
+            rs.submit(0, 0, move || h.wait());\n\
         }";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -164,36 +164,36 @@ mod tests {
 
     #[test]
     fn blocking_reached_through_helper_summary() {
-        let src = "fn await_event(ev: &Event) {\n\
-            ev.wait();\n\
+        let src = "fn await_launch(h: LaunchHandle<u32>) {\n\
+            h.wait();\n\
         }\n\
-        pub fn bad(rs: &RuntimeScope, ev: &Event) {\n\
-            rs.launch_named(\"drain\", move || await_event(ev));\n\
+        pub fn bad(rs: &RuntimeScope, h: LaunchHandle<u32>) {\n\
+            rs.launch_named(\"drain\", move || await_launch(h));\n\
         }";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("`await_event`"), "{f:?}");
+        assert!(f[0].message.contains("`await_launch`"), "{f:?}");
     }
 
     #[test]
     fn spawn_closure_is_a_thread_boundary() {
         // A function that parks a spawned thread on a wait must not be
         // summarized as blocking: the spawner returns immediately.
-        let src = "fn spawn_waiter(ev: &Event) {\n\
-            std::thread::spawn(move || ev.wait());\n\
+        let src = "fn spawn_waiter(h: LaunchHandle<u32>) {\n\
+            std::thread::spawn(move || h.wait());\n\
         }\n\
-        pub fn ok(rs: &RuntimeScope, ev: &Event) {\n\
-            rs.submit(0, 0, move || spawn_waiter(ev));\n\
+        pub fn ok(rs: &RuntimeScope, h: LaunchHandle<u32>) {\n\
+            rs.submit(0, 0, move || spawn_waiter(h));\n\
         }";
         assert!(findings(src).is_empty(), "{:?}", findings(src));
 
         // ...but a wait *outside* the spawn argument still blocks.
-        let src = "fn spawn_then_wait(ev: &Event) {\n\
+        let src = "fn spawn_then_wait(h: LaunchHandle<u32>) {\n\
             std::thread::spawn(move || step());\n\
-            ev.wait();\n\
+            h.wait();\n\
         }\n\
-        pub fn bad(rs: &RuntimeScope, ev: &Event) {\n\
-            rs.submit(0, 0, move || spawn_then_wait(ev));\n\
+        pub fn bad(rs: &RuntimeScope, h: LaunchHandle<u32>) {\n\
+            rs.submit(0, 0, move || spawn_then_wait(h));\n\
         }";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -203,7 +203,7 @@ mod tests {
     #[test]
     fn test_functions_are_skipped() {
         let src = "#[cfg(test)]\nmod tests {\n\
-            fn t(rs: &RuntimeScope, ev: &Event) { rs.submit(0, 0, move || ev.wait()); }\n\
+            fn t(rs: &RuntimeScope, h: LaunchHandle<u32>) { rs.submit(0, 0, move || h.wait()); }\n\
         }";
         assert!(findings(src).is_empty());
     }

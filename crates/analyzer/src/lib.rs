@@ -18,7 +18,6 @@
 //! order) live in [`order`], the stream-thread deadlock rule in
 //! [`blocking`], the `unsafe` audit in [`escape`], and the file-level
 //! `SeqCst` ban migrated from the old textual lint in [`confined`].
-//! Findings serialize to SARIF 2.1.0 via [`sarif`].
 //!
 //! The front-end is purpose-built on `std` alone rather than `syn`: the
 //! workspace builds hermetically from vendored stubs (see
@@ -34,8 +33,7 @@
 //!
 //! False positives are silenced in place with `// gsword: allow(rule)`
 //! (covers the comment's line and the next) or `// gsword:
-//! allow-file(rule)` (whole file), or accepted into the checked-in
-//! baseline consumed by `cargo xtask analyze --gate`.
+//! allow-file(rule)` (whole file).
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -49,47 +47,9 @@ pub mod escape;
 pub mod lex;
 pub mod order;
 pub mod parse;
-pub mod sarif;
 
 use analysis::{analyze_kernel_fn, analyze_kernel_fn_with, is_kernel_fn, RawFinding};
 use callgraph::Summaries;
-
-/// Every rule the analyzer knows, with a one-line description. Drives the
-/// SARIF `rules` array and the README table.
-pub const RULES: &[(&str, &str)] = &[
-    (
-        "divergent-sync",
-        "warp primitive participation mask contradicts the declared or actual convergence",
-    ),
-    (
-        "pool-race",
-        "block-shared pool accesses on some path lack an intervening block_barrier",
-    ),
-    (
-        "primitive-charges-counters",
-        "pub fn takes &mut KernelCounters but never charges the device cost model",
-    ),
-    (
-        "no-seqcst",
-        "SeqCst atomic ordering outside the allow-listed handshake sites",
-    ),
-    (
-        "nondet-order",
-        "HashMap/HashSet iteration order flows into reports, errors, or serialized output",
-    ),
-    (
-        "float-reduce-order",
-        "float accumulation or estimate merge performed in nondeterministic order",
-    ),
-    (
-        "scope-blocking",
-        "blocking drain reachable from a job submitted to a stream",
-    ),
-    (
-        "unsafe-escape",
-        "unsafe site without a SAFETY comment, or unsafe-derived value escaping its validator",
-    ),
-];
 
 /// One diagnostic, formatted `file:line:col: rule: message` (position
 /// omitted for file-scoped rules).
@@ -374,16 +334,6 @@ mod tests {
             "core/src/builder.rs:1:35: no-seqcst: SeqCst ordering is banned \
              (use Relaxed or Acquire/Release and document why)"
         );
-    }
-
-    #[test]
-    fn rules_table_is_sorted_unique_and_complete() {
-        let names: Vec<&str> = RULES.iter().map(|(n, _)| *n).collect();
-        let mut dedup = names.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len(), "duplicate rule ids");
-        assert_eq!(names.len(), 8);
     }
 
     #[test]

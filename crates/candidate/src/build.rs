@@ -112,7 +112,10 @@ pub fn build_candidate_graph<S: GraphStorage>(
         .collect();
 
     // Global candidates with label (+degree, +NLF) filters. Query vertices
-    // sharing a label share one pass of degree reads.
+    // sharing a label share one pass of degree reads. Before pruning, C(u)
+    // depends only on u's filter key: its label, plus deg_q(u) and its NLF
+    // signature when those filters are on. A vertex whose key an earlier
+    // vertex already had copies that vertex's set.
     let mut global_sets: Vec<Vec<VertexId>> = vec![Vec::new(); n];
     let mut degrees: Vec<usize> = Vec::new();
     for first in 0..n as QueryVertex {
@@ -126,6 +129,15 @@ pub fn build_candidate_graph<S: GraphStorage>(
             degrees.extend(pool.iter().map(|&v| data.degree(v)));
         }
         for u in (first..n as QueryVertex).filter(|&u| query.label(u) == label) {
+            let same_key = |p: QueryVertex| {
+                query.label(p) == label
+                    && (!config.degree_filter || query.degree(p) == query.degree(u))
+                    && (!config.nlf_filter || nlf[p as usize] == nlf[u as usize])
+            };
+            if let Some(p) = (first..u).find(|&p| same_key(p)) {
+                global_sets[u as usize] = global_sets[p as usize].clone();
+                continue;
+            }
             global_sets[u as usize] = pool
                 .iter()
                 .enumerate()
@@ -176,78 +188,106 @@ pub fn build_candidate_graph<S: GraphStorage>(
         global_off.push(global.len());
     }
 
-    let tuples: usize = (0..n as QueryVertex)
-        .map(|u| global_sets[u as usize].len() * query.degree(u))
-        .sum();
-    let mut edge_off = Vec::with_capacity(n + 1);
-    edge_off.push(0);
-    let mut edge_dst: Vec<QueryVertex> = Vec::new();
-    let mut cand_off = vec![0];
-    let mut cand_vtx: Vec<VertexId> = Vec::with_capacity(tuples);
+    // Classes: query vertices whose final candidate sets are equal, at most
+    // 32. Pruning and NLF can split vertices that share a filter key, so
+    // the classes come from the sets themselves.
+    let mut reps: Vec<usize> = Vec::new();
+    let mut class = vec![0usize; n];
+    for u in 0..n {
+        class[u] = match reps.iter().position(|&r| global_sets[r] == global_sets[u]) {
+            Some(a) => a,
+            None => {
+                reps.push(u);
+                reps.len() - 1
+            }
+        };
+    }
+    // Bit b of `cadj[a]` is set when some query edge u → u' has class(u) =
+    // a and class(u') = b. Class edge a → b sits at `cedge_off[a]` plus the
+    // rank of b among a's target classes.
+    let mut cadj = vec![0u32; reps.len()];
     for u in 0..n as QueryVertex {
         for u2 in query.neighbors(u) {
-            edge_dst.push(u2);
-            cand_vtx.extend_from_slice(&global_sets[u as usize]);
-            cand_off.push(cand_vtx.len());
+            cadj[class[u as usize]] |= 1 << class[u2 as usize];
         }
-        edge_off.push(edge_dst.len());
     }
+    let mut cedge_off = vec![0];
+    for m in &cadj {
+        cedge_off.push(cedge_off[cedge_off.len() - 1] + m.count_ones() as usize);
+    }
+    let cedge =
+        |a: usize, b: usize| cedge_off[a] + (cadj[a] & ((1 << b) - 1)).count_ones() as usize;
 
-    // Local sets C(u, u', v) = N(v) ∩ C(u'). Bit u of `holds[v]` is set
-    // when v ∈ C(u) (queries have at most 32 vertices). Each candidate's
-    // adjacency is streamed once, in ascending id order, and every neighbor
-    // is routed to each out-edge u → u' with v ∈ C(u) and w ∈ C(u'), so
-    // the per-edge buffers fill in C(u) order with sorted segments.
+    // Local sets C(u, u', v) = N(v) ∩ C(u') depend only on C(u) and C(u'),
+    // so each class edge is routed once. Bit a of `holds[v]` is set when v
+    // is in class a's set. Each candidate's adjacency is streamed once, in
+    // ascending id order, and every neighbor is routed to each class edge
+    // a → b with v in a's set and w in b's, so the class buffers fill in
+    // C(u) order with sorted segments; `ends[k]` holds each segment's end.
     let mut holds = vec![0u32; data.num_vertices()];
-    for (u, set) in global_sets.iter().enumerate() {
-        for &v in set {
-            holds[v as usize] |= 1 << u;
+    for (a, &r) in reps.iter().enumerate() {
+        for &v in &global_sets[r] {
+            holds[v as usize] |= 1 << a;
         }
     }
-    let adj: Vec<u32> = (0..n as QueryVertex)
-        .map(|u| query.adjacency_mask(u))
-        .collect();
-    // Directed edge u → u' sits at `edge_off[u]` plus the rank of u' among
-    // u's query neighbors.
-    let edge_of =
-        |u: usize, u2: usize| edge_off[u] + (adj[u] & ((1 << u2) - 1)).count_ones() as usize;
-    let mut edge_local: Vec<Vec<VertexId>> = vec![Vec::new(); edge_dst.len()];
-    // Each tuple's segment end, relative to its edge's buffer until the
-    // buffers are laid out; `next[k]` is edge k's next tuple.
-    let mut local_off = vec![0usize; cand_vtx.len() + 1];
-    let mut next: Vec<usize> = cand_off.iter().map(|&t| t + 1).collect();
+    let num_cedges = cedge_off[reps.len()];
+    let mut class_local: Vec<Vec<VertexId>> = vec![Vec::new(); num_cedges];
+    let mut ends: Vec<Vec<usize>> = vec![Vec::new(); num_cedges];
     for (v, &src) in holds.iter().enumerate() {
         if src == 0 {
             continue;
         }
-        let want = bits(src).fold(0, |m, u| m | adj[u]);
+        let want = bits(src).fold(0, |m, a| m | cadj[a]);
         if want != 0 {
             data.for_each_neighbor(v as VertexId, |w| {
                 let hit = holds[w as usize] & want;
                 if hit != 0 {
-                    for u in bits(src) {
-                        for u2 in bits(hit & adj[u]) {
-                            edge_local[edge_of(u, u2)].push(w);
+                    for a in bits(src) {
+                        for b in bits(hit & cadj[a]) {
+                            class_local[cedge(a, b)].push(w);
                         }
                     }
                 }
                 true
             });
         }
-        for u in bits(src) {
-            for k in edge_off[u]..edge_off[u + 1] {
-                local_off[next[k]] = edge_local[k].len();
-                next[k] += 1;
+        for a in bits(src) {
+            for k in cedge_off[a]..cedge_off[a + 1] {
+                ends[k].push(class_local[k].len());
             }
         }
     }
 
-    let mut local: Vec<VertexId> = Vec::with_capacity(edge_local.iter().map(Vec::len).sum());
-    for (k, buf) in edge_local.iter().enumerate() {
-        for end in &mut local_off[cand_off[k] + 1..=cand_off[k + 1]] {
-            *end += local.len();
+    // Lay out the directed edges u → u' in (u, u') order. Each copies C(u)
+    // and its class edge's buffer, with segment ends rebased to where the
+    // copy starts.
+    let edge_class = |u: QueryVertex, u2: QueryVertex| cedge(class[u as usize], class[u2 as usize]);
+    let tuples: usize = (0..n as QueryVertex)
+        .map(|u| global_sets[u as usize].len() * query.degree(u))
+        .sum();
+    let local_len: usize = (0..n as QueryVertex)
+        .flat_map(|u| query.neighbors(u).map(move |u2| (u, u2)))
+        .map(|(u, u2)| class_local[edge_class(u, u2)].len())
+        .sum();
+    let mut edge_off = Vec::with_capacity(n + 1);
+    edge_off.push(0);
+    let mut edge_dst: Vec<QueryVertex> = Vec::new();
+    let mut cand_off = vec![0];
+    let mut cand_vtx: Vec<VertexId> = Vec::with_capacity(tuples);
+    let mut local_off = Vec::with_capacity(tuples + 1);
+    local_off.push(0);
+    let mut local: Vec<VertexId> = Vec::with_capacity(local_len);
+    for u in 0..n as QueryVertex {
+        for u2 in query.neighbors(u) {
+            edge_dst.push(u2);
+            cand_vtx.extend_from_slice(&global_sets[u as usize]);
+            cand_off.push(cand_vtx.len());
+            let k = edge_class(u, u2);
+            let base = local.len();
+            local_off.extend(ends[k].iter().map(|&end| base + end));
+            local.extend_from_slice(&class_local[k]);
         }
-        local.extend_from_slice(buf);
+        edge_off.push(edge_dst.len());
     }
 
     let cg = CandidateGraph {

@@ -22,6 +22,6 @@ pub use gsword_query::{
     gcare_order, quicksi_order, MatchingOrder, OrderKind, QueryClass, QueryGraph,
 };
 pub use gsword_simt::{
-    CounterSnapshot, DeviceConfig, DeviceModel, Event, KernelCounters, KernelMetrics, ProfReport,
+    CounterSnapshot, DeviceConfig, DeviceModel, KernelCounters, KernelMetrics, ProfReport,
     Profiler, Runtime, RuntimeConfig, SanitizerMode, SanitizerReport, Span, SpanKind, Track,
 };

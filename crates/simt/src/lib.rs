@@ -24,8 +24,8 @@
 //!   into modeled device milliseconds.
 //! * [`runtime`] — the CUDA-runtime analogue: N devices (the paper's
 //!   two-GPU testbed shape), per-device streams (ordered async launch
-//!   queues), events, and launch handles that carry each launch's
-//!   per-block results back to the caller. Its streams and block workers
+//!   queues), and launch handles that carry each launch's per-block
+//!   results back to the caller. Its streams and block workers
 //!   are scoped host threads, spawned per [`Runtime::scope`] and per
 //!   launch; a `Runtime` owns none.
 //!
@@ -57,5 +57,5 @@ pub use gsword_sanitizer::{
 };
 pub use memory::Region;
 pub use pool::SamplePool;
-pub use runtime::{Event, LaunchHandle, Runtime, RuntimeConfig, RuntimeScope};
+pub use runtime::{LaunchHandle, Runtime, RuntimeConfig, RuntimeScope};
 pub use warp::{Lanes, WarpMask, WARP_SIZE};

@@ -1,13 +1,13 @@
-//! The device runtime: N devices, per-device streams, and events.
+//! The device runtime: N devices and per-device streams.
 //!
 //! The paper evaluates gSWORD on two RTX 2080 Ti GPUs; this module is the
 //! CUDA-runtime analogue that lets the workspace target that shape. A
 //! [`Runtime`] owns a fixed set of [`Device`]s. Work is submitted to
-//! *streams* — ordered asynchronous launch queues — and completion is
-//! observed through *events* (record / wait / elapsed), mirroring
-//! `cudaStream_t`/`cudaEvent_t`. A launch hands its per-block results back
-//! through its [`LaunchHandle`]; the runtime keeps no counters of its own —
-//! whoever collects the results attributes them to devices and streams.
+//! *streams* — ordered asynchronous launch queues, mirroring
+//! `cudaStream_t`. A launch hands its per-block results back through its
+//! [`LaunchHandle`], whose `wait` is how completion is observed; the
+//! runtime keeps no counters of its own — whoever collects the results
+//! attributes them to devices and streams.
 //!
 //! A `Runtime` owns no threads. [`Runtime::scope`] opens a
 //! `std::thread::scope` with one thread per (device, stream), each running
@@ -21,8 +21,7 @@
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{mpsc, Mutex};
 
 use crate::device::{Device, DeviceConfig};
 use gsword_prof::{Profiler, SpanKind, Track};
@@ -56,59 +55,6 @@ impl Default for RuntimeConfig {
             device: DeviceConfig::default(),
             sim_workers: 0,
         }
-    }
-}
-
-/// A recordable completion marker, the `cudaEvent_t` analogue. Cloned
-/// handles observe the same underlying event.
-#[derive(Clone, Debug, Default)]
-pub struct Event {
-    inner: Arc<EventInner>,
-}
-
-#[derive(Debug, Default)]
-struct EventInner {
-    stamp: Mutex<Option<Instant>>,
-    cv: Condvar,
-}
-
-impl Event {
-    /// A fresh, unrecorded event.
-    pub fn new() -> Self {
-        Event::default()
-    }
-
-    /// Record the event: stamp the current time and wake all waiters.
-    /// Recording twice keeps the first stamp (a stream re-recording a
-    /// completed marker is a no-op, as on hardware replaying a graph).
-    pub fn record(&self) {
-        let mut stamp = self.inner.stamp.lock().expect("event lock");
-        if stamp.is_none() {
-            *stamp = Some(Instant::now());
-        }
-        drop(stamp);
-        self.inner.cv.notify_all();
-    }
-
-    /// Has the event been recorded yet? (`cudaEventQuery`.)
-    pub fn is_complete(&self) -> bool {
-        self.inner.stamp.lock().expect("event lock").is_some()
-    }
-
-    /// Block until the event records (`cudaEventSynchronize`).
-    pub fn wait(&self) {
-        let mut stamp = self.inner.stamp.lock().expect("event lock");
-        while stamp.is_none() {
-            stamp = self.inner.cv.wait(stamp).expect("event wait");
-        }
-    }
-
-    /// Milliseconds between this event's record and `later`'s
-    /// (`cudaEventElapsedTime`); `None` unless both have recorded.
-    pub fn elapsed_ms(&self, later: &Event) -> Option<f64> {
-        let a = (*self.inner.stamp.lock().expect("event lock"))?;
-        let b = (*later.inner.stamp.lock().expect("event lock"))?;
-        Some(b.saturating_duration_since(a).as_secs_f64() * 1e3)
     }
 }
 
@@ -352,36 +298,12 @@ impl<'env> RuntimeScope<'env> {
             .expect("stream thread alive inside scope");
     }
 
-    /// Enqueue an event record on a stream: it records once every job
-    /// submitted to that stream before it has finished (`cudaEventRecord`).
-    pub fn record(&self, device: usize, stream: usize) -> Event {
-        let event = Event::new();
-        let e = event.clone();
-        self.submit(device, stream, move || e.record());
-        event
-    }
-
     /// Asynchronously launch `body` over the global block ids in `blocks`
     /// on `(device, stream)`. Returns immediately; the handle's `wait`
     /// returns once the launch completes. Per-block results come back in
-    /// ascending block order for every sim-worker count.
-    pub fn launch<R, F>(
-        &self,
-        device: usize,
-        stream: usize,
-        blocks: Range<usize>,
-        body: F,
-    ) -> LaunchHandle<R>
-    where
-        R: Send + 'env,
-        F: Fn(usize) -> R + Send + Sync + 'env,
-    {
-        self.launch_named(device, stream, blocks, "kernel", body)
-    }
-
-    /// [`RuntimeScope::launch`] with an explicit kernel name: the name
-    /// labels the launch's span on the profiler timeline (and is ignored
-    /// when the runtime is not profiling).
+    /// ascending block order for every sim-worker count. `name` labels the
+    /// launch's span on the profiler timeline (and is ignored when the
+    /// runtime is not profiling).
     pub fn launch_named<R, F>(
         &self,
         device: usize,
@@ -434,7 +356,7 @@ mod tests {
     fn launch_returns_blocks_in_order() {
         let rt = tiny(2, 2);
         let out = rt.scope(|rs| {
-            let h = rs.launch(1, 1, 0..4, |b| b * 10);
+            let h = rs.launch_named(1, 1, 0..4, "kernel", |b| b * 10);
             h.wait()
         });
         assert_eq!(out, vec![0, 10, 20, 30]);
@@ -444,8 +366,8 @@ mod tests {
     fn launch_accepts_global_block_ranges() {
         let rt = tiny(2, 1);
         let (a, b) = rt.scope(|rs| {
-            let lo = rs.launch(0, 0, 0..2, |b| b);
-            let hi = rs.launch(1, 0, 2..4, |b| b);
+            let lo = rs.launch_named(0, 0, 0..2, "kernel", |b| b);
+            let hi = rs.launch_named(1, 0, 2..4, "kernel", |b| b);
             (lo.wait(), hi.wait())
         });
         assert_eq!(a, vec![0, 1]);
@@ -461,26 +383,9 @@ mod tests {
                 let log = &log;
                 rs.submit(0, 0, move || log.lock().unwrap().push(i));
             }
-            rs.record(0, 0).wait();
         });
+        // The scope drains every stream before it returns.
         assert_eq!(log.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn events_record_wait_and_elapse() {
-        let rt = tiny(1, 2);
-        rt.scope(|rs| {
-            let start = rs.record(0, 0);
-            rs.submit(0, 0, || {
-                std::thread::sleep(std::time::Duration::from_millis(2))
-            });
-            let end = rs.record(0, 0);
-            assert!(start.elapsed_ms(&end).is_none() || end.is_complete());
-            end.wait();
-            assert!(start.is_complete() && end.is_complete());
-            let ms = start.elapsed_ms(&end).expect("both recorded");
-            assert!(ms >= 1.0, "slept 2ms but elapsed {ms}");
-        });
     }
 
     #[test]
@@ -522,7 +427,7 @@ mod tests {
     fn unprofiled_launch_records_nothing() {
         let rt = tiny(1, 1);
         rt.scope(|rs| {
-            rs.launch(0, 0, 0..4, |b| b).wait();
+            rs.launch_named(0, 0, 0..4, "kernel", |b| b).wait();
         });
         assert!(!rt.profiler().enabled());
         assert_eq!(rt.profiler().report(), gsword_prof::ProfReport::default());
@@ -534,7 +439,6 @@ mod tests {
         let rt = tiny(1, 1);
         rt.scope(|rs| {
             rs.submit(0, 0, || panic!("kernel exploded"));
-            rs.record(0, 0).wait();
         });
     }
 
@@ -563,8 +467,8 @@ mod tests {
         let rt = with_workers(4, 16);
         for _ in 0..3 {
             let (a, b) = rt.scope(|rs| {
-                let a = rs.launch(0, 0, 0..16, |b| b);
-                let b = rs.launch(0, 0, 4..12, |b| b * 2);
+                let a = rs.launch_named(0, 0, 0..16, "kernel", |b| b);
+                let b = rs.launch_named(0, 0, 4..12, "kernel", |b| b * 2);
                 (a.wait(), b.wait())
             });
             assert_eq!(a, (0..16).collect::<Vec<_>>());
@@ -616,7 +520,7 @@ mod tests {
         rt.scope(|rs| {
             // The handle is never waited on: the scope's end surfaces the
             // poison by itself.
-            let _h = rs.launch(0, 0, 0..8, |b| {
+            let _h = rs.launch_named(0, 0, 0..8, "kernel", |b| {
                 if b == 5 {
                     panic!("block exploded");
                 }

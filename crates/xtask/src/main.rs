@@ -2,41 +2,22 @@
 //!
 //! `analyze` runs the gsword-analyzer static checks (interprocedural
 //! uniformity/blocking dataflow over kernel CFGs plus the migrated repo
-//! invariants) over the workspace's crates. `--sarif` writes the findings
-//! as a SARIF 2.1.0 log (validated on the way out), `--gate` fails only on
-//! findings not recorded in the checked-in baseline. `check-trace` validates
-//! Chrome trace JSON emitted by the profiler; `check-sarif` validates a
-//! SARIF log the same way.
+//! invariants) over the workspace's crates and fails on any finding.
+//! `check-trace` validates Chrome trace JSON emitted by the profiler.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-mod sarif_check;
-
 const USAGE: &str = "\
 usage: cargo xtask <task>
 
 tasks:
-  analyze [dir] [flags]
-                       run the static lockstep-safety analyzer over `dir`
+  analyze [dir]        run the static lockstep-safety analyzer over `dir`
                        (default: the workspace's crates/ directory,
                        excluding xtask and fixture trees); reports
                        machine-readable findings `file:line:col: rule:
                        message` in deterministic order and fails on any
-        --sarif <file>   also write the findings as a SARIF 2.1.0 log
-                         (shape-validated after writing)
-        --gate           compare findings against the checked-in baseline
-                         and fail only on NEW findings; stale baseline
-                         entries are reported but never fail the gate
-        --baseline <f>   baseline file for --gate (default:
-                         analyzer-baseline.txt at the workspace root;
-                         missing file = empty baseline; lines starting
-                         with '#' and blank lines are ignored)
-  check-sarif <file>   validate a SARIF 2.1.0 log written by
-                       `cargo xtask analyze --sarif <file>` (parses the
-                       JSON, checks driver/rules/results shape, reports
-                       the result count) — used by the CI analyze step
   check-trace <file>   validate a Chrome trace JSON written by
                        `gsword estimate --profile --trace-out <file>`
                        (parses the JSON, checks event shape, reports the
@@ -85,33 +66,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => run_analyze(&args[1..]),
-        Some("check-sarif") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("xtask check-sarif: missing <file>\n{USAGE}");
-                return ExitCode::from(2);
-            };
-            let json = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("xtask check-sarif: cannot read {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            match sarif_check::validate_sarif(&json) {
-                Ok(s) => {
-                    println!(
-                        "xtask check-sarif: {path} ok — {} result(s) ({} with \
-                         source regions), {} rule(s)",
-                        s.results, s.located, s.rules
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("xtask check-sarif: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         Some("check-trace") => {
             let Some(path) = args.get(1) else {
                 eprintln!("xtask check-trace: missing <file>\n{USAGE}");
@@ -230,42 +184,19 @@ fn main() -> ExitCode {
     }
 }
 
-/// `cargo xtask analyze [dir] [--gate] [--sarif <f>] [--baseline <f>]`.
+/// `cargo xtask analyze [dir]`.
 fn run_analyze(rest: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut gate = false;
-    let mut sarif_out: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--gate" => gate = true,
-            "--sarif" | "--baseline" => {
-                let flag = rest[i].clone();
-                i += 1;
-                let Some(p) = rest.get(i) else {
-                    eprintln!("xtask analyze: {flag} needs a file argument\n{USAGE}");
-                    return ExitCode::from(2);
-                };
-                if flag == "--sarif" {
-                    sarif_out = Some(PathBuf::from(p));
-                } else {
-                    baseline_path = Some(PathBuf::from(p));
-                }
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("xtask analyze: unknown flag '{flag}'\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            p => {
-                if root.is_some() {
-                    eprintln!("xtask analyze: more than one directory given\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                root = Some(PathBuf::from(p));
-            }
+    for arg in rest {
+        if arg.starts_with("--") {
+            eprintln!("xtask analyze: unknown flag '{arg}'\n{USAGE}");
+            return ExitCode::from(2);
         }
-        i += 1;
+        if root.is_some() {
+            eprintln!("xtask analyze: more than one directory given\n{USAGE}");
+            return ExitCode::from(2);
+        }
+        root = Some(PathBuf::from(arg));
     }
     let root = root.unwrap_or_else(default_analyze_root);
     if !root.exists() {
@@ -274,55 +205,7 @@ fn run_analyze(rest: &[String]) -> ExitCode {
     }
 
     let findings = gsword_analyzer::analyze_tree(&root);
-
-    if let Some(path) = &sarif_out {
-        let log = gsword_analyzer::sarif::to_sarif(&findings);
-        if let Err(e) = std::fs::write(path, &log) {
-            eprintln!("xtask analyze: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        // The writer is hand-rolled; never ship a log we can't re-read.
-        match sarif_check::validate_sarif(&log) {
-            Ok(s) => println!(
-                "xtask analyze: wrote {} ({} result(s), validated)",
-                path.display(),
-                s.results
-            ),
-            Err(e) => {
-                eprintln!("xtask analyze: emitted invalid SARIF: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if gate {
-        let bpath = baseline_path.unwrap_or_else(|| workspace_root().join("analyzer-baseline.txt"));
-        let baseline = read_baseline(&bpath);
-        let current: BTreeSet<String> = findings.iter().map(ToString::to_string).collect();
-        let new: Vec<&String> = current.iter().filter(|f| !baseline.contains(*f)).collect();
-        let stale: Vec<&String> = baseline.iter().filter(|b| !current.contains(*b)).collect();
-        for s in &stale {
-            eprintln!("xtask analyze: stale baseline entry (fixed? remove it): {s}");
-        }
-        if new.is_empty() {
-            println!(
-                "xtask analyze: gate clean ({}) — {} finding(s), all baselined",
-                root.display(),
-                current.len()
-            );
-            ExitCode::SUCCESS
-        } else {
-            for f in &new {
-                eprintln!("{f}");
-            }
-            eprintln!(
-                "xtask analyze: {} NEW finding(s) not in {}",
-                new.len(),
-                bpath.display()
-            );
-            ExitCode::FAILURE
-        }
-    } else if findings.is_empty() {
+    if findings.is_empty() {
         println!("xtask analyze: clean ({})", root.display());
         ExitCode::SUCCESS
     } else {
@@ -332,19 +215,6 @@ fn run_analyze(rest: &[String]) -> ExitCode {
         eprintln!("xtask analyze: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
-}
-
-/// Baseline file -> set of finding strings. A missing file is an empty
-/// baseline; blank lines and `#` comments are skipped.
-fn read_baseline(path: &PathBuf) -> BTreeSet<String> {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return BTreeSet::new();
-    };
-    text.lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(ToString::to_string)
-        .collect()
 }
 
 /// The workspace's `crates/` directory (xtask lives at `crates/xtask`).

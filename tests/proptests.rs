@@ -259,8 +259,11 @@ fn check_definition(
 }
 
 /// Queries of 3–12 vertices extracted from `g`, a 32-vertex query (the
-/// widest the membership masks allow), and a query with one label the
-/// data graph lacks, whose candidate set is empty.
+/// widest the membership masks allow), a query with one label the data
+/// graph lacks, whose candidate set is empty, and two queries whose
+/// vertices share filter keys: a path labeled 0–1–2–0, whose ends share a
+/// key but are pruned against different neighbors, and a one-label cycle,
+/// whose every directed edge maps to the one class edge `a → a`.
 fn definition_queries(g: &Graph, seed: u64) -> Vec<QueryGraph> {
     let mut queries: Vec<QueryGraph> = (3..=12)
         .filter_map(|k| QueryGraph::extract(g, k, seed ^ k as u64))
@@ -278,7 +281,34 @@ fn definition_queries(g: &Graph, seed: u64) -> Vec<QueryGraph> {
         .expect("connected 32-vertex query"),
     );
     queries.push(QueryGraph::new(vec![0, 7, 0], &[(0, 1), (1, 2), (0, 2)]).expect("triangle"));
+    queries.push(
+        QueryGraph::new(
+            [0, 1, 2, 0].map(|l| (l % labels) as Label).to_vec(),
+            &[(0, 1), (1, 2), (2, 3)],
+        )
+        .expect("labeled path"),
+    );
+    queries.push(
+        QueryGraph::new(vec![0; 5], &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+            .expect("one-label cycle"),
+    );
     queries
+}
+
+/// The configurations the definition is checked under: the three presets
+/// and pruning without NLF, under which vertices with one filter key can
+/// end with different sets.
+fn definition_configs() -> [BuildConfig; 4] {
+    [
+        BuildConfig::default(),
+        BuildConfig::strong(),
+        BuildConfig::unfiltered(),
+        BuildConfig {
+            degree_filter: true,
+            nlf_filter: false,
+            prune_rounds: 2,
+        },
+    ]
 }
 
 proptest! {
@@ -289,12 +319,60 @@ proptest! {
         let streaming = CompressedGraph::from_graph(&g).with_decode_cache(0);
         let decoded = CompressedGraph::from_graph(&g);
         for q in definition_queries(&g, seed) {
-            for cfg in [BuildConfig::default(), BuildConfig::strong(), BuildConfig::unfiltered()] {
+            for cfg in definition_configs() {
                 let (cg, _) = build_candidate_graph(&g, &q, &cfg);
                 check_definition(&g, &q, &cfg, &cg)?;
                 prop_assert_eq!(&build_candidate_graph(&streaming, &q, &cfg).0, &cg);
                 prop_assert_eq!(&build_candidate_graph(&decoded, &q, &cfg).0, &cg);
             }
+        }
+    }
+}
+
+/// A 32-vertex query with pairwise-distinct labels on a graph with 32
+/// labels: every query vertex is a class of its own, so the class masks use
+/// bit 31.
+#[test]
+fn thirty_two_classes_equal_the_definition() {
+    use rand::Rng;
+    let copies = 3;
+    let mut rng = SmallRng::seed_from_u64(32);
+    let mut b = GraphBuilder::with_vertices(32 * copies);
+    for v in 0..32 * copies {
+        b.set_label(v as VertexId, (v % 32) as Label);
+    }
+    let edges: Vec<(QueryVertex, QueryVertex)> = (1..32)
+        .map(|i| (i - 1, i))
+        .chain((4..32).step_by(4).map(|i| (i - 4, i)))
+        .collect();
+    // Copy 0 embeds the query, so every set keeps a vertex under every
+    // config. Each query edge also gets a few data edges between random
+    // copies of its labels, so sets and local lists differ in size.
+    for &(i, j) in &edges {
+        b.add_edge(i as VertexId, j as VertexId);
+        for _ in 0..copies {
+            let (ci, cj) = (rng.gen_range(0..copies), rng.gen_range(0..copies));
+            b.add_edge(
+                (i as usize + 32 * ci) as VertexId,
+                (j as usize + 32 * cj) as VertexId,
+            );
+        }
+    }
+    let g = b.build().expect("edges are in range");
+    let q = QueryGraph::new((0..32).collect(), &edges).expect("connected 32-vertex query");
+    let streaming = CompressedGraph::from_graph(&g).with_decode_cache(0);
+    let decoded = CompressedGraph::from_graph(&g);
+    for cfg in definition_configs() {
+        let (cg, _) = build_candidate_graph(&g, &q, &cfg);
+        assert!(
+            (0..32).all(|u| !cg.global(u).is_empty()),
+            "32 non-empty sets of distinct labels are 32 classes under {cfg:?}"
+        );
+        check_definition(&g, &q, &cfg, &cg).expect("CSR build equals the definition");
+        for (name, storage) in [("streaming", &streaming), ("decoded", &decoded)] {
+            let (other, _) = build_candidate_graph(storage, &q, &cfg);
+            check_definition(&g, &q, &cfg, &other)
+                .unwrap_or_else(|e| panic!("{name} build under {cfg:?}: {e}"));
         }
     }
 }

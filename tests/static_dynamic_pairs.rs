@@ -18,8 +18,8 @@
 
 use gsword_analyzer::Finding;
 use gsword_simt::{
-    warp, DeviceConfig, DeviceModel, Event, KernelCounters, Runtime, RuntimeConfig, SamplePool,
-    Sanitizer, SanitizerMode, ViolationKind, WARP_SIZE,
+    warp, DeviceConfig, DeviceModel, KernelCounters, LaunchHandle, Runtime, RuntimeConfig,
+    SamplePool, Sanitizer, SanitizerMode, ViolationKind, WARP_SIZE,
 };
 
 /// Analyze `src` under the path label `label` and assert the analyzer
@@ -178,19 +178,19 @@ fn no_seqcst_pairs_with_relaxed_exactness() {
 // scope-blocking  <->  a pool worker waiting on its own stream deadlocks
 // ---------------------------------------------------------------------------
 
-/// Static: a job submitted to the stream pool waits on an event from
-/// inside the worker. Dynamic: each (device, stream) has exactly one
-/// dedicated worker, so a job that waits for a *later* job on the same
-/// stream parks the only thread that could ever run that later job — the
+/// Static: a job submitted to a stream waits on a launch handle from
+/// inside the stream thread. Dynamic: each (device, stream) has exactly
+/// one thread, so a job that waits for a launch queued *later* on the same
+/// stream parks the only thread that could ever run that launch — the
 /// scope never drains. The cross-stream version of the same wait is fine,
 /// which is why the rule fires on blocking *reachable from a submitted
-/// job*, not on event waits as such.
+/// job*, not on handle waits as such.
 #[test]
 fn scope_blocking_pairs_with_same_stream_deadlock() {
     assert_single_finding(
         "core/src/schedule.rs",
-        "pub fn wait_inside_worker(rs: &RuntimeScope, ev: &Event) {
-            rs.submit(0, 0, move || ev.wait());
+        "pub fn wait_inside_worker(rs: &RuntimeScope, handle: LaunchHandle<usize>) {
+            rs.submit(0, 0, move || handle.wait());
         }",
         "scope-blocking",
     );
@@ -205,27 +205,29 @@ fn scope_blocking_pairs_with_same_stream_deadlock() {
         sim_workers: 1,
     };
 
-    // Cross-stream wait drains: stream 1's worker records the event while
-    // stream 0's worker is parked in `wait`.
+    // Cross-stream wait drains: stream 1's thread runs the launch while
+    // stream 0's thread is parked in `wait`.
     let rt = Runtime::new(config);
     rt.scope(|rs| {
-        let ev = rs.record(0, 1);
-        rs.submit(0, 0, move || ev.wait());
+        let handle = rs.launch_named(0, 1, 0..2, "other-stream", |b| b);
+        rs.submit(0, 0, move || assert_eq!(handle.wait(), vec![0, 1]));
     });
 
-    // Same-stream wait deadlocks: the waiter is queued first, so stream
-    // 0's only worker parks in `wait` and the `record` job behind it can
-    // never run. Demonstrate via watchdog — the scope must still be stuck
-    // after a generous timeout. The runtime is leaked and the thread
-    // detached: joining either would block this test forever.
+    // Same-stream wait deadlocks: the waiter is queued first and is handed
+    // the launch queued behind it, so stream 0's only thread parks in
+    // `wait` and the launch can never run. Demonstrate via watchdog — the
+    // scope must still be stuck after a generous timeout. The runtime is
+    // leaked and the thread detached: joining either would block this test
+    // forever.
     let rt: &'static Runtime = Box::leak(Box::new(Runtime::new(config)));
     let (tx, rx) = std::sync::mpsc::channel();
     let stuck = std::thread::spawn(move || {
         rt.scope(|rs| {
-            let ev = Event::new();
-            let waiter = ev.clone();
-            rs.submit(0, 0, move || waiter.wait());
-            rs.submit(0, 0, move || ev.record());
+            let (handle_tx, handle_rx) = std::sync::mpsc::channel::<LaunchHandle<usize>>();
+            rs.submit(0, 0, move || {
+                handle_rx.recv().expect("handle sent").wait();
+            });
+            let _ = handle_tx.send(rs.launch_named(0, 0, 0..2, "same-stream", |b| b));
         });
         let _ = tx.send(());
     });

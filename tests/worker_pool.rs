@@ -80,7 +80,7 @@ fn ordering_and_results_hold_across_scopes() {
                 let log = &log;
                 rs.submit(0, 0, move || log.lock().unwrap().push(i));
             }
-            rs.launch(0, 0, 0..4, |b| b * 2).wait()
+            rs.launch_named(0, 0, 0..4, "blocks", |b| b * 2).wait()
         });
         assert_eq!(log.into_inner().unwrap(), (0..6).collect::<Vec<_>>());
         assert_eq!(blocks, vec![0, 2, 4, 6]);
@@ -127,8 +127,12 @@ fn poison_stays_with_the_scope_whose_job_panicked() {
         let a = s.spawn(move || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 rt.scope(|rs| {
+                    // Stream 0 runs the next job only after the panicking
+                    // one has unwound.
+                    let (ran_tx, ran_rx) = mpsc::channel::<()>();
                     rs.submit(0, 0, || panic!("scope A's job exploded"));
-                    rs.record(0, 0).wait();
+                    rs.submit(0, 0, move || ran_tx.send(()).unwrap());
+                    ran_rx.recv().unwrap();
                     a_panicked_tx.send(()).unwrap();
                     b_done_rx.recv().unwrap();
                 });
@@ -163,10 +167,10 @@ fn block_fan_out_matches_serial_results_on_any_worker_count() {
     for workers in [1, 2, 3, 8] {
         let rt = runtime(1, 1, workers);
         let (whole, tail, empty) = rt.scope(|rs| {
-            let whole = rs.launch(0, 0, 0..37, |b| b * 3 + 1);
+            let whole = rs.launch_named(0, 0, 0..37, "blocks", |b| b * 3 + 1);
             // Sub-ranges keep their global block ids.
-            let tail = rs.launch(0, 0, 30..37, |b| b * 3 + 1);
-            let empty = rs.launch(0, 0, 4..4, |b| b);
+            let tail = rs.launch_named(0, 0, 30..37, "blocks", |b| b * 3 + 1);
+            let empty = rs.launch_named(0, 0, 4..4, "blocks", |b| b);
             (whole.wait(), tail.wait(), empty.wait())
         });
         assert_eq!(whole, want, "workers={workers}");
@@ -185,7 +189,7 @@ fn panicking_block_fails_the_wait_instead_of_hanging() {
             let rt = runtime(1, 1, workers);
             let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 rt.scope(|rs| {
-                    rs.launch(0, 0, 0..4, |b| {
+                    rs.launch_named(0, 0, 0..4, "blocks", |b| {
                         if b == 2 {
                             panic!("block exploded");
                         }
