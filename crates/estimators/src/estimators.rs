@@ -75,7 +75,7 @@ pub trait Estimator: Sync {
     /// The default forwards to [`Estimator::refine_one`] per element, so
     /// custom estimators get set-refinement for free; built-ins with
     /// set-level structure override it with a batched strategy (Alley uses
-    /// the k-way adaptive intersection). Overrides must return exactly the
+    /// `intersect::filter_by_all_into`). Overrides must return exactly the
     /// per-element result — the engine's bit-identical-estimates guarantee
     /// rides on it.
     fn refine_into(&self, segs: &[Segment<'_>], cand: &[VertexId], out: &mut Vec<VertexId>) {

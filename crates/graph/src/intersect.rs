@@ -1,122 +1,27 @@
-//! Degree-adaptive sorted-set intersection.
+//! Sorted-set membership and filtering.
 //!
-//! The estimators' Refine step intersects a minimum candidate segment
-//! against every other backward segment, and the SIMT kernels charge the
-//! memory model for the probe addresses those intersections touch (the
-//! paper's Example 4 / Figures 5–6 access-pattern analysis). One fixed
-//! strategy is wrong for both, so this module picks per call:
+//! The estimators' Refine step keeps the candidates of a minimum segment
+//! that are members of every other backward segment, and the SIMT kernels
+//! charge the memory model for the probe addresses those searches touch
+//! (the paper's Example 4 / Figures 5–6 access-pattern analysis). Three
+//! primitives serve both:
 //!
-//! * **Merge** — the classic two-pointer walk, `O(|a| + |b|)`. Best when
-//!   operand sizes are comparable.
-//! * **Gallop** — iterate the smaller set, exponential-probe + binary
-//!   search into the larger one from a monotonically advancing cursor,
-//!   `O(|small| · log(|large|/|small|))` amortized. Best when sizes are
-//!   skewed by at least [`GALLOP_RATIO`].
+//! * [`member`] / [`member_with_probes`] — binary search for one vertex.
+//! * [`gallop_member`] / [`gallop_member_probes`] — exponential probe plus
+//!   binary search from a cursor that only moves forward, amortized
+//!   `O(1 + log gap)` per call when successive queries ascend.
+//! * [`filter_by_all_into`] — one ascending pass over a base set with a
+//!   gallop cursor per probe set, smallest probe set first: Alley's batched
+//!   Refine.
 //!
-//! The k-way entry points ([`intersect_multi_into`],
-//! [`intersect_filter_into`]) order operands smallest-first and
-//! short-circuit on an empty intermediate result. All functions produce
-//! identical output for identical inputs — strategy selection affects
-//! cost only — which is what lets the estimators stay bit-identical while
-//! the access pattern underneath them changes.
-//!
-//! The `*_probes` variants report every element offset a search touches,
-//! so the SIMT kernels can charge the coalescing memory model with the
-//! *actual* per-lane addresses instead of a synthetic model (DESIGN.md
-//! §11).
+//! Each returns exactly what per-element binary search would, so the
+//! estimators stay bit-identical whichever one a caller uses; only the
+//! cost differs. The `*_probes` variants report every element offset a
+//! search touches, so the SIMT kernels can charge the coalescing memory
+//! model with the *actual* per-lane addresses instead of a synthetic model
+//! (DESIGN.md §11).
 
 use crate::VertexId;
-
-/// Size-ratio cutover between merge and gallop: gallop when the larger
-/// operand is more than `GALLOP_RATIO` times the smaller one. At ratio r,
-/// merging costs `small·(1+r)` steps while galloping costs about
-/// `small·(log2(r)+2)`; the curves cross near 8 and galloping's cursor
-/// locality wins beyond it.
-pub const GALLOP_RATIO: usize = 8;
-
-/// The strategy [`intersect_into`] picks for a pair of operand sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Two-pointer linear merge.
-    Merge,
-    /// Exponential probe + binary search of the smaller set into the
-    /// larger.
-    Gallop,
-}
-
-/// The strategy the adaptive pairwise intersection uses for operand sizes
-/// `(a_len, b_len)`.
-#[inline]
-pub fn strategy_for(a_len: usize, b_len: usize) -> Strategy {
-    let (small, large) = if a_len <= b_len {
-        (a_len, b_len)
-    } else {
-        (b_len, a_len)
-    };
-    if large > GALLOP_RATIO * small {
-        Strategy::Gallop
-    } else {
-        Strategy::Merge
-    }
-}
-
-/// Append `a ∩ b` (both strictly sorted) to `out`, picking merge or gallop
-/// by [`strategy_for`]. Output stays sorted; identical to every other
-/// strategy's output.
-pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    if a.is_empty() || b.is_empty() {
-        return;
-    }
-    match strategy_for(a.len(), b.len()) {
-        Strategy::Gallop => {
-            if a.len() <= b.len() {
-                gallop_into(a, b, out)
-            } else {
-                gallop_into(b, a, out)
-            }
-        }
-        Strategy::Merge => merge_into(a, b, out),
-    }
-}
-
-/// Convenience: `a ∩ b` into a fresh vector.
-pub fn intersect(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    intersect_into(a, b, &mut out);
-    out
-}
-
-/// Two-pointer linear merge intersection (both inputs strictly sorted).
-pub fn merge_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Galloping intersection: iterate `small`, exponential-probe into `large`
-/// from a cursor that only moves forward. Requires both inputs strictly
-/// sorted; `small` need not actually be the smaller operand for
-/// correctness, only for speed.
-pub fn gallop_into(small: &[VertexId], large: &[VertexId], out: &mut Vec<VertexId>) {
-    let mut cursor = 0usize;
-    for &v in small {
-        if cursor >= large.len() {
-            break;
-        }
-        if gallop_member(large, &mut cursor, v) {
-            out.push(v);
-        }
-    }
-}
 
 /// Membership test by binary search (strictly sorted `set`).
 #[inline]
@@ -208,61 +113,37 @@ pub fn gallop_member_probes(
     false
 }
 
-/// Stack capacity for k-way operand bookkeeping; spills to the heap for
-/// wider intersections (queries are bounded well below this in practice).
+/// Stack capacity for probe-set bookkeeping; wider filters spill to the
+/// heap (queries are bounded well below this in practice).
 const KWAY_STACK: usize = 32;
 
-/// Append the k-way intersection of `sets` (each strictly sorted) to
-/// `out`. Operands are ordered smallest-first and the walk short-circuits
-/// the moment any operand (or the running result) is empty. Panics on an
-/// empty `sets` slice — the intersection of zero sets is undefined.
-pub fn intersect_multi_into(sets: &[&[VertexId]], out: &mut Vec<VertexId>) {
-    assert!(!sets.is_empty(), "k-way intersection of zero sets");
-    if sets.iter().any(|s| s.is_empty()) {
-        return; // short-circuit: some operand is empty
+/// Filter `base` by membership in every probe set, smallest probe set
+/// first (fail fast). Output preserves `base` order, i.e. stays sorted —
+/// exactly the per-element filter result, computed in one ascending pass
+/// with a monotone gallop cursor per probe set instead of independent
+/// binary searches. With no probe sets, `base` is copied through unchanged.
+pub fn filter_by_all_into(base: &[VertexId], probes: &[&[VertexId]], out: &mut Vec<VertexId>) {
+    if probes.iter().any(|s| s.is_empty()) {
+        return;
     }
-    let mut order_buf = [0usize; KWAY_STACK];
-    let mut order_heap;
-    let order: &mut [usize] = if sets.len() <= KWAY_STACK {
-        &mut order_buf[..sets.len()]
-    } else {
-        order_heap = vec![0usize; sets.len()];
-        &mut order_heap
-    };
-    for (i, slot) in order.iter_mut().enumerate() {
-        *slot = i;
-    }
-    order.sort_by_key(|&i| sets[i].len());
-    let base = sets[order[0]];
-    intersect_filter_into(base, &order[1..], |i| sets[i], out);
-}
-
-/// Append the elements of `base` (strictly sorted) that are members of
-/// *every* set `get(key)` for `key` in `keys` to `out`. The workhorse
-/// behind [`intersect_multi_into`] and the Alley Refine step: one
-/// ascending pass over `base` with a monotone gallop cursor per probe set.
-/// With no keys, `base` is copied through unchanged.
-fn intersect_filter_into<'s>(
-    base: &[VertexId],
-    keys: &[usize],
-    get: impl Fn(usize) -> &'s [VertexId],
-    out: &mut Vec<VertexId>,
-) {
-    if keys.is_empty() {
+    if probes.is_empty() {
         out.extend_from_slice(base);
         return;
     }
-    let mut cursor_buf = [0usize; KWAY_STACK];
-    let mut cursor_heap;
-    let cursors: &mut [usize] = if keys.len() <= KWAY_STACK {
-        &mut cursor_buf[..keys.len()]
+    let mut sets_buf: [(&[VertexId], usize); KWAY_STACK] = [(&[], 0); KWAY_STACK];
+    let mut sets_heap;
+    let sets: &mut [(&[VertexId], usize)] = if probes.len() <= KWAY_STACK {
+        &mut sets_buf[..probes.len()]
     } else {
-        cursor_heap = vec![0usize; keys.len()];
-        &mut cursor_heap
+        sets_heap = vec![(&[][..], 0); probes.len()];
+        &mut sets_heap
     };
+    for (slot, &set) in sets.iter_mut().zip(probes) {
+        slot.0 = set;
+    }
+    sets.sort_by_key(|(set, _)| set.len());
     'next: for &v in base {
-        for (k, cursor) in keys.iter().zip(cursors.iter_mut()) {
-            let set = get(*k);
+        for (set, cursor) in sets.iter_mut() {
             if !gallop_member(set, cursor, v) {
                 if *cursor >= set.len() {
                     return; // that probe set is exhausted: nothing later matches
@@ -274,69 +155,9 @@ fn intersect_filter_into<'s>(
     }
 }
 
-/// Filter `base` by membership in every probe set, smallest probe set
-/// first (fail fast). Output preserves `base` order, i.e. stays sorted —
-/// exactly the per-element filter result, computed with monotone cursors
-/// instead of independent binary searches.
-pub fn filter_by_all_into(base: &[VertexId], probes: &[&[VertexId]], out: &mut Vec<VertexId>) {
-    if probes.iter().any(|s| s.is_empty()) {
-        return;
-    }
-    if probes.is_empty() {
-        out.extend_from_slice(base);
-        return;
-    }
-    let mut order_buf = [0usize; KWAY_STACK];
-    let mut order_heap;
-    let order: &mut [usize] = if probes.len() <= KWAY_STACK {
-        &mut order_buf[..probes.len()]
-    } else {
-        order_heap = vec![0usize; probes.len()];
-        &mut order_heap
-    };
-    for (i, slot) in order.iter_mut().enumerate() {
-        *slot = i;
-    }
-    order.sort_by_key(|&i| probes[i].len());
-    intersect_filter_into(base, order, |i| probes[i], out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
-        let mut out: Vec<VertexId> = a.to_vec();
-        out.retain(|v| b.contains(v));
-        out
-    }
-
-    #[test]
-    fn pairwise_strategies_agree_with_naive() {
-        let a: Vec<VertexId> = vec![1, 3, 5, 7];
-        let b: Vec<VertexId> = vec![2, 3, 4, 7, 9];
-        let want = naive(&a, &b);
-        for f in [merge_into, gallop_into, intersect_into] {
-            let mut out = Vec::new();
-            f(&a, &b, &mut out);
-            assert_eq!(out, want);
-        }
-        let big: Vec<VertexId> = (0..1000).collect();
-        let small: Vec<VertexId> = vec![5, 999, 1001];
-        assert_eq!(intersect(&big, &small), vec![5, 999]);
-        assert_eq!(intersect(&small, &big), vec![5, 999]);
-        assert_eq!(intersect(&[], &big), Vec::<VertexId>::new());
-    }
-
-    #[test]
-    fn strategy_cutover_boundary() {
-        // 8× exactly merges; one past the ratio gallops.
-        assert_eq!(strategy_for(4, 32), Strategy::Merge);
-        assert_eq!(strategy_for(4, 33), Strategy::Gallop);
-        assert_eq!(strategy_for(33, 4), Strategy::Gallop);
-        assert_eq!(strategy_for(0, 1), Strategy::Gallop);
-        assert_eq!(strategy_for(7, 7), Strategy::Merge);
-    }
 
     #[test]
     fn gallop_cursor_is_monotone_and_correct() {
@@ -364,29 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_orders_smallest_first_and_short_circuits() {
-        let a: Vec<VertexId> = (0..100).collect();
-        let b: Vec<VertexId> = (0..100).filter(|v| v % 2 == 0).collect();
-        let c: Vec<VertexId> = (0..100).filter(|v| v % 3 == 0).collect();
-        let mut out = Vec::new();
-        intersect_multi_into(&[&a, &b, &c], &mut out);
-        let want: Vec<VertexId> = (0..100).filter(|v| v % 6 == 0).collect();
-        assert_eq!(out, want);
-        out.clear();
-        intersect_multi_into(&[&a, &[], &c], &mut out);
-        assert!(out.is_empty(), "empty operand short-circuits");
-        out.clear();
-        intersect_multi_into(&[&b], &mut out);
-        assert_eq!(out, b, "k=1 copies through");
-    }
-
-    #[test]
-    #[should_panic(expected = "zero sets")]
-    fn multi_rejects_zero_sets() {
-        intersect_multi_into(&[], &mut Vec::new());
-    }
-
-    #[test]
     fn filter_by_all_matches_per_element_filter() {
         let base: Vec<VertexId> = (0..50).collect();
         let p1: Vec<VertexId> = (0..50).filter(|v| v % 2 == 0).collect();
@@ -411,9 +209,6 @@ mod tests {
             .collect();
         let refs: Vec<&[VertexId]> = sets.iter().map(|s| s.as_slice()).collect();
         let mut out = Vec::new();
-        intersect_multi_into(&refs, &mut out);
-        assert_eq!(out.len(), 64);
-        out.clear();
         filter_by_all_into(&sets[0], &refs[1..], &mut out);
         assert_eq!(out.len(), 64);
     }

@@ -15,9 +15,10 @@
 //! * [`datasets`] — the eight-dataset suite mirroring Table 1 of the paper
 //!   at reduced scale.
 //! * [`stats`] — the statistics reported in Table 1.
-//! * [`intersect`] — the degree-adaptive sorted-set intersection engine
-//!   (merge / gallop) shared by the candidate builder's pruning, the
-//!   estimators' Refine step, and the SIMT kernels' memory charging.
+//! * [`intersect`] — sorted-set membership (binary search, monotone
+//!   gallop) and the batched probe filter, shared by the candidate
+//!   builder's pruning, the estimators' Refine step, and the SIMT kernels'
+//!   memory charging.
 //! * [`storage`] — the [`GraphStorage`] trait every data-graph consumer is
 //!   generic over, plus [`AnyGraph`] for runtime backend selection.
 //! * [`compressed`] — [`CompressedGraph`]: gap-coded varint adjacency with

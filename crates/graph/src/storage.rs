@@ -11,7 +11,7 @@
 //!    (the compressed backend is a lossless re-encoding of the CSR).
 //! 2. Every membership entry point produces output that depends only on
 //!    the *sets*, never on the storage strategy — the same contract the
-//!    adaptive intersection engine already honors (DESIGN.md §11).
+//!    `intersect` searches already honor (DESIGN.md §11).
 //!
 //! Together these guarantee that the candidate graph, and therefore every
 //! downstream estimate and device counter, is identical whichever backend

@@ -1,12 +1,12 @@
 //! Trawling (Algorithm 4) and the batched co-processing driver (Figure 9).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use gsword_enumeration::{count_extensions, EnumLimits};
 use gsword_estimators::{run_partial_sample, Estimate, Estimator, QueryCtx, SampleState};
 use gsword_simt::{KernelCounters, SpanKind, Track};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -279,7 +279,9 @@ pub fn run_coprocessing<E: Estimator + ?Sized>(
             .record_span(Track::Host, SpanKind::Phase, "grace window", grace_start);
     }
 
-    let contributions = contributions.into_inner();
+    let contributions = contributions
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let trawl_completed = contributions.len() as u64;
     let trawl_mean = if contributions.is_empty() {
         None
@@ -336,7 +338,8 @@ fn enumerate_one(
     out: &Mutex<Vec<f64>>,
 ) {
     match task {
-        None => out.lock().push(0.0), // failed prefix: completes instantly
+        // A failed prefix completes instantly.
+        None => out.lock().unwrap_or_else(PoisonError::into_inner).push(0.0),
         Some(s) => {
             let outcome = count_extensions(
                 ctx,
@@ -347,7 +350,9 @@ fn enumerate_one(
                 },
             );
             if outcome.complete {
-                out.lock().push(outcome.count as f64 / s.prob);
+                out.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(outcome.count as f64 / s.prob);
             }
         }
     }

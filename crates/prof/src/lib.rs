@@ -30,10 +30,8 @@ pub mod trace;
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 /// Maximum spans kept with full detail; past the cap only the total keeps
 /// counting (`ProfReport::spans_dropped`). Long adaptive loops stay bounded.
@@ -483,11 +481,14 @@ impl Profiler {
         let Some(inner) = &self.inner else { return };
         let end_us = end_us.max(start_us);
         {
-            let mut track_end = inner.track_end.lock();
+            let mut track_end = inner
+                .track_end
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             let e = track_end.entry(track).or_insert(0);
             *e = (*e).max(end_us);
         }
-        let mut spans = inner.spans.lock();
+        let mut spans = inner.spans.lock().unwrap_or_else(PoisonError::into_inner);
         if spans.len() < SPAN_CAP {
             spans.push(Span {
                 track,
@@ -497,7 +498,10 @@ impl Profiler {
                 end_us,
             });
         } else {
-            *inner.spans_dropped.lock() += 1;
+            *inner
+                .spans_dropped
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner) += 1;
         }
     }
 
@@ -509,6 +513,7 @@ impl Profiler {
         inner
             .streams
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry((device as u32, stream as u32))
             .or_default()
             .merge(counters);
@@ -525,7 +530,7 @@ impl Profiler {
         samples_inherited: u64,
     ) {
         let Some(inner) = &self.inner else { return };
-        let mut kernels = inner.kernels.lock();
+        let mut kernels = inner.kernels.lock().unwrap_or_else(PoisonError::into_inner);
         let row = kernels
             .entry(kernel.to_string())
             .or_insert_with(|| KernelMetrics::new(kernel));
@@ -543,13 +548,24 @@ impl Profiler {
         let Some(inner) = &self.inner else {
             return ProfReport::default();
         };
-        let mut spans = inner.spans.lock().clone();
+        let mut spans = inner
+            .spans
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
         spans.sort_by_key(Span::sort_key);
-        let mut kernels: Vec<KernelMetrics> = inner.kernels.lock().values().cloned().collect();
+        let mut kernels: Vec<KernelMetrics> = inner
+            .kernels
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .cloned()
+            .collect();
         kernels.sort_by(|a, b| a.kernel.cmp(&b.kernel));
         let mut streams: Vec<StreamCounters> = inner
             .streams
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(&(device, stream), &counters)| StreamCounters {
                 device,
@@ -558,7 +574,10 @@ impl Profiler {
             })
             .collect();
         streams.sort_by_key(|s| (s.device, s.stream));
-        let track_end = inner.track_end.lock();
+        let track_end = inner
+            .track_end
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let device_makespan_us = (0..inner.num_devices)
             .map(|d| {
                 (0..inner.streams_per_device)
@@ -578,7 +597,10 @@ impl Profiler {
             num_devices: inner.num_devices,
             streams_per_device: inner.streams_per_device,
             spans,
-            spans_dropped: *inner.spans_dropped.lock(),
+            spans_dropped: *inner
+                .spans_dropped
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
             kernels,
             streams,
             device_makespan_us,

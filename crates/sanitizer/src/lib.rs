@@ -32,9 +32,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Lanes per warp — mirrors `gsword_simt::WARP_SIZE` (this crate sits
 /// below the simulator and cannot import it).
@@ -400,7 +398,7 @@ struct Inner {
 impl Inner {
     fn record(&self, block: usize, warp: usize, kind: ViolationKind) {
         self.total.fetch_add(1, Ordering::Relaxed);
-        let mut d = self.detail.lock();
+        let mut d = self.detail.lock().unwrap_or_else(PoisonError::into_inner);
         let seen = d.per_site.entry((kind.site(), block)).or_default();
         if *seen < VIOLATION_CAP {
             *seen += 1;
@@ -475,7 +473,11 @@ impl Sanitizer {
         if !inner.mode.initcheck {
             return;
         }
-        inner.allocs.lock().insert(space, InitShadow::new(len));
+        inner
+            .allocs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(space, InitShadow::new(len));
     }
 
     /// A block-wide barrier (`__syncthreads` analogue): orders all prior
@@ -485,7 +487,7 @@ impl Sanitizer {
         if !inner.mode.racecheck {
             return;
         }
-        let mut blocks = inner.blocks.lock();
+        let mut blocks = inner.blocks.lock().unwrap_or_else(PoisonError::into_inner);
         blocks.entry(block).or_default().epoch += 1;
     }
 
@@ -498,7 +500,12 @@ impl Sanitizer {
         let Some(inner) = &self.inner else {
             return SanitizerReport::default();
         };
-        let mut kept = inner.detail.lock().kept.clone();
+        let mut kept = inner
+            .detail
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .kept
+            .clone();
         // Each block's violations were pushed by the one thread running
         // that block, so a stable sort by block restores the serial
         // arrival order (blocks ascending, program order within a block).
@@ -636,7 +643,7 @@ impl WarpSanitizer {
     fn mem_access(&self, space: Space, addr: usize, write: bool, atomic: bool) {
         let Some(inner) = &self.inner else { return };
         if inner.mode.initcheck {
-            let mut allocs = inner.allocs.lock();
+            let mut allocs = inner.allocs.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(shadow) = allocs.get_mut(&space) {
                 if write {
                     shadow.mark(addr);
@@ -655,7 +662,7 @@ impl WarpSanitizer {
         }
         let mut hazards: Vec<ViolationKind> = Vec::new();
         {
-            let mut blocks = inner.blocks.lock();
+            let mut blocks = inner.blocks.lock().unwrap_or_else(PoisonError::into_inner);
             let shadow = blocks.entry(self.block).or_default();
             let epoch = shadow.epoch;
             let me = Access {

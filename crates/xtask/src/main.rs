@@ -5,7 +5,6 @@
 //! invariants) over the workspace's crates and fails on any finding.
 //! `check-trace` validates Chrome trace JSON emitted by the profiler.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -22,15 +21,6 @@ tasks:
                        `gsword estimate --profile --trace-out <file>`
                        (parses the JSON, checks event shape, reports the
                        track count) — used by the CI profile-smoke step
-  bench --json         run the sampling, candidate, Alley Refine and
-                       storage bench groups in quick mode (release build)
-                       and write BENCH_sampling.json at the workspace
-                       root: median ns per op keyed by bench id, with the
-                       git rev and dirty flag; the artifact is validated
-                       after the run
-  check-bench <file>   validate a BENCH_sampling.json artifact (parses
-                       the JSON, checks every row has an id and a finite
-                       median_ns) — used by the CI bench-smoke step
   pack [dir] [scale]   write all eight suite datasets as compressed
                        mmap-able images (<name>.gsw) into `dir` (default:
                        datasets/ at the workspace root) via `gsword pack
@@ -95,46 +85,6 @@ fn main() -> ExitCode {
                     ExitCode::FAILURE
                 }
             }
-        }
-        Some("bench") => {
-            if args.get(1).map(String::as_str) != Some("--json") {
-                eprintln!("xtask bench: only the --json mode exists\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            let root = workspace_root();
-            let status = std::process::Command::new("cargo")
-                .args([
-                    "run",
-                    "--release",
-                    "-p",
-                    "gsword-bench",
-                    "--bin",
-                    "bench_json",
-                    "--",
-                    "--quick",
-                ])
-                .current_dir(&root)
-                .status();
-            match status {
-                Ok(s) if s.success() => {}
-                Ok(s) => {
-                    eprintln!("xtask bench: bench_json exited with {s}");
-                    return ExitCode::FAILURE;
-                }
-                Err(e) => {
-                    eprintln!("xtask bench: cannot spawn cargo: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            let artifact = root.join("BENCH_sampling.json");
-            check_bench_file(&artifact.display().to_string())
-        }
-        Some("check-bench") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("xtask check-bench: missing <file>\n{USAGE}");
-                return ExitCode::from(2);
-            };
-            check_bench_file(path)
         }
         Some("pack") => {
             let root = workspace_root();
@@ -231,84 +181,4 @@ fn workspace_root() -> PathBuf {
         .parent()
         .expect("crates/ sits inside the workspace")
         .to_path_buf()
-}
-
-/// Parse and shape-check a `BENCH_sampling.json` artifact.
-fn check_bench_file(path: &str) -> ExitCode {
-    let json = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("xtask check-bench: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let value = match gsword_prof::json::parse(&json) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("xtask check-bench: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(rev) = value.get("git_rev").and_then(|v| v.as_str()) else {
-        eprintln!("xtask check-bench: {path}: missing string field 'git_rev'");
-        return ExitCode::FAILURE;
-    };
-    let Some(rows) = value.get("benches").and_then(|v| v.as_array()) else {
-        eprintln!("xtask check-bench: {path}: missing array field 'benches'");
-        return ExitCode::FAILURE;
-    };
-    if rows.is_empty() {
-        eprintln!("xtask check-bench: {path}: empty 'benches' array");
-        return ExitCode::FAILURE;
-    }
-    let mut ids = BTreeSet::new();
-    for (i, row) in rows.iter().enumerate() {
-        let id = row.get("id").and_then(|v| v.as_str());
-        let ns = row.get("median_ns").and_then(|v| v.as_f64());
-        match (id, ns) {
-            (Some(id), Some(ns)) if ns.is_finite() && ns > 0.0 => {
-                ids.insert(id.to_string());
-            }
-            _ => {
-                eprintln!(
-                    "xtask check-bench: {path}: row {i} needs a string 'id' \
-                     and a positive finite 'median_ns'"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The rail's contract: every comparison the docs cite must be present,
-    // including the compressed-vs-CSR storage rows.
-    const REQUIRED_IDS: [&str; 18] = [
-        "cpu_sampling/WJ/yeast",
-        "cpu_sampling/AL/yeast",
-        "candidate_build/full/yeast",
-        "alley_refine/adaptive/yeast",
-        "storage/neighbor_scan/csr/yeast",
-        "storage/neighbor_scan/compressed/yeast",
-        "storage/neighbor_scan/cached/yeast",
-        "storage/neighbor_scan/csr/eu2005",
-        "storage/neighbor_scan/compressed/eu2005",
-        "storage/neighbor_scan/cached/eu2005",
-        "storage/member_probe/csr/yeast",
-        "storage/member_probe/compressed/yeast",
-        "storage/member_probe/csr/eu2005",
-        "storage/member_probe/compressed/eu2005",
-        "storage/candidate_build/csr/yeast",
-        "storage/candidate_build/compressed/yeast",
-        "storage/candidate_build/csr/eu2005",
-        "storage/candidate_build/compressed/eu2005",
-    ];
-    for required in REQUIRED_IDS {
-        if !ids.contains(required) {
-            eprintln!("xtask check-bench: {path}: missing required bench id '{required}'");
-            return ExitCode::FAILURE;
-        }
-    }
-    println!(
-        "xtask check-bench: {path} ok — {} bench row(s) at rev {rev}",
-        rows.len()
-    );
-    ExitCode::SUCCESS
 }

@@ -82,7 +82,7 @@ fn golden_fixture_is_a_valid_trace() {
 }
 
 /// End to end: a real profiled 2×2 engine run exports a trace with one
-/// track per device×stream (the acceptance-criterion topology).
+/// track per device×stream (the topology of the CI profile smoke).
 #[test]
 fn live_two_by_two_run_exports_all_tracks() {
     let data = gsword::graph::gen::erdos_renyi(24, 130, vec![0; 24], 0xD5EA);

@@ -258,6 +258,35 @@ fn check_definition(
     Ok(())
 }
 
+/// Alley's batched Refine keeps exactly the candidates that per-element
+/// `refine_one` keeps, on the shape Alley sees: for every directed query
+/// edge `u → u'`, `C(u')` filtered through the local lists of three source
+/// candidates at a time, heaviest lists first, down to the empty ones.
+fn check_alley_refine(q: &QueryGraph, cg: &CandidateGraph) -> Result<(), TestCaseError> {
+    for u in 0..q.num_vertices() as QueryVertex {
+        for u2 in q.neighbors(u) {
+            let k = cg
+                .edge_index(u, u2)
+                .expect("every query edge has a CSR edge");
+            let cand = cg.global(u2);
+            let mut sources = cg.global(u).to_vec();
+            sources.sort_by_key(|&v| std::cmp::Reverse(cg.local(k, v).len()));
+            for chunk in sources.chunks(3) {
+                let segs: Vec<Segment<'_>> = chunk.iter().map(|&v| (cg.local(k, v), 0)).collect();
+                let mut batched = Vec::new();
+                Alley.refine_into(&segs, cand, &mut batched);
+                let per_element: Vec<VertexId> = cand
+                    .iter()
+                    .copied()
+                    .filter(|&v| Alley.refine_one(&segs, v))
+                    .collect();
+                prop_assert_eq!(batched, per_element, "edge u{} -> u{}", u, u2);
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Queries of 3–12 vertices extracted from `g`, a 32-vertex query (the
 /// widest the membership masks allow), a query with one label the data
 /// graph lacks, whose candidate set is empty, and two queries whose
@@ -322,6 +351,7 @@ proptest! {
             for cfg in definition_configs() {
                 let (cg, _) = build_candidate_graph(&g, &q, &cfg);
                 check_definition(&g, &q, &cfg, &cg)?;
+                check_alley_refine(&q, &cg)?;
                 prop_assert_eq!(&build_candidate_graph(&streaming, &q, &cfg).0, &cg);
                 prop_assert_eq!(&build_candidate_graph(&decoded, &q, &cfg).0, &cg);
             }
