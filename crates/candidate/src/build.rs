@@ -419,6 +419,29 @@ mod tests {
         cg.validate_invariants().unwrap();
     }
 
+    /// `local_by_rank` reads tuple `cand_off[k] + rank`, so an edge's
+    /// candidate segment that is sorted but not its source's `C(u)` breaks
+    /// the invariants.
+    #[test]
+    fn invariants_tie_each_edge_segment_to_its_source_set() {
+        let (g, q) = paper_like();
+        let (cg, _) = build_candidate_graph(&g, &q, &BuildConfig::default());
+        for k in 0..cg.num_directed_edges() {
+            for rank in 0..cg.cand_off[k + 1] - cg.cand_off[k] {
+                let v = cg.cand_vtx[cg.cand_off[k] + rank];
+                assert_eq!(cg.local_by_rank(k, rank), cg.local_with_addr(k, v));
+            }
+        }
+        let k = (0..cg.num_directed_edges())
+            .find(|&k| cg.cand_off[k + 1] > cg.cand_off[k])
+            .expect("some edge has candidates");
+        let mut broken = cg.clone();
+        let last = broken.cand_off[k + 1] - 1;
+        broken.cand_vtx[last] += 1_000;
+        let err = broken.validate_invariants().unwrap_err();
+        assert!(err.contains(&format!("edge {k}")), "{err}");
+    }
+
     #[test]
     fn soundness_every_embedding_is_covered() {
         let (g, q) = paper_like();
@@ -437,7 +460,9 @@ mod tests {
                 for (u, u2) in q.edges() {
                     let k = cg.edge_index(u, u2).unwrap();
                     assert!(
-                        cg.has_local(k, emb[u as usize], emb[u2 as usize]),
+                        cg.local(k, emb[u as usize])
+                            .binary_search(&emb[u2 as usize])
+                            .is_ok(),
                         "embedding edge missing from local set under {cfg:?}"
                     );
                 }

@@ -107,11 +107,20 @@ impl CandidateGraph {
         }
     }
 
-    /// Whether the candidate-graph edge `(v ∈ C(u)) — (v' ∈ C(u'))` exists
-    /// for query edge `u → u'` with directed index `k`. `O(log)` probes.
+    /// The local candidate list of the `rank`-th candidate of `C(u)` for
+    /// directed edge `k = (u→u')`, with its element offset in the backing
+    /// `local` array: tuple `cand_off[k] + rank`, found with no search.
+    /// Equals [`CandidateGraph::local_with_addr`] of `global(u)[rank]`,
+    /// since every edge's candidate segment is a copy of its source's `C(u)`.
     #[inline]
-    pub fn has_local(&self, k: usize, v: VertexId, v2: VertexId) -> bool {
-        self.local(k, v).binary_search(&v2).is_ok()
+    pub fn local_by_rank(&self, k: usize, rank: usize) -> (&[VertexId], usize) {
+        let t = self.cand_off[k] + rank;
+        debug_assert!(
+            t < self.cand_off[k + 1],
+            "rank {rank} past C(u) of edge {k}"
+        );
+        let s = self.local_off[t];
+        (&self.local[s..self.local_off[t + 1]], s)
     }
 
     /// Total byte footprint of the structure — the quantity the paper's
@@ -130,8 +139,10 @@ impl CandidateGraph {
         self.local.len()
     }
 
-    /// Check internal invariants (sorted segments, consistent offsets).
-    /// Used by tests and debug assertions.
+    /// Check internal invariants (sorted segments, consistent offsets, and
+    /// each edge's candidate segment equal to its source's `C(u)`, which
+    /// [`CandidateGraph::local_by_rank`] relies on). Used by tests and debug
+    /// assertions.
     pub fn validate_invariants(&self) -> Result<(), String> {
         let n = self.num_query_vertices;
         if self.global_off.len() != n + 1 || self.edge_off.len() != n + 1 {
@@ -159,10 +170,12 @@ impl CandidateGraph {
                 return Err(format!("global segment of u{u} not strictly sorted"));
             }
         }
-        for k in 0..self.edge_dst.len() {
-            let seg = &self.cand_vtx[self.cand_off[k]..self.cand_off[k + 1]];
-            if !seg.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("cand segment of edge {k} not strictly sorted"));
+        for u in 0..n {
+            let set = &self.global[self.global_off[u]..self.global_off[u + 1]];
+            for k in self.edge_off[u]..self.edge_off[u + 1] {
+                if self.cand_vtx[self.cand_off[k]..self.cand_off[k + 1]] != *set {
+                    return Err(format!("cand segment of edge {k} differs from C(u{u})"));
+                }
             }
         }
         for t in 0..self.cand_vtx.len() {

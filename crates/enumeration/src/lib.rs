@@ -22,7 +22,8 @@ pub use listing::{collect_embeddings, for_each_embedding};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use gsword_estimators::QueryCtx;
+use gsword_estimators::{QueryCtx, Segment};
+use gsword_graph::intersect::member;
 use gsword_graph::VertexId;
 
 /// Resource limits for an enumeration call.
@@ -68,6 +69,8 @@ struct Search<'a, 'b> {
     nodes: u64,
     count: u64,
     aborted: bool,
+    /// The resolved backward segments of each depth's search node.
+    segs: Vec<Vec<Segment<'b>>>,
 }
 
 impl<'a, 'b> Search<'a, 'b> {
@@ -99,27 +102,51 @@ impl<'a, 'b> Search<'a, 'b> {
             self.count += 1;
             return;
         }
-        let (cand, _, _) = self.ctx.min_candidate_prefix(prefix, d);
+        let mut segs = std::mem::take(&mut self.segs[d]);
+        let (cand, min) = resolve_node(self.ctx, prefix, d, &mut segs);
         for &v in cand {
             self.nodes += 1;
             if self.should_stop() {
-                return;
+                break;
             }
             if prefix.contains(&v) {
                 continue;
             }
-            let ok = self.ctx.backward(d).iter().all(|be| {
-                self.ctx
-                    .cg
-                    .has_local(be.edge as usize, prefix[be.pos as usize], v)
-            });
-            if ok {
+            if in_other_segments(&segs, min, v) {
                 prefix.push(v);
                 self.recurse(prefix, d + 1);
                 prefix.pop();
             }
         }
+        self.segs[d] = segs;
     }
+}
+
+/// Resolve the search node at depth `d` once: its backward segments into
+/// `segs`, and the candidates to draw from, with the index of the segment
+/// they are (`usize::MAX` at the root, whose candidates are `C(φ[0])`).
+fn resolve_node<'b>(
+    ctx: &QueryCtx<'b>,
+    prefix: &[VertexId],
+    d: usize,
+    segs: &mut Vec<Segment<'b>>,
+) -> (&'b [VertexId], usize) {
+    segs.clear();
+    if d == 0 {
+        return (ctx.root_candidates().0, usize::MAX);
+    }
+    ctx.backward_segments(prefix, d, segs);
+    let min = QueryCtx::min_segment_index(segs);
+    (segs[min].0, min)
+}
+
+/// Whether `v`, drawn from segment `min`, lies in every other backward
+/// segment of its node: the candidate-graph edges to all matched
+/// neighbors.
+fn in_other_segments(segs: &[Segment<'_>], min: usize, v: VertexId) -> bool {
+    segs.iter()
+        .enumerate()
+        .all(|(i, (seg, _))| i == min || member(seg, v))
 }
 
 /// Count all embeddings of the query in the candidate graph.
@@ -141,6 +168,7 @@ pub fn count_extensions(
         nodes: 0,
         count: 0,
         aborted: false,
+        segs: vec![Vec::new(); ctx.len()],
     };
     let mut p = prefix.to_vec();
     p.reserve(ctx.len());

@@ -7,8 +7,10 @@
 
 use std::ops::ControlFlow;
 
-use gsword_estimators::QueryCtx;
+use gsword_estimators::{QueryCtx, Segment};
 use gsword_graph::VertexId;
+
+use crate::{in_other_segments, resolve_node};
 
 /// Visit every embedding of the query (as data vertices ordered by
 /// matching-order position). The visitor returns
@@ -19,37 +21,39 @@ where
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
     let mut prefix = Vec::with_capacity(ctx.len());
+    let mut segs = vec![Vec::new(); ctx.len()];
     let mut visited = 0u64;
-    let _ = walk(ctx, &mut prefix, 0, &mut visitor, &mut visited);
+    let _ = walk(ctx, &mut prefix, &mut segs, &mut visitor, &mut visited);
     visited
 }
 
-fn walk<F>(
-    ctx: &QueryCtx<'_>,
+/// Extend `prefix` at depth `d = prefix.len()`; `segs[0]` takes the
+/// resolved backward segments of the depth-`d` node, and the rest those of
+/// the nodes below it.
+fn walk<'b, F>(
+    ctx: &QueryCtx<'b>,
     prefix: &mut Vec<VertexId>,
-    d: usize,
+    segs: &mut [Vec<Segment<'b>>],
     visitor: &mut F,
     visited: &mut u64,
 ) -> ControlFlow<()>
 where
     F: FnMut(&[VertexId]) -> ControlFlow<()>,
 {
+    let d = prefix.len();
     if d == ctx.len() {
         *visited += 1;
         return visitor(prefix);
     }
-    let (cand, _, _) = ctx.min_candidate_prefix(prefix, d);
+    let (node, deeper) = segs.split_first_mut().expect("one buffer per depth");
+    let (cand, min) = resolve_node(ctx, prefix, d, node);
     for &v in cand {
         if prefix.contains(&v) {
             continue;
         }
-        let ok = ctx.backward(d).iter().all(|be| {
-            ctx.cg
-                .has_local(be.edge as usize, prefix[be.pos as usize], v)
-        });
-        if ok {
+        if in_other_segments(node, min, v) {
             prefix.push(v);
-            let flow = walk(ctx, prefix, d + 1, visitor, visited);
+            let flow = walk(ctx, prefix, deeper, visitor, visited);
             prefix.pop();
             flow?;
         }

@@ -326,7 +326,9 @@ mod tests {
                 }
                 let ok = ctx.backward(d).iter().all(|be| {
                     ctx.cg
-                        .has_local(be.edge as usize, prefix[be.pos as usize], v)
+                        .local(be.edge as usize, prefix[be.pos as usize])
+                        .binary_search(&v)
+                        .is_ok()
                 });
                 if ok {
                     prefix.push(v);

@@ -1,5 +1,6 @@
 //! Per-query execution context: candidate graph + matching order with
-//! precomputed backward-edge tables, and `GetMinCandidate`.
+//! precomputed backward-edge tables and rank indexes over the candidate
+//! sets backward edges start from, and `GetMinCandidate`.
 
 use gsword_candidate::CandidateGraph;
 use gsword_graph::VertexId;
@@ -23,6 +24,68 @@ pub struct BackwardEdge {
 /// (for the SIMT memory model).
 pub type Segment<'a> = (&'a [VertexId], usize);
 
+/// The fewest candidates a [`RankIndex`] bucket holds on average: the
+/// index then takes at most a byte per candidate, and a lookup searches a
+/// few ids that usually share one cache line.
+const CANDIDATES_PER_BUCKET: u64 = 4;
+
+/// Ranks of data vertices in one sorted candidate set `C(u)`, found in
+/// constant expected time. The ids from the smallest candidate `lo` up are
+/// cut into buckets of `2^shift` ids, the narrowest that make no more than
+/// `|C(u)| / CANDIDATES_PER_BUCKET` buckets (and at least one), and
+/// `starts[b]` is the rank of the first candidate in bucket `b` or later; a
+/// lookup searches only its bucket. No table is sized by `|V|`.
+#[derive(Debug, Clone, Default)]
+struct RankIndex<'a> {
+    set: &'a [VertexId],
+    lo: VertexId,
+    shift: u32,
+    starts: Vec<u32>,
+}
+
+impl<'a> RankIndex<'a> {
+    /// Index `set` (sorted, distinct) in one pass over it and one over the
+    /// buckets, with no data-dependent branch.
+    fn new(set: &'a [VertexId]) -> Self {
+        let (Some(&lo), Some(&hi)) = (set.first(), set.last()) else {
+            return RankIndex::default();
+        };
+        let span = u64::from(hi - lo);
+        let most = (set.len() as u64 / CANDIDATES_PER_BUCKET).max(1);
+        let mut shift = 0;
+        while span >> shift >= most {
+            shift += 1;
+        }
+        let buckets = (span >> shift) as usize + 1;
+        // `starts[b + 1]` first takes the end of bucket `b`'s ranks (0 while
+        // empty); a running maximum then turns ends into starts.
+        let mut starts = vec![0u32; buckets + 1];
+        for (rank, &v) in set.iter().enumerate() {
+            starts[(u64::from(v - lo) >> shift) as usize + 1] = rank as u32 + 1;
+        }
+        let mut end = 0;
+        for s in &mut starts {
+            end = end.max(*s);
+            *s = end;
+        }
+        RankIndex {
+            set,
+            lo,
+            shift,
+            starts,
+        }
+    }
+
+    /// The rank of `v` in the set, or `None` when `v` is no member.
+    #[inline]
+    fn rank(&self, v: VertexId) -> Option<usize> {
+        let b = (u64::from(v.checked_sub(self.lo)?) >> self.shift) as usize;
+        let (&s, &e) = (self.starts.get(b)?, self.starts.get(b + 1)?);
+        let (s, e) = (s as usize, e as usize);
+        self.set[s..e].binary_search(&v).ok().map(|p| s + p)
+    }
+}
+
 /// Everything a sampler needs to execute one query: the candidate graph,
 /// the matching order, and per-position backward edges resolved to
 /// candidate-graph edge indices.
@@ -33,6 +96,9 @@ pub struct QueryCtx<'a> {
     /// The matching order `φ`.
     pub order: &'a MatchingOrder,
     backward: Vec<Vec<BackwardEdge>>,
+    /// Per order position, the rank index of its `C(u)`; empty at
+    /// positions no backward edge starts from.
+    ranks: Vec<RankIndex<'a>>,
 }
 
 impl<'a> QueryCtx<'a> {
@@ -40,7 +106,7 @@ impl<'a> QueryCtx<'a> {
     /// (an edge of the order's query is missing from the candidate graph).
     pub fn new(cg: &'a CandidateGraph, order: &'a MatchingOrder) -> Self {
         assert_eq!(cg.num_query_vertices(), order.len());
-        let backward = (0..order.len())
+        let backward: Vec<Vec<BackwardEdge>> = (0..order.len())
             .map(|i| {
                 order
                     .backward_positions(i)
@@ -57,10 +123,18 @@ impl<'a> QueryCtx<'a> {
                     .collect()
             })
             .collect();
+        let mut ranks = vec![RankIndex::default(); order.len()];
+        for be in backward.iter().flatten() {
+            let pos = be.pos as usize;
+            if ranks[pos].set.is_empty() {
+                ranks[pos] = RankIndex::new(cg.global(order.vertex_at(pos)));
+            }
+        }
         QueryCtx {
             cg,
             order,
             backward,
+            ranks,
         }
     }
 
@@ -94,10 +168,20 @@ impl<'a> QueryCtx<'a> {
     #[inline]
     pub fn backward_segments(&self, prefix: &[VertexId], d: usize, out: &mut Vec<Segment<'a>>) {
         for be in &self.backward[d] {
-            out.push(
-                self.cg
-                    .local_with_addr(be.edge as usize, prefix[be.pos as usize]),
-            );
+            out.push(self.resolve(be, prefix));
+        }
+    }
+
+    /// The local candidate segment of one backward edge for the vertex the
+    /// prefix matched at its source position: what
+    /// [`CandidateGraph::local_with_addr`] returns, found through the rank
+    /// index instead of a search of the edge's candidate segment.
+    #[inline]
+    fn resolve(&self, be: &BackwardEdge, prefix: &[VertexId]) -> Segment<'a> {
+        let pos = be.pos as usize;
+        match self.ranks[pos].rank(prefix[pos]) {
+            Some(rank) => self.cg.local_by_rank(be.edge as usize, rank),
+            None => (&[], 0),
         }
     }
 
@@ -131,8 +215,7 @@ impl<'a> QueryCtx<'a> {
         }
         let mut best: Option<Segment<'a>> = None;
         for be in &self.backward[d] {
-            let v = prefix[be.pos as usize];
-            let (set, addr) = self.cg.local_with_addr(be.edge as usize, v);
+            let (set, addr) = self.resolve(be, prefix);
             match best {
                 Some((b, _)) if b.len() <= set.len() => {}
                 _ => best = Some((set, addr)),
@@ -230,6 +313,32 @@ mod tests {
         let (min_seg, _) = segs[QueryCtx::min_segment_index(&segs)];
         let (direct, _, _) = ctx.min_candidate(&s, 2);
         assert_eq!(min_seg.len(), direct.len());
+    }
+
+    /// Every member's rank, and no rank for any other id, over sets that
+    /// fill one bucket, span all ids (the widest buckets), cluster in a
+    /// few buckets, or sit far from zero.
+    #[test]
+    fn rank_index_ranks_members_only() {
+        let sets: [Vec<VertexId>; 7] = [
+            vec![],
+            vec![7],
+            vec![0, VertexId::MAX],
+            (0..100).collect(),
+            (0..40).map(|i| i * 1_000).chain(50_000..50_040).collect(),
+            (0..9).map(|i| VertexId::MAX - 8 + i).collect(),
+            vec![3, 4, 5, 1 << 31, (1 << 31) + 1],
+        ];
+        for set in &sets {
+            let index = RankIndex::new(set);
+            assert!(index.starts.len() <= set.len() / 4 + 2, "{set:?}");
+            let near = set
+                .iter()
+                .flat_map(|&v| [v.wrapping_sub(1), v, v.wrapping_add(1)]);
+            for v in near.chain([0, 1, 999, 1 << 31, VertexId::MAX]) {
+                assert_eq!(index.rank(v), set.binary_search(&v).ok(), "{v} in {set:?}");
+            }
+        }
     }
 
     #[test]

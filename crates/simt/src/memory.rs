@@ -100,8 +100,8 @@ fn charge_lane_access(ctr: &mut KernelCounters, addrs: &Lanes<LaneAddr>, store: 
 /// yields the element offset of every lane that loads this round, in lane
 /// order, and at most the first [`WARP_SIZE`] are taken.
 ///
-/// This is the per-round core of [`warp_load_rounds`], [`warp_load_runs`]
-/// and [`warp_load_steps`]. All lanes read one region, so the line index
+/// This is the per-round core of [`warp_load_rounds`] and
+/// [`warp_load_steps`]. All lanes read one region, so the line index
 /// alone tells lines apart; the offsets are read once, with no per-lane
 /// address array and no sort. The charge and the sanitizer reads equal
 /// one [`warp_load`] of the same lanes. Returns the transaction count.
@@ -158,8 +158,13 @@ pub fn warp_load_rounds(
 ///
 /// The charge equals [`warp_load_rounds`] over the materialized runs,
 /// without building them: a warp in which every lane walks its own array
-/// one element per step. Lanes beyond [`WARP_SIZE`] are ignored. Returns
-/// the total transaction count.
+/// one element per step. The non-empty runs are sorted by start once, with
+/// identical runs (lanes that inherited one cursor into one segment)
+/// merged into one entry that counts their lanes. A round's lanes then
+/// read in order of their run start, so their lines rise too and one pass
+/// over the live entries counts the distinct ones. The sanitizer reads
+/// every lane's element round by round, in lane order. Lanes beyond
+/// [`WARP_SIZE`] are ignored. Returns the total transaction count.
 pub fn warp_load_runs(
     ctr: &mut KernelCounters,
     san: &WarpSanitizer,
@@ -167,14 +172,51 @@ pub fn warp_load_runs(
     runs: &[Range<usize>],
 ) -> u64 {
     let runs = &runs[..runs.len().min(WARP_SIZE)];
-    let rounds = runs.iter().map(ExactSizeIterator::len).max().unwrap_or(0);
-    let mut total = 0;
-    for r in 0..rounds {
-        let offs = runs
-            .iter()
-            .filter(|run| r < run.len())
-            .map(|run| run.start + r);
-        total += warp_load_round(ctr, san, region, offs);
+    // `(start, len, lanes)` per distinct non-empty run.
+    let mut live = [(0usize, 0usize, 0u32); WARP_SIZE];
+    let mut n = 0;
+    for run in runs.iter().filter(|run| !run.is_empty()) {
+        live[n] = (run.start, run.len(), 1);
+        n += 1;
+    }
+    live[..n].sort_unstable();
+    let mut distinct = 0;
+    for i in 0..n {
+        if distinct > 0 && live[distinct - 1].0 == live[i].0 && live[distinct - 1].1 == live[i].1 {
+            live[distinct - 1].2 += 1;
+        } else {
+            live[distinct] = live[i];
+            distinct += 1;
+        }
+    }
+    let (mut n, mut rounds, mut total) = (distinct, 0, 0);
+    while n > 0 {
+        // Entries still live stay sorted by start as the others drop out.
+        let (mut active, mut tx, mut last_line, mut kept) = (0, 0, usize::MAX, 0);
+        for i in 0..n {
+            let (start, len, lanes) = live[i];
+            let line = (start + rounds) / LINE_WORDS;
+            if line != last_line {
+                tx += 1;
+                last_line = line;
+            }
+            active += lanes;
+            if rounds + 1 < len {
+                live[kept] = live[i];
+                kept += 1;
+            }
+        }
+        ctr.warp_load(active, tx);
+        total += tx;
+        n = kept;
+        rounds += 1;
+    }
+    if san.enabled() {
+        for r in 0..rounds {
+            for run in runs.iter().filter(|run| r < run.len()) {
+                san.mem_read(region.space(), run.start + r);
+            }
+        }
     }
     total
 }

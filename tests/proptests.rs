@@ -287,6 +287,54 @@ fn check_alley_refine(q: &QueryGraph, cg: &CandidateGraph) -> Result<(), TestCas
     Ok(())
 }
 
+/// `QueryCtx`'s rank lookup resolves exactly what `local_with_addr`'s
+/// search of the edge's candidate segment finds, under the QuickSI and
+/// G-CARE orders: `backward_segments` and `min_candidate_prefix` at every
+/// position, with every earlier position matched to one id, for every
+/// vertex id of `g` (every source candidate and the ids absent from `C(u)`)
+/// and ids past the largest candidate.
+fn check_backward_lookup(
+    g: &Graph,
+    q: &QueryGraph,
+    cg: &CandidateGraph,
+) -> Result<(), TestCaseError> {
+    let n = g.num_vertices() as VertexId;
+    let ids: Vec<VertexId> = (0..n + 2)
+        .chain([n + 31, n + 32, 1 << 31, VertexId::MAX])
+        .collect();
+    for kind in [OrderKind::QuickSi, OrderKind::GCare] {
+        let order = gsword::query::make_order(kind, q, g);
+        let ctx = QueryCtx::new(cg, &order);
+        let mut segs = Vec::new();
+        for d in 1..ctx.len() {
+            for &v in &ids {
+                let prefix = vec![v; d];
+                let want: Vec<Segment<'_>> = ctx
+                    .backward(d)
+                    .iter()
+                    .map(|be| cg.local_with_addr(be.edge as usize, v))
+                    .collect();
+                segs.clear();
+                ctx.backward_segments(&prefix, d, &mut segs);
+                prop_assert_eq!(&segs, &want, "{:?} position {} id {}", kind, d, v);
+                let (set, addr) = *want
+                    .iter()
+                    .min_by_key(|(set, _)| set.len())
+                    .expect("positions past the root have a backward edge");
+                prop_assert_eq!(
+                    ctx.min_candidate_prefix(&prefix, d),
+                    (set, addr, false),
+                    "{:?} position {} id {}",
+                    kind,
+                    d,
+                    v
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Queries of 3–12 vertices extracted from `g`, a 32-vertex query (the
 /// widest the membership masks allow), a query with one label the data
 /// graph lacks, whose candidate set is empty, and two queries whose
@@ -350,8 +398,10 @@ proptest! {
         for q in definition_queries(&g, seed) {
             for cfg in definition_configs() {
                 let (cg, _) = build_candidate_graph(&g, &q, &cfg);
+                cg.validate_invariants().map_err(TestCaseError::fail)?;
                 check_definition(&g, &q, &cfg, &cg)?;
                 check_alley_refine(&q, &cg)?;
+                check_backward_lookup(&g, &q, &cg)?;
                 prop_assert_eq!(&build_candidate_graph(&streaming, &q, &cfg).0, &cg);
                 prop_assert_eq!(&build_candidate_graph(&decoded, &q, &cfg).0, &cg);
             }

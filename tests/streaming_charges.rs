@@ -20,8 +20,10 @@
 //! The work is ragged: lanes with no leftover candidates, steps where a
 //! lane or every lane probes nothing, and records for lanes past
 //! `WARP_SIZE`, which every schedule ignores. A sanitized leg checks that
-//! the lane-major replay reports what the per-access loop does, and a
-//! property test pins the sort-free distinct-line count under the charge.
+//! the lane-major replay reports what the per-access loop does. Property
+//! tests pin the sort-free distinct-line count under the charge, and
+//! `warp_load_runs`' one-pass charge (sorted, merged runs) against the
+//! per-round charge over random runs.
 
 use std::ops::Range;
 
@@ -264,5 +266,69 @@ proptest! {
             }
         }
         prop_assert_eq!(&scratch[..first_seen.len()], &first_seen[..]);
+    }
+
+    /// The one-pass run charge equals the per-round charge over the
+    /// materialized runs: return value, counters with the transaction
+    /// histogram, and under the full sanitizer the report. The runs mix
+    /// copies of earlier lanes' runs (as inheritance makes), runs sharing an
+    /// earlier lane's start with another length, empty runs, runs starting
+    /// just below a line boundary, and lanes past `WARP_SIZE`.
+    #[test]
+    fn run_charge_equals_the_rounds_over_materialized_runs(
+        seed in any::<u64>(),
+        lanes in 0usize..41,
+    ) {
+        let mut s = seed | 1;
+        let mut runs: Vec<Range<usize>> = Vec::with_capacity(lanes);
+        for lane in 0..lanes {
+            let len = (xorshift(&mut s) % 40) as usize;
+            let pick = (xorshift(&mut s) % lane.max(1) as u64) as usize;
+            let run = match xorshift(&mut s) % 6 {
+                0 | 1 if lane > 0 => runs[pick].clone(),
+                2 if lane > 0 => runs[pick].start..runs[pick].start + len,
+                3 => {
+                    let start = (xorshift(&mut s) % 200) as usize;
+                    start..start
+                }
+                4 => {
+                    let line = 1 + (xorshift(&mut s) % 8) as usize;
+                    let start = line * LINE_WORDS - 1 - (xorshift(&mut s) % 3) as usize;
+                    start..start + len
+                }
+                _ => {
+                    let start = (xorshift(&mut s) % 200) as usize;
+                    start..start + len
+                }
+            };
+            runs.push(run);
+        }
+        let materialized: Vec<Vec<usize>> = runs.iter().map(|run| run.clone().collect()).collect();
+
+        let mut want = KernelCounters::default();
+        let want_tx =
+            warp_load_rounds(&mut want, &WarpSanitizer::disabled(), Region::LOCAL, &materialized);
+        let mut got = KernelCounters::default();
+        let tx = warp_load_runs(&mut got, &WarpSanitizer::disabled(), Region::LOCAL, &runs);
+        prop_assert_eq!(tx, want_tx);
+        prop_assert_eq!(got.tx_histogram, want.tx_histogram);
+        prop_assert_eq!(got, want);
+
+        // Sanitized: warp 1 writes the first 100 words in the same epoch,
+        // so reads there race, and reads past them hit unwritten words.
+        let sanitized = |replay: &dyn Fn(&mut KernelCounters, &WarpSanitizer) -> u64| {
+            let sz = Sanitizer::new(SanitizerMode::FULL, "runs");
+            sz.region_alloc(Region::LOCAL.space(), 512);
+            let writer = sz.warp(0, 1);
+            for off in 0..100 {
+                writer.mem_write(Region::LOCAL.space(), off);
+            }
+            let mut ctr = KernelCounters::default();
+            let tx = replay(&mut ctr, &sz.warp(0, 0));
+            (tx, ctr, sz.report())
+        };
+        let want = sanitized(&|c, ws| warp_load_rounds(c, ws, Region::LOCAL, &materialized));
+        let got = sanitized(&|c, ws| warp_load_runs(c, ws, Region::LOCAL, &runs));
+        prop_assert_eq!(got, want);
     }
 }
