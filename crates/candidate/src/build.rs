@@ -258,9 +258,9 @@ pub fn build_candidate_graph<S: GraphStorage>(
         }
     }
 
-    // Lay out the directed edges u → u' in (u, u') order. Each copies C(u)
-    // and its class edge's buffer, with segment ends rebased to where the
-    // copy starts.
+    // Lay out the directed edges u → u' in (u, u') order. Each takes one
+    // tuple per candidate of C(u) and copies its class edge's buffer, with
+    // segment ends rebased to where the copy starts.
     let edge_class = |u: QueryVertex, u2: QueryVertex| cedge(class[u as usize], class[u2 as usize]);
     let tuples: usize = (0..n as QueryVertex)
         .map(|u| global_sets[u as usize].len() * query.degree(u))
@@ -273,15 +273,13 @@ pub fn build_candidate_graph<S: GraphStorage>(
     edge_off.push(0);
     let mut edge_dst: Vec<QueryVertex> = Vec::new();
     let mut cand_off = vec![0];
-    let mut cand_vtx: Vec<VertexId> = Vec::with_capacity(tuples);
     let mut local_off = Vec::with_capacity(tuples + 1);
     local_off.push(0);
     let mut local: Vec<VertexId> = Vec::with_capacity(local_len);
     for u in 0..n as QueryVertex {
         for u2 in query.neighbors(u) {
             edge_dst.push(u2);
-            cand_vtx.extend_from_slice(&global_sets[u as usize]);
-            cand_off.push(cand_vtx.len());
+            cand_off.push(cand_off[cand_off.len() - 1] + global_sets[u as usize].len());
             let k = edge_class(u, u2);
             let base = local.len();
             local_off.extend(ends[k].iter().map(|&end| base + end));
@@ -297,7 +295,6 @@ pub fn build_candidate_graph<S: GraphStorage>(
         edge_off,
         edge_dst,
         cand_off,
-        cand_vtx,
         local_off,
         local,
     };
@@ -419,27 +416,29 @@ mod tests {
         cg.validate_invariants().unwrap();
     }
 
-    /// `local_by_rank` reads tuple `cand_off[k] + rank`, so an edge's
-    /// candidate segment that is sorted but not its source's `C(u)` breaks
-    /// the invariants.
+    /// `local_by_rank` reads tuple `cand_off[k] + rank` as the list of
+    /// `global(u)[rank]`, so every edge must hold one tuple per candidate of
+    /// its source, and an edge whose range is one tuple off breaks the
+    /// invariants.
     #[test]
     fn invariants_tie_each_edge_segment_to_its_source_set() {
         let (g, q) = paper_like();
         let (cg, _) = build_candidate_graph(&g, &q, &BuildConfig::default());
-        for k in 0..cg.num_directed_edges() {
-            for rank in 0..cg.cand_off[k + 1] - cg.cand_off[k] {
-                let v = cg.cand_vtx[cg.cand_off[k] + rank];
-                assert_eq!(cg.local_by_rank(k, rank), cg.local_with_addr(k, v));
+        for u in 0..q.num_vertices() as QueryVertex {
+            for u2 in q.neighbors(u) {
+                let k = cg.edge_index(u, u2).unwrap();
+                for (rank, &v) in cg.global(u).iter().enumerate() {
+                    assert_eq!(cg.local_by_rank(k, rank), cg.local_with_addr(k, v));
+                }
             }
         }
-        let k = (0..cg.num_directed_edges())
+        let k = (0..cg.num_directed_edges() - 1)
             .find(|&k| cg.cand_off[k + 1] > cg.cand_off[k])
-            .expect("some edge has candidates");
+            .expect("an edge before the last has candidates");
         let mut broken = cg.clone();
-        let last = broken.cand_off[k + 1] - 1;
-        broken.cand_vtx[last] += 1_000;
+        broken.cand_off[k + 1] -= 1;
         let err = broken.validate_invariants().unwrap_err();
-        assert!(err.contains(&format!("edge {k}")), "{err}");
+        assert!(err.contains(&format!("edge {k} ")), "{err}");
     }
 
     #[test]

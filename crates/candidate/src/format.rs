@@ -3,18 +3,6 @@
 use gsword_graph::VertexId;
 use gsword_query::QueryVertex;
 
-/// Address-space region of a candidate-graph array — used by the SIMT memory
-/// model to reason about spatial locality of accesses (Example 4 / Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Region {
-    /// The global candidate array.
-    Global,
-    /// The per-edge candidate array (second CSR).
-    Cand,
-    /// The local candidate lists (third CSR).
-    Local,
-}
-
 /// Candidate graph in the paper's triple-CSR format (Fig. 4).
 ///
 /// All arrays are immutable after construction; segments are sorted so
@@ -30,10 +18,10 @@ pub struct CandidateGraph {
     /// are `edge_dst[edge_off[u]..edge_off[u+1]]`.
     pub(crate) edge_off: Vec<usize>,
     pub(crate) edge_dst: Vec<QueryVertex>,
-    /// Second CSR — candidates of the source vertex per directed edge `k`:
-    /// `cand_vtx[cand_off[k]..cand_off[k+1]]`, sorted.
+    /// Second CSR — offsets only: directed edge `k = (u→u')` owns tuples
+    /// `cand_off[k]..cand_off[k+1]`, one per candidate of `C(u)`, and tuple
+    /// `cand_off[k] + rank` belongs to `global(u)[rank]`.
     pub(crate) cand_off: Vec<usize>,
-    pub(crate) cand_vtx: Vec<VertexId>,
     /// Third CSR — local candidate list per `(edge, candidate)` tuple `t`:
     /// `local[local_off[t]..local_off[t+1]]`, sorted.
     pub(crate) local_off: Vec<usize>,
@@ -93,16 +81,12 @@ impl CandidateGraph {
     }
 
     /// Like [`CandidateGraph::local`], also returning the element offset of
-    /// the segment within the backing `local` array.
+    /// the segment within the backing `local` array: `v` is ranked in the
+    /// source's `C(u)` and read through [`CandidateGraph::local_by_rank`].
     pub fn local_with_addr(&self, k: usize, v: VertexId) -> (&[VertexId], usize) {
-        let cs = self.cand_off[k];
-        let ce = self.cand_off[k + 1];
-        match self.cand_vtx[cs..ce].binary_search(&v) {
-            Ok(p) => {
-                let t = cs + p;
-                let s = self.local_off[t];
-                (&self.local[s..self.local_off[t + 1]], s)
-            }
+        let u = self.edge_off.partition_point(|&o| o <= k) - 1;
+        match self.global(u as QueryVertex).binary_search(&v) {
+            Ok(rank) => self.local_by_rank(k, rank),
             Err(_) => (&[], 0),
         }
     }
@@ -110,8 +94,6 @@ impl CandidateGraph {
     /// The local candidate list of the `rank`-th candidate of `C(u)` for
     /// directed edge `k = (u→u')`, with its element offset in the backing
     /// `local` array: tuple `cand_off[k] + rank`, found with no search.
-    /// Equals [`CandidateGraph::local_with_addr`] of `global(u)[rank]`,
-    /// since every edge's candidate segment is a copy of its source's `C(u)`.
     #[inline]
     pub fn local_by_rank(&self, k: usize, rank: usize) -> (&[VertexId], usize) {
         let t = self.cand_off[k] + rank;
@@ -129,7 +111,7 @@ impl CandidateGraph {
         use std::mem::size_of;
         (self.global_off.len() + self.edge_off.len() + self.cand_off.len() + self.local_off.len())
             * size_of::<usize>()
-            + (self.global.len() + self.cand_vtx.len() + self.local.len()) * size_of::<VertexId>()
+            + (self.global.len() + self.local.len()) * size_of::<VertexId>()
             + self.edge_dst.len() * size_of::<QueryVertex>()
     }
 
@@ -140,7 +122,7 @@ impl CandidateGraph {
     }
 
     /// Check internal invariants (sorted segments, consistent offsets, and
-    /// each edge's candidate segment equal to its source's `C(u)`, which
+    /// one tuple per candidate of its source's `C(u)` on each edge, which
     /// [`CandidateGraph::local_by_rank`] relies on). Used by tests and debug
     /// assertions.
     pub fn validate_invariants(&self) -> Result<(), String> {
@@ -154,13 +136,11 @@ impl CandidateGraph {
         if *self.edge_off.last().unwrap() != self.edge_dst.len() {
             return Err("edge offsets do not cover the edge array".into());
         }
-        if self.cand_off.len() != self.edge_dst.len() + 1
-            || *self.cand_off.last().unwrap() != self.cand_vtx.len()
-        {
+        if self.cand_off.len() != self.edge_dst.len() + 1 || self.cand_off[0] != 0 {
             return Err("cand CSR inconsistent".into());
         }
-        if self.local_off.len() != self.cand_vtx.len() + 1
-            || *self.local_off.last().unwrap() != self.local.len()
+        let tuples = *self.cand_off.last().unwrap();
+        if self.local_off.len() != tuples + 1 || *self.local_off.last().unwrap() != self.local.len()
         {
             return Err("local CSR inconsistent".into());
         }
@@ -169,16 +149,17 @@ impl CandidateGraph {
             if !seg.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("global segment of u{u} not strictly sorted"));
             }
-        }
-        for u in 0..n {
-            let set = &self.global[self.global_off[u]..self.global_off[u + 1]];
             for k in self.edge_off[u]..self.edge_off[u + 1] {
-                if self.cand_vtx[self.cand_off[k]..self.cand_off[k + 1]] != *set {
-                    return Err(format!("cand segment of edge {k} differs from C(u{u})"));
+                let (s, e) = (self.cand_off[k], self.cand_off[k + 1]);
+                if s > e || e - s != seg.len() {
+                    return Err(format!(
+                        "edge {k} holds tuples {s}..{e}, C(u{u}) has {}",
+                        seg.len()
+                    ));
                 }
             }
         }
-        for t in 0..self.cand_vtx.len() {
+        for t in 0..tuples {
             let seg = &self.local[self.local_off[t]..self.local_off[t + 1]];
             if !seg.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("local segment of tuple {t} not strictly sorted"));

@@ -7,12 +7,15 @@
 //! sets, which shrinks the sample space versus walking the data graph
 //! directly (evaluated in the paper's appendix, Figures 26–28).
 //!
-//! The storage layout follows the paper: a first CSR over query edges, a
-//! second CSR listing the candidates of the edge's source vertex, and a
-//! third CSR holding each candidate's local candidate list.
+//! The storage layout follows the paper's three CSRs: a first CSR over query
+//! edges, a second CSR giving each edge one `(edge, candidate)` tuple per
+//! candidate of its source vertex, and a third CSR holding each tuple's
+//! local candidate list. The second CSR holds offsets only: the paper's copy
+//! of the source's candidates per edge is not stored, since tuple
+//! `cand_off[k] + rank` belongs to the candidate of that rank in `C(u)`.
 
 pub mod build;
 pub mod format;
 
 pub use build::{build_candidate_graph, BuildConfig, BuildStats};
-pub use format::{CandidateGraph, Region};
+pub use format::CandidateGraph;

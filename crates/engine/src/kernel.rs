@@ -185,14 +185,14 @@ struct WarpExec<'e, 'c, E: ?Sized> {
     /// advances monotonically through its segment — the engine's actual
     /// probe pattern, which the memory model is charged with.
     cursors: Vec<Vec<usize>>,
-    /// Per-lane probe element addresses recorded by the current refine or
-    /// validate step, drained in lockstep rounds by
-    /// [`WarpExec::charge_recorded_probes`]. The streaming independent
-    /// phase records a lane's whole scan here instead, cut into steps by
-    /// `probe_steps`.
+    /// Per-lane probe element addresses recorded by the current
+    /// collaborative-phase round or Validate step, drained in lockstep
+    /// rounds by [`WarpExec::charge_recorded_probes`].
+    /// [`WarpExec::scan_lanes`] records a lane's whole Refine scan here
+    /// instead, cut into steps by `probe_steps`.
     probe_bufs: Vec<Vec<usize>>,
-    /// Per-lane probe counts of the streaming independent phase, one per
-    /// candidate scanned: the lockstep steps of the lane's `probe_bufs`.
+    /// Per-lane probe counts of a Refine scan, one per candidate scanned:
+    /// the lockstep steps of the lane's `probe_bufs`.
     probe_steps: Vec<Vec<u32>>,
 }
 
@@ -310,7 +310,11 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         for lane in lanes_of(mask) {
             cand[lane] = Some(self.resolve_lane(lane, s[lane].prefix(), d));
         }
-        self.charge_get_min(mask, d);
+        if self.ctx.backward(d).is_empty() {
+            self.ctr.warp_instruction(mask); // the root has no lookup
+        } else {
+            self.charge_get_min(mask);
+        }
 
         // --- Refine + Sample ---------------------------------------------
         // Positions without backward constraints (the root) have an
@@ -460,57 +464,14 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         }
 
         // --- Independent phase ---------------------------------------------
-        // Each lane drains its fewer than 32 leftover candidates with its
-        // own cursors, reservoir and RNG stream, so the lanes scan one after
-        // another and the lockstep charge is rebuilt from per-lane records
-        // (DESIGN.md §11): first the candidate element loads, lane `l`
-        // reading the `r`-th element of its leftover run in round `r`, then
-        // the probes step by step, each step's rounds in lane order. A lane
-        // with one backward segment searches nothing and records nothing.
-        // Streaming refine only runs at positions with backward
-        // constraints, where every lane's candidate set lives in the
-        // local-CSR region.
-        debug_assert!(
-            lanes_of(mask).all(|l| cand[l].expect("active lane").region == Region::LOCAL),
-            "refine candidates come from backward segments (LOCAL)"
-        );
-        self.reset_cursors(mask);
-        self.clear_probe_bufs();
-        for steps in &mut self.probe_steps {
-            steps.clear();
-        }
-        let mut runs: [Range<usize>; WARP_SIZE] = Default::default();
-        for lane in lanes_of(mask) {
-            let lc = cand[lane].expect("active lane");
-            let start = cur_iter[lane];
-            runs[lane] = lc.addr + start..lc.addr + lc.cand.len();
-            let probes = self.segs[lane].len() > 1;
-            for &v in &lc.cand[start..] {
-                let searched = if probes {
-                    let before = self.probe_bufs[lane].len();
-                    let member = self.record_lane_probes(lane, v);
-                    let issued = self.probe_bufs[lane].len() - before;
-                    self.probe_steps[lane].push(issued as u32);
-                    member
-                } else {
-                    true // the minimum segment, the only one, holds `v`
-                };
-                if self.refines(lane, v, searched) {
-                    cur_total[lane] += 1.0;
-                    if self.rng[lane].gen::<f64>() < 1.0 / cur_total[lane] {
-                        cur_v[lane] = Some(v);
-                    }
-                }
+        // Each lane drains its fewer than 32 leftover candidates into its
+        // own reservoir, drawing from its own RNG stream.
+        self.scan_lanes(mask, cand, &cur_iter, |exec, lane, v| {
+            cur_total[lane] += 1.0;
+            if exec.rng[lane].gen::<f64>() < 1.0 / cur_total[lane] {
+                cur_v[lane] = Some(v);
             }
-        }
-        warp_load_runs(&mut self.ctr, &self.san, Region::LOCAL, &runs);
-        warp_load_steps(
-            &mut self.ctr,
-            &self.san,
-            Region::LOCAL,
-            &self.probe_bufs,
-            &self.probe_steps,
-        );
+        });
 
         for lane in lanes_of(mask) {
             if let Some(v) = cur_v[lane] {
@@ -561,19 +522,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         for lane in lanes_of(mask) {
             cand[lane] = Some(self.resolve_lane(lane, s[lane].prefix(), depth[lane]));
         }
-        // Each lane resolves one local-CSR lookup per backward segment
-        // (`segs[lane]` holds exactly the segments of its own depth);
-        // replay the whole mixed-depth sequence in lockstep rounds.
-        self.clear_probe_bufs();
-        {
-            let (segs, bufs) = (&self.segs, &mut self.probe_bufs);
-            for lane in lanes_of(mask) {
-                for &(_, addr) in &segs[lane] {
-                    bufs[lane].push(addr);
-                }
-            }
-        }
-        warp_load_rounds(&mut self.ctr, &self.san, Region::LOCAL, &self.probe_bufs);
+        self.charge_get_min(mask);
 
         // Refine + sample per lane (serial scans, mixed lengths).
         let mut chosen: Lanes<Option<(VertexId, f64)>> = [None; WARP_SIZE];
@@ -612,11 +561,12 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
     }
 
     /// Alley's Refine without streaming: every lane scans its own candidate
-    /// array serially; the warp advances in lockstep, so lanes with short
-    /// arrays idle until the longest lane finishes (refine imbalance).
-    /// Under iteration sync each lane may be at a different depth: lanes
-    /// without backward constraints (position 0) sample directly under
-    /// predication instead of scanning.
+    /// array serially into its scratch buffer and draws uniformly from what
+    /// survives; in the lockstep charge lanes with short arrays idle until
+    /// the longest lane finishes (refine imbalance). Under iteration sync
+    /// each lane may be at a different depth: lanes without backward
+    /// constraints (position 0) sample directly under predication instead
+    /// of scanning.
     fn serial_refine_sample(
         &mut self,
         mask: WarpMask,
@@ -633,41 +583,12 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             self.direct_sample(direct, cand, chosen);
         }
         let mask = mask & !direct;
-        let max_clen = lanes_of(mask)
-            .map(|lane| cand[lane].map_or(0, |c| c.cand.len()))
-            .max()
-            .unwrap_or(0);
         for lane in lanes_of(mask) {
             self.scratch[lane].clear();
         }
-        self.reset_cursors(mask);
-        for t in 0..max_clen {
-            let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-            let mut step_mask: WarpMask = 0;
-            for lane in lanes_of(mask) {
-                let lc = cand[lane].expect("active lane");
-                if t < lc.cand.len() {
-                    step_mask |= 1 << lane;
-                    addrs[lane] = Some((lc.region, lc.addr + t));
-                }
-            }
-            if step_mask == 0 {
-                break;
-            }
-            warp_load(&mut self.ctr, &self.san, &addrs);
-            // Probe loads at each lane's own depth: the actual gallop
-            // traces into that lane's segments, which scatter further than
-            // the sample-sync path because segment sets differ per lane.
-            self.clear_probe_bufs();
-            for lane in lanes_of(step_mask) {
-                let v = cand[lane].expect("active lane").cand[t];
-                let searched = self.record_lane_probes(lane, v);
-                if self.refines(lane, v, searched) {
-                    self.scratch[lane].push(v);
-                }
-            }
-            self.charge_recorded_probes();
-        }
+        self.scan_lanes(mask, cand, &[0; WARP_SIZE], |exec, lane, v| {
+            exec.scratch[lane].push(v)
+        });
         for lane in lanes_of(mask) {
             let refined = &self.scratch[lane];
             if !refined.is_empty() {
@@ -675,6 +596,63 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
                 chosen[lane] = Some((refined[idx], 1.0 / refined.len() as f64));
             }
         }
+    }
+
+    /// Refine's scan (Algorithm 1): each lane of `mask` walks its candidates
+    /// from `from[lane]` to the end with its own gallop cursors and hands
+    /// every candidate that refines to `keep`. Lanes share no state in the
+    /// scan, so they run one after another, and the lockstep charge is
+    /// rebuilt from per-lane records (DESIGN.md §11): first the candidate
+    /// element loads, lane `l` reading the `r`-th element of its run in
+    /// round `r`, then the probes step by step, each step's rounds in lane
+    /// order. A lane with one backward segment searches nothing and records
+    /// nothing. Refine only scans positions with backward constraints, where
+    /// every lane's candidate set lives in the local-CSR region.
+    fn scan_lanes(
+        &mut self,
+        mask: WarpMask,
+        cand: &Lanes<Option<LaneCand<'c>>>,
+        from: &[usize; WARP_SIZE],
+        mut keep: impl FnMut(&mut Self, usize, VertexId),
+    ) {
+        debug_assert!(
+            lanes_of(mask).all(|l| cand[l].expect("active lane").region == Region::LOCAL),
+            "refine candidates come from backward segments (LOCAL)"
+        );
+        self.reset_cursors(mask);
+        self.clear_probe_bufs();
+        for steps in &mut self.probe_steps {
+            steps.clear();
+        }
+        let mut runs: [Range<usize>; WARP_SIZE] = Default::default();
+        for lane in lanes_of(mask) {
+            let lc = cand[lane].expect("active lane");
+            let start = from[lane];
+            runs[lane] = lc.addr + start..lc.addr + lc.cand.len();
+            let probes = self.segs[lane].len() > 1;
+            for &v in &lc.cand[start..] {
+                let searched = if probes {
+                    let before = self.probe_bufs[lane].len();
+                    let member = self.record_lane_probes(lane, v);
+                    let issued = self.probe_bufs[lane].len() - before;
+                    self.probe_steps[lane].push(issued as u32);
+                    member
+                } else {
+                    true // the minimum segment, the only one, holds `v`
+                };
+                if self.refines(lane, v, searched) {
+                    keep(self, lane, v);
+                }
+            }
+        }
+        warp_load_runs(&mut self.ctr, &self.san, Region::LOCAL, &runs);
+        warp_load_steps(
+            &mut self.ctr,
+            &self.san,
+            Region::LOCAL,
+            &self.probe_bufs,
+            &self.probe_steps,
+        );
     }
 
     /// GetMinCandidate for one lane: resolve its backward segments at
@@ -721,20 +699,18 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
     // Cost charging helpers.
     // ------------------------------------------------------------------
 
-    /// GetMinCandidate loads: resolving each backward segment reads the
-    /// per-edge candidate CSR (one lookup per backward edge, scattered
-    /// across lanes because partial instances differ).
-    fn charge_get_min(&mut self, mask: WarpMask, d: usize) {
-        let k = self.ctx.backward(d).len();
-        if k == 0 {
-            self.ctr.warp_instruction(mask);
-            return;
-        }
-        // All active lanes sit at depth `d`, so each holds exactly `k`
-        // segments: round `r` loads every active lane's `r`-th segment.
-        debug_assert!(mask != 0 && lanes_of(mask).all(|l| self.segs[l].len() == k));
+    /// GetMinCandidate loads: one `Region::CAND` load per backward segment
+    /// a lane resolved, at the segment's element offset into the `local`
+    /// array (scattered across lanes because partial instances differ).
+    /// That offset stands in for the device's lookup, which ranks `v` in
+    /// `C(u)` and reads `local_off[cand_off[k] + rank]`. Round `r` loads
+    /// every lane's `r`-th segment, over as many rounds as the most
+    /// segments any lane of `mask` holds: under iteration sync, lanes at
+    /// different depths hold different counts.
+    fn charge_get_min(&mut self, mask: WarpMask) {
         let segs = &self.segs;
-        for r in 0..k {
+        let rounds = lanes_of(mask).map(|l| segs[l].len()).max().unwrap_or(0);
+        for r in 0..rounds {
             let bases = lanes_of(mask).filter_map(|lane| segs[lane].get(r).map(|seg| seg.1));
             warp_load_round(&mut self.ctr, &self.san, Region::CAND, bases);
         }

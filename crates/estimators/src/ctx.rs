@@ -175,7 +175,7 @@ impl<'a> QueryCtx<'a> {
     /// The local candidate segment of one backward edge for the vertex the
     /// prefix matched at its source position: what
     /// [`CandidateGraph::local_with_addr`] returns, found through the rank
-    /// index instead of a search of the edge's candidate segment.
+    /// index instead of a binary search of `C(u)`.
     #[inline]
     fn resolve(&self, be: &BackwardEdge, prefix: &[VertexId]) -> Segment<'a> {
         let pos = be.pos as usize;

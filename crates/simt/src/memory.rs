@@ -31,7 +31,10 @@ pub struct Region(pub u32);
 impl Region {
     /// Global candidate array of the candidate graph.
     pub const GLOBAL: Region = Region(0);
-    /// Per-edge candidate array (second CSR).
+    /// GetMinCandidate's tuple lookups: the engine charges one load per
+    /// resolved backward segment, at the segment's offset into the local
+    /// lists, in place of the device's read of `local_off[cand_off[k] +
+    /// rank]`.
     pub const CAND: Region = Region(1);
     /// Local candidate lists (third CSR).
     pub const LOCAL: Region = Region(2);

@@ -204,9 +204,8 @@ fn reference_candidates(g: &Graph, q: &QueryGraph, cfg: &BuildConfig) -> Vec<Vec
 }
 
 /// Check every array of `cg` against the definition: the global sets
-/// `C(u)`, the directed query edges in `(u, u')` order, the candidates of
-/// each edge's source, and `local(e, v) = N(v) ∩ C(dst(e))` laid out edge
-/// after edge.
+/// `C(u)`, the directed query edges in `(u, u')` order, and
+/// `local(e, v) = N(v) ∩ C(dst(e))` laid out edge after edge.
 fn check_definition(
     g: &Graph,
     q: &QueryGraph,
@@ -251,9 +250,10 @@ fn check_definition(
     prop_assert_eq!(cg.num_directed_edges(), k);
     prop_assert_eq!(cg.num_local_entries(), local_at);
     // Array lengths, which the lookups above cannot see: offsets are
-    // `usize`, vertex ids `u32`, edge destinations one byte.
+    // `usize`, vertex ids `u32`, edge destinations one byte. Tuples are
+    // counted by offsets alone; no vertex id is stored per tuple.
     let offsets = (n + 1) + (n + 1) + (k + 1) + (tuples + 1);
-    let ids = global_at + tuples + local_at;
+    let ids = global_at + local_at;
     prop_assert_eq!(cg.byte_size(), offsets * 8 + ids * 4 + k);
     Ok(())
 }
@@ -288,7 +288,7 @@ fn check_alley_refine(q: &QueryGraph, cg: &CandidateGraph) -> Result<(), TestCas
 }
 
 /// `QueryCtx`'s rank lookup resolves exactly what `local_with_addr`'s
-/// search of the edge's candidate segment finds, under the QuickSI and
+/// search of the edge's source set `C(u)` finds, under the QuickSI and
 /// G-CARE orders: `backward_segments` and `min_candidate_prefix` at every
 /// position, with every earlier position matched to one id, for every
 /// vertex id of `g` (every source candidate and the ids absent from `C(u)`)
