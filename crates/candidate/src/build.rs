@@ -220,10 +220,13 @@ pub fn build_candidate_graph<S: GraphStorage>(
 
     // Local sets C(u, u', v) = N(v) ∩ C(u') depend only on C(u) and C(u'),
     // so each class edge is routed once. Bit a of `holds[v]` is set when v
-    // is in class a's set. Each candidate's adjacency is streamed once, in
-    // ascending id order, and every neighbor is routed to each class edge
-    // a → b with v in a's set and w in b's, so the class buffers fill in
-    // C(u) order with sorted segments; `ends[k]` holds each segment's end.
+    // is in class a's set. Candidates are visited in ascending id order,
+    // each in two passes in which no branch depends on a neighbor: stream
+    // N(v) once and compact the neighbors that some target class holds,
+    // with their class bits, into `hw`/`hh`; then, for each class a of v
+    // and each class edge k = a → b, append the kept neighbors with bit b
+    // to k's buffer. The buffers fill in C(u) order with sorted segments;
+    // `ends[k]` holds each segment's end.
     let mut holds = vec![0u32; data.num_vertices()];
     for (a, &r) in reps.iter().enumerate() {
         for &v in &global_sets[r] {
@@ -233,27 +236,39 @@ pub fn build_candidate_graph<S: GraphStorage>(
     let num_cedges = cedge_off[reps.len()];
     let mut class_local: Vec<Vec<VertexId>> = vec![Vec::new(); num_cedges];
     let mut ends: Vec<Vec<usize>> = vec![Vec::new(); num_cedges];
+    let (mut hw, mut hh) = (Vec::new(), Vec::new());
     for (v, &src) in holds.iter().enumerate() {
         if src == 0 {
             continue;
         }
         let want = bits(src).fold(0, |m, a| m | cadj[a]);
+        let mut n = 0;
         if want != 0 {
+            let deg = data.degree(v as VertexId);
+            if hw.len() < deg {
+                hw.resize(deg, 0);
+                hh.resize(deg, 0);
+            }
+            let (hw, hh) = (&mut hw[..deg], &mut hh[..deg]);
             data.for_each_neighbor(v as VertexId, |w| {
-                let hit = holds[w as usize] & want;
-                if hit != 0 {
-                    for a in bits(src) {
-                        for b in bits(hit & cadj[a]) {
-                            class_local[cedge(a, b)].push(w);
-                        }
-                    }
-                }
+                let h = holds[w as usize] & want;
+                hw[n] = w;
+                hh[n] = h;
+                n += (h != 0) as usize;
                 true
             });
         }
         for a in bits(src) {
-            for k in cedge_off[a]..cedge_off[a + 1] {
-                ends[k].push(class_local[k].len());
+            for (k, b) in (cedge_off[a]..).zip(bits(cadj[a])) {
+                let dst = &mut class_local[k];
+                let mut m = dst.len();
+                dst.resize(m + n, 0);
+                for (&w, &h) in hw[..n].iter().zip(&hh[..n]) {
+                    dst[m] = w;
+                    m += ((h >> b) & 1) as usize;
+                }
+                dst.truncate(m);
+                ends[k].push(m);
             }
         }
     }

@@ -124,7 +124,18 @@ fn load_query_spec(data: &AnyGraph, spec: &str) -> Result<QueryGraph, String> {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or("extract needs a size, e.g. extract:8")?;
-        let seed: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+        if !(2..=QueryGraph::MAX_VERTICES).contains(&k) {
+            return Err(format!(
+                "extract size {k} is out of range (2..={})",
+                QueryGraph::MAX_VERTICES
+            ));
+        }
+        let seed: u64 = match parts.next() {
+            None => 42,
+            Some(s) => s
+                .parse()
+                .map_err(|_| format!("bad extract seed '{s}' (expected an integer)"))?,
+        };
         return QueryGraph::extract(data, k, seed)
             .ok_or_else(|| format!("could not extract a {k}-vertex query (seed {seed})"));
     }

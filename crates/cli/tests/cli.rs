@@ -92,6 +92,18 @@ fn error_paths() {
     let (ok, _, stderr) = run(&["estimate", "yeast", "-q", "extract:4", "--backend", "tpu"]);
     assert!(!ok);
     assert!(stderr.contains("unknown backend"), "{stderr}");
+
+    // Query sizes outside 2..=32 and unparsable seeds are usage errors.
+    for (spec, msg) in [
+        ("extract:1", "out of range"),
+        ("extract:33", "out of range"),
+        ("extract:4:abc", "bad extract seed"),
+    ] {
+        let (ok, _, stderr) = run(&["estimate", "yeast", "-q", spec]);
+        assert!(!ok, "{spec}");
+        assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
+        assert!(stderr.contains(msg), "{spec}: {stderr}");
+    }
 }
 
 #[test]

@@ -388,24 +388,33 @@ fn definition_configs() -> [BuildConfig; 4] {
     ]
 }
 
+/// Builds each of `queries` on `g` under every `definition_configs` entry
+/// and checks the CSR build's invariants, its definition, its Alley Refine
+/// and its backward lookup, and that budget-0 streaming and decoded
+/// compressed storage build the same graph.
+fn check_all_storages(g: &Graph, queries: &[QueryGraph]) -> Result<(), TestCaseError> {
+    let streaming = CompressedGraph::from_graph(g).with_decode_cache(0);
+    let decoded = CompressedGraph::from_graph(g);
+    for q in queries {
+        for cfg in definition_configs() {
+            let (cg, _) = build_candidate_graph(g, q, &cfg);
+            cg.validate_invariants().map_err(TestCaseError::fail)?;
+            check_definition(g, q, &cfg, &cg)?;
+            check_alley_refine(q, &cg)?;
+            check_backward_lookup(g, q, &cg)?;
+            prop_assert_eq!(&build_candidate_graph(&streaming, q, &cfg).0, &cg);
+            prop_assert_eq!(&build_candidate_graph(&decoded, q, &cfg).0, &cg);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn candidate_graph_equals_its_definition(g in shared_label_hub_strategy(), seed in any::<u64>()) {
-        let streaming = CompressedGraph::from_graph(&g).with_decode_cache(0);
-        let decoded = CompressedGraph::from_graph(&g);
-        for q in definition_queries(&g, seed) {
-            for cfg in definition_configs() {
-                let (cg, _) = build_candidate_graph(&g, &q, &cfg);
-                cg.validate_invariants().map_err(TestCaseError::fail)?;
-                check_definition(&g, &q, &cfg, &cg)?;
-                check_alley_refine(&q, &cg)?;
-                check_backward_lookup(&g, &q, &cg)?;
-                prop_assert_eq!(&build_candidate_graph(&streaming, &q, &cfg).0, &cg);
-                prop_assert_eq!(&build_candidate_graph(&decoded, &q, &cfg).0, &cg);
-            }
-        }
+        check_all_storages(&g, &definition_queries(&g, seed))?;
     }
 }
 
@@ -455,4 +464,57 @@ fn thirty_two_classes_equal_the_definition() {
                 .unwrap_or_else(|e| panic!("{name} build under {cfg:?}: {e}"));
         }
     }
+}
+
+/// One label and a hub adjacent to most of 260 vertices: the hub's list
+/// spans at least four Rice blocks behind a restart table, and a second
+/// hub's spans more than one. Under the degree filter one label nests the
+/// candidate sets, so high-degree vertices are candidates of several
+/// classes. Besides `definition_queries`, whose extracted queries mostly
+/// pass the hub and whose one-label cycle maps every directed edge to the
+/// class edge `a → a`, a star routes leaf class → center class, whose set
+/// the low-degree leaves miss.
+#[test]
+fn multi_block_lists_equal_the_definition() {
+    use gsword::graph::compressed::BLOCK;
+    use rand::Rng;
+    let n = 260;
+    let mut rng = SmallRng::seed_from_u64(200);
+    let mut b = GraphBuilder::with_vertices(n);
+    for v in 1..n as VertexId {
+        if rng.gen_bool(0.9) {
+            b.add_edge(0, v);
+        }
+        if v > 1 && rng.gen_bool(0.4) {
+            b.add_edge(1, v);
+        }
+    }
+    for _ in 0..2 * n {
+        b.add_edge(
+            rng.gen_range(2..n as VertexId),
+            rng.gen_range(2..n as VertexId),
+        );
+    }
+    let g = b.build().expect("edges are in range");
+    assert!(
+        g.degree(0) >= 200 && g.degree(1) > BLOCK,
+        "multi-block hubs"
+    );
+    let mut queries = definition_queries(&g, 200);
+    queries.push(
+        QueryGraph::new(vec![0; 6], &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]).expect("star"),
+    );
+    check_all_storages(&g, &queries).unwrap_or_else(|e| panic!("{e}"));
+    let hub_in_several_classes = queries.iter().any(|q| {
+        definition_configs().iter().any(|cfg| {
+            let (cg, _) = build_candidate_graph(&g, q, cfg);
+            let mut sets: Vec<&[VertexId]> = (0..q.num_vertices() as QueryVertex)
+                .map(|u| cg.global(u))
+                .filter(|set| set.contains(&0))
+                .collect();
+            sets.dedup();
+            sets.len() > 1
+        })
+    });
+    assert!(hub_in_several_classes, "the hub is a multi-class candidate");
 }
