@@ -1,6 +1,6 @@
 //! The uniformity dataflow and the kernel-body rules.
 //!
-//! Three analyses run over each kernel function's CFG:
+//! Two analyses run over each kernel function's CFG:
 //!
 //! 1. **Divergence seeding** (flow-insensitive fixpoint): a variable is
 //!    *Divergent* if it is bound by a per-lane loop (`for lane in
@@ -22,13 +22,6 @@
 //!    intersection. With summaries, a call to a helper that hides a
 //!    full-mask primitive (a *latent* primitive) fires at the divergent
 //!    call site.
-//! 3. **Pool-access dataflow** (flow-sensitive, forward): abstracts the
-//!    block-shared `SamplePool` cursor as `Clear < Atomic < Plain`. Rule
-//!    `pool-race` fires when an unsynchronized cursor read follows any
-//!    pool access (or an atomic access follows an unsynchronized read)
-//!    with no `block_barrier` on some path — the static counterpart of
-//!    the sanitizer's racecheck. With summaries, a helper's entry-exposed
-//!    pool accesses compose with the caller's state.
 //!
 //! Rule `primitive-charges-counters` is per-function rather than per-path:
 //! a `pub fn` taking `&mut KernelCounters` must charge the counters
@@ -36,7 +29,7 @@
 
 use std::collections::HashSet;
 
-use crate::callgraph::{FnSummary, Summaries, SUM_POOL_CLEAR};
+use crate::callgraph::{FnSummary, Summaries};
 use crate::cfg::{extract_calls_spanned, lower, Action, Call, Cfg, Guard};
 use crate::lex::{Tok, TokKind};
 use crate::parse::{join, Block, FnDef, Stmt};
@@ -75,27 +68,15 @@ const UNIFORM_RESULT: &[&str] = &[
 const CONTAINER_RESULT: &[&str] = &["warp_load", "warp_scan"];
 
 /// Counter-charging methods (the dynamic cost model's entry points).
-const CHARGE: &[&str] = &["warp_instruction", "warp_load", "warp_store", "diverge"];
+const CHARGE: &[&str] = &["warp_instruction", "warp_load", "diverge"];
 
-/// Pool accesses that go through the atomic cursor.
-const POOL_ATOMIC: &[&str] = &["fetch", "fetch_many", "fetch_sanitized"];
-/// Pool accesses that read the cursor without synchronization.
-const POOL_PLAIN: &[&str] = &["read_cursor_unsync"];
-/// Block-wide synchronization points that clear pool-race state.
-const POOL_BARRIER: &[&str] = &["block_barrier"];
-
-/// Names whose summaries are never consulted: primitives and pool
-/// accessors have built-in transfer behavior (so a corpus function
+/// Names whose summaries are never consulted: `set_active` and the
+/// primitives have built-in transfer behavior (so a corpus function
 /// shadowing a primitive name cannot weaken the analysis), and ubiquitous
 /// std-trait names would alias unrelated implementations
 /// ([`crate::callgraph::opaque_name`]).
 fn has_builtin_transfer(name: &str) -> bool {
-    name == "set_active"
-        || POOL_ATOMIC.contains(&name)
-        || POOL_PLAIN.contains(&name)
-        || POOL_BARRIER.contains(&name)
-        || PRIMS.contains(&name)
-        || crate::callgraph::opaque_name(name)
+    name == "set_active" || PRIMS.contains(&name) || crate::callgraph::opaque_name(name)
 }
 
 /// Is this function subject to the kernel-body rules?
@@ -275,10 +256,10 @@ fn rhs_makes_container(rhs: &[Tok], sums: &Summaries) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Flow-sensitive state: declared mask × pool access
+// Flow-sensitive state: the declared mask
 // ---------------------------------------------------------------------------
 
-/// The `set_active` declaration lattice.
+/// The `set_active` declaration lattice, the dataflow state at each node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Decl {
     /// Unreachable.
@@ -291,92 +272,30 @@ enum Decl {
     Unknown,
 }
 
-/// Pool-access lattice: `Bottom < Clear < Atomic < Plain` (join = max).
-type Pool = u8;
-const POOL_BOTTOM: Pool = 0;
-const POOL_CLEAR: Pool = SUM_POOL_CLEAR;
-const POOL_ATOMIC_ST: Pool = 2;
-const POOL_PLAIN_ST: Pool = 3;
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct State {
-    decl: Decl,
-    pool: Pool,
-    /// Still reachable from function entry with no barrier on some path —
-    /// what decides whether a pool access is *entry-exposed* in summaries.
-    pre: bool,
-}
-
-impl State {
-    fn bottom() -> State {
-        State {
-            decl: Decl::Bottom,
-            pool: POOL_BOTTOM,
-            pre: false,
-        }
-    }
-
-    fn entry() -> State {
-        State {
-            decl: Decl::None,
-            pool: POOL_CLEAR,
-            pre: true,
-        }
-    }
-
-    fn join(&self, other: &State) -> State {
-        let decl = match (&self.decl, &other.decl) {
+impl Decl {
+    fn join(&self, other: &Decl) -> Decl {
+        match (self, other) {
             (Decl::Bottom, d) | (d, Decl::Bottom) => d.clone(),
             (a, b) if a == b => a.clone(),
             _ => Decl::Unknown,
-        };
-        State {
-            decl,
-            pool: self.pool.max(other.pool),
-            pre: self.pre || other.pre,
         }
     }
 }
 
-/// Apply one call's effect to the state (no finding emission). Callee
-/// summaries compose: a helper that touches the pool leaves the caller in
-/// the helper's exit state, and a helper that re-declares the active mask
-/// invalidates the caller's declaration (permissively).
-fn transfer_call(state: &mut State, c: &Call, sums: &Summaries) {
+/// Apply one call's effect to the state (no finding emission). A helper
+/// that re-declares the active mask invalidates the caller's declaration
+/// (permissively).
+fn transfer_call(state: &mut Decl, c: &Call, sums: &Summaries) {
     if c.name == "set_active" {
         if let Some(arg) = c.args.first() {
-            state.decl = Decl::Expr(join(arg));
+            *state = Decl::Expr(join(arg));
         }
-        return;
-    }
-    let n = c.name.as_str();
-    if POOL_BARRIER.contains(&n) {
-        state.pool = POOL_CLEAR;
-        state.pre = false;
-    } else if POOL_ATOMIC.contains(&n) {
-        state.pool = state.pool.max(POOL_ATOMIC_ST);
-    } else if POOL_PLAIN.contains(&n) {
-        state.pool = POOL_PLAIN_ST;
-    } else if !has_builtin_transfer(n) {
-        if let Some(s) = sums.get(n) {
-            if s.sets_active {
-                state.decl = Decl::Unknown;
-            }
-            if s.pool_touched {
-                if s.pool_out == POOL_CLEAR {
-                    // The helper's last pool-relevant action was a barrier
-                    // on every path.
-                    state.pool = POOL_CLEAR;
-                    state.pre = false;
-                } else {
-                    state.pool = state.pool.max(s.pool_out);
-                }
-            }
-        }
+    } else if !has_builtin_transfer(&c.name) && sums.get(&c.name).is_some_and(|s| s.sets_active) {
+        *state = Decl::Unknown;
     }
 }
 
-fn transfer_node(mut state: State, node: &crate::cfg::Node, sums: &Summaries) -> State {
+fn transfer_node(mut state: Decl, node: &crate::cfg::Node, sums: &Summaries) -> Decl {
     for a in &node.actions {
         if let Action::Call(c) = a {
             transfer_call(&mut state, c, sums);
@@ -386,18 +305,14 @@ fn transfer_node(mut state: State, node: &crate::cfg::Node, sums: &Summaries) ->
 }
 
 /// Solve the forward dataflow to fixpoint; returns each node's exit state.
-fn solve_outs(cfg: &Cfg, sums: &Summaries) -> Vec<State> {
+fn solve_outs(cfg: &Cfg, sums: &Summaries) -> Vec<Decl> {
     let n = cfg.nodes.len();
     let preds = cfg.preds();
-    let mut outs = vec![State::bottom(); n];
+    let mut outs = vec![Decl::Bottom; n];
     loop {
         let mut changed = false;
         for i in 0..n {
-            let mut inp = if i == 0 {
-                State::entry()
-            } else {
-                State::bottom()
-            };
+            let mut inp = if i == 0 { Decl::None } else { Decl::Bottom };
             for &p in &preds[i] {
                 inp = inp.join(&outs[p]);
             }
@@ -413,15 +328,11 @@ fn solve_outs(cfg: &Cfg, sums: &Summaries) -> Vec<State> {
     }
 }
 
-fn entry_states(cfg: &Cfg, outs: &[State]) -> Vec<State> {
+fn entry_states(cfg: &Cfg, outs: &[Decl]) -> Vec<Decl> {
     let preds = cfg.preds();
     (0..cfg.nodes.len())
         .map(|i| {
-            let mut inp = if i == 0 {
-                State::entry()
-            } else {
-                State::bottom()
-            };
+            let mut inp = if i == 0 { Decl::None } else { Decl::Bottom };
             for &p in &preds[i] {
                 inp = inp.join(&outs[p]);
             }
@@ -442,14 +353,14 @@ fn is_full_mask(m: &str) -> bool {
 }
 
 /// Replay the fixpoint states through each node and emit findings for the
-/// `divergent-sync` and `pool-race` rules, composing callee summaries.
+/// `divergent-sync` rule, composing callee summaries.
 fn check_flow_rules(cfg: &Cfg, div: &Divergence, sums: &Summaries) -> Vec<RawFinding> {
     let outs = solve_outs(cfg, sums);
     let states = entry_states(cfg, &outs);
     let mut out = Vec::new();
     for (i, node) in cfg.nodes.iter().enumerate() {
         let mut st = states[i].clone();
-        if st.pool == POOL_BOTTOM {
+        if st == Decl::Bottom {
             continue; // unreachable
         }
         let ctrl_div = div.control_divergent(cfg, i, sums);
@@ -460,40 +371,16 @@ fn check_flow_rules(cfg: &Cfg, div: &Divergence, sums: &Summaries) -> Vec<RawFin
                     check_prim_mask(c, mask, &st, ctrl_div, cfg, &mut out);
                 }
             }
-            let n = c.name.as_str();
-            if POOL_PLAIN.contains(&n) && st.pool >= POOL_ATOMIC_ST {
-                out.push(RawFinding {
-                    line: Some(c.line),
-                    col: Some(c.col),
-                    rule: "pool-race",
-                    message: format!(
-                        "unsynchronized pool cursor read `{n}` races an earlier \
-                         pool access on some path (insert block_barrier first)"
-                    ),
-                });
-            } else if POOL_ATOMIC.contains(&n) && st.pool == POOL_PLAIN_ST {
-                out.push(RawFinding {
-                    line: Some(c.line),
-                    col: Some(c.col),
-                    rule: "pool-race",
-                    message: format!(
-                        "atomic pool access `{n}` follows an unsynchronized \
-                         cursor read on some path (insert block_barrier between \
-                         them)"
-                    ),
-                });
-            } else if !has_builtin_transfer(n) {
-                if let Some(s) = sums.get(n) {
-                    check_callee_summary(c, s, &st, ctrl_div, &mut out);
+            if !has_builtin_transfer(&c.name) {
+                if let Some(s) = sums.get(&c.name) {
+                    check_latent_prims(c, s, &st, ctrl_div, &mut out);
                 }
             }
             transfer_call(&mut st, c, sums);
         }
     }
-    // Sort with rule and message as tiebreakers: two findings from
-    // different rules (or different messages of one rule) can share a
-    // (line, col) site, and position alone would leave their order to the
-    // emission order of the node walk.
+    // Sort with rule and message as tiebreakers, so the order never
+    // depends on the emission order of the node walk.
     out.sort_by(|a, b| {
         (a.line, a.col, a.rule, a.message.as_str()).cmp(&(
             b.line,
@@ -506,40 +393,18 @@ fn check_flow_rules(cfg: &Cfg, div: &Divergence, sums: &Summaries) -> Vec<RawFin
     out
 }
 
-/// Interprocedural composition at one call site: entry-exposed pool
-/// accesses inside the callee race with the caller's pool state, and
-/// latent full-mask primitives inside the callee fire when the call site
-/// itself is divergent and undeclared.
-fn check_callee_summary(
+/// Interprocedural composition at one call site: latent full-mask
+/// primitives inside the callee fire when the call site itself is
+/// divergent and undeclared.
+fn check_latent_prims(
     c: &Call,
     s: &FnSummary,
-    st: &State,
+    st: &Decl,
     ctrl_div: bool,
     out: &mut Vec<RawFinding>,
 ) {
     let n = c.name.as_str();
-    if s.pool_plain_entry && st.pool >= POOL_ATOMIC_ST {
-        out.push(RawFinding {
-            line: Some(c.line),
-            col: Some(c.col),
-            rule: "pool-race",
-            message: format!(
-                "unsynchronized pool cursor read inside `{n}` races an earlier \
-                 pool access on some path (insert block_barrier before the call)"
-            ),
-        });
-    } else if s.pool_atomic_entry && st.pool == POOL_PLAIN_ST {
-        out.push(RawFinding {
-            line: Some(c.line),
-            col: Some(c.col),
-            rule: "pool-race",
-            message: format!(
-                "atomic pool access inside `{n}` follows an unsynchronized \
-                 cursor read on some path (insert block_barrier before the call)"
-            ),
-        });
-    }
-    if ctrl_div && st.decl == Decl::None {
+    if ctrl_div && *st == Decl::None {
         if let Some(prim) = s.latent_prims.first() {
             out.push(RawFinding {
                 line: Some(c.line),
@@ -558,13 +423,13 @@ fn check_callee_summary(
 fn check_prim_mask(
     c: &Call,
     mask: &[Tok],
-    st: &State,
+    st: &Decl,
     ctrl_div: bool,
     cfg: &Cfg,
     out: &mut Vec<RawFinding>,
 ) {
     let m = join(mask);
-    match &st.decl {
+    match st {
         Decl::None => {
             if ctrl_div && is_full_mask(&m) {
                 out.push(RawFinding {
@@ -638,9 +503,9 @@ fn derived_by_intersection(m: &str, d: &str, cfg: &Cfg) -> bool {
 // ---------------------------------------------------------------------------
 
 /// Compute the flow-related summary fields for one function: return-value
-/// divergence, mask re-declaration, entry-exposed pool accesses, exit pool
-/// state, and latent full-mask primitives. `unordered_out` and `blocks`
-/// are filled in by [`crate::order`] and [`crate::blocking`].
+/// divergence, mask re-declaration, and latent full-mask primitives.
+/// `unordered_out` and `blocks` are filled in by [`crate::order`] and
+/// [`crate::blocking`].
 pub fn flow_summary(f: &FnDef, sums: &Summaries) -> FnSummary {
     let cfg = lower(&f.body);
     let div = Divergence::build(f, &cfg, sums);
@@ -649,7 +514,7 @@ pub fn flow_summary(f: &FnDef, sums: &Summaries) -> FnSummary {
     let mut s = FnSummary::default();
     for (i, node) in cfg.nodes.iter().enumerate() {
         let mut st = states[i].clone();
-        if st.pool == POOL_BOTTOM {
+        if st == Decl::Bottom {
             continue;
         }
         let ctrl_div = div.control_divergent(&cfg, i, sums);
@@ -663,34 +528,14 @@ pub fn flow_summary(f: &FnDef, sums: &Summaries) -> FnSummary {
                 // control, no declaration) is *latent*: it becomes a
                 // violation only at a divergent call site.
                 if let Some(mask) = c.args.get(2) {
-                    if is_full_mask(&join(mask)) && st.decl == Decl::None && !ctrl_div {
+                    if is_full_mask(&join(mask)) && st == Decl::None && !ctrl_div {
                         s.latent_prims.push(c.name.clone());
                     }
                 }
-            }
-            if POOL_ATOMIC.contains(&n) {
-                s.pool_touched = true;
-                if st.pre {
-                    s.pool_atomic_entry = true;
-                }
-            } else if POOL_PLAIN.contains(&n) {
-                s.pool_touched = true;
-                if st.pre {
-                    s.pool_plain_entry = true;
-                }
-            } else if POOL_BARRIER.contains(&n) {
-                s.pool_touched = true;
             } else if !has_builtin_transfer(n) {
                 if let Some(cs) = sums.get(n) {
                     s.sets_active |= cs.sets_active;
-                    if cs.pool_touched {
-                        s.pool_touched = true;
-                        if st.pre {
-                            s.pool_atomic_entry |= cs.pool_atomic_entry;
-                            s.pool_plain_entry |= cs.pool_plain_entry;
-                        }
-                    }
-                    if !ctrl_div && st.decl == Decl::None {
+                    if !ctrl_div && st == Decl::None {
                         for p in &cs.latent_prims {
                             s.latent_prims.push(p.clone());
                         }
@@ -700,18 +545,6 @@ pub fn flow_summary(f: &FnDef, sums: &Summaries) -> FnSummary {
             transfer_call(&mut st, c, sums);
         }
     }
-    // Exit pool state: join over reachable exit nodes.
-    let mut pool_out = POOL_BOTTOM;
-    for (i, node) in cfg.nodes.iter().enumerate() {
-        if node.succs.is_empty() && outs[i].pool != POOL_BOTTOM {
-            pool_out = pool_out.max(outs[i].pool);
-        }
-    }
-    s.pool_out = if pool_out == POOL_BOTTOM {
-        POOL_CLEAR
-    } else {
-        pool_out
-    };
     // Return-value divergence.
     for expr in return_exprs(&f.body) {
         if div.expr_divergent(expr, sums) {
@@ -804,7 +637,7 @@ fn check_charges(f: &FnDef, cfg: &Cfg) -> Vec<RawFinding> {
             rule: "primitive-charges-counters",
             message: format!(
                 "pub fn {} takes &mut KernelCounters but never charges them \
-                 (warp_instruction/warp_load/warp_store/diverge)",
+                 (warp_instruction/warp_load/diverge)",
                 f.name
             ),
         }]
@@ -923,44 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_read_after_atomic_fetch_is_pool_race() {
-        let src = "pub fn k(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-            let s = pool.fetch_sanitized(san);\n\
-            let c = pool.read_cursor_unsync(san);\n\
-            s + c\n\
-        }";
-        let f = kernel_findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "pool-race");
-        assert_eq!(f[0].line, Some(3));
-    }
-
-    #[test]
-    fn barrier_between_accesses_clears_pool_race() {
-        let src = "pub fn k(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-            let s = pool.fetch_sanitized(san);\n\
-            san.block_barrier();\n\
-            pool.read_cursor_unsync(san) + s\n\
-        }";
-        assert!(kernel_findings(src).is_empty());
-    }
-
-    #[test]
-    fn race_on_one_path_only_still_flagged() {
-        let src = "pub fn k(pool: &SamplePool, san: &WarpSanitizer, c: bool) -> usize {\n\
-            if c {\n\
-                pool.fetch_sanitized(san);\n\
-            } else {\n\
-                san.block_barrier();\n\
-            }\n\
-            pool.read_cursor_unsync(san)\n\
-        }";
-        let f = kernel_findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "pool-race");
-    }
-
-    #[test]
     fn uncharged_counters_param_flagged() {
         let src = "pub fn bad(ctr: &mut KernelCounters, mask: WarpMask) -> u32 {\n\
             mask.count_ones()\n\
@@ -1010,39 +805,6 @@ pub fn k(ctr: &mut KernelCounters, san: &WarpSanitizer, mask: WarpMask, pred: &L
         assert_eq!(f[0].rule, "divergent-sync");
         assert_eq!(f[0].line, Some(7));
         assert!(f[0].message.contains("via `full_ballot`"), "{f:?}");
-    }
-
-    const HIDDEN_FETCH: &str = "\
-fn drain_one(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-    pool.fetch_sanitized(san)\n\
-}\n\
-pub fn k(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-    let t = drain_one(pool, san);\n\
-    pool.read_cursor_unsync(san) + t\n\
-}\n";
-
-    #[test]
-    fn pool_race_through_helper_needs_summaries() {
-        assert!(kernel_findings(HIDDEN_FETCH).is_empty());
-        let f = kernel_findings_inter(HIDDEN_FETCH);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "pool-race");
-        assert_eq!(f[0].line, Some(6));
-    }
-
-    #[test]
-    fn helper_barrier_at_exit_clears_caller_state() {
-        let src = "\
-fn drain_and_sync(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-    let t = pool.fetch_sanitized(san);\n\
-    san.block_barrier();\n\
-    t\n\
-}\n\
-pub fn k(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-    let t = drain_and_sync(pool, san);\n\
-    pool.read_cursor_unsync(san) + t\n\
-}\n";
-        assert!(kernel_findings_inter(src).is_empty());
     }
 
     #[test]

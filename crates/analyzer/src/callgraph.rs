@@ -6,22 +6,18 @@
 //! function in the corpus and iterates to a fixpoint, producing one
 //! [`FnSummary`] per function name. The per-file rule passes then consult
 //! the summaries at each call site, so a violation hidden behind a helper
-//! function (a full-mask primitive, an entry-exposed pool access, a
-//! blocking drain, a HashMap-ordered return value) is seen at the caller.
+//! function (a full-mask primitive, a blocking drain, a HashMap-ordered
+//! return value) is seen at the caller.
 //!
 //! Summaries are keyed by bare function name: the parser does not resolve
 //! paths or `impl` blocks, so two methods sharing a name share a summary.
-//! Joins are conservative (boolean OR, lattice max), which can only make
+//! Joins are conservative (boolean OR, list union), which can only make
 //! the analysis flag more, never less — name collisions degrade to noise
 //! that a suppression or rename resolves, not to a missed violation.
 
 use std::collections::HashMap;
 
 use crate::parse::FnDef;
-
-/// Pool-state constants mirrored from the analysis lattice
-/// (`Clear < Atomic < Plain`; 0 is bottom / untouched).
-pub const SUM_POOL_CLEAR: u8 = 1;
 
 /// Ubiquitous std-trait method names that are never consulted in the
 /// summary table. Summaries are keyed by bare name, and names like `drop`
@@ -71,16 +67,6 @@ pub struct FnSummary {
     /// Transitively reaches a blocking drain (`scope` / `wait()` /
     /// `wait_report`) — must not run inside a job submitted to a stream.
     pub blocks: bool,
-    /// Performs an atomic pool access reachable from entry with no
-    /// intervening `block_barrier` on some path.
-    pub pool_atomic_entry: bool,
-    /// Performs an unsynchronized cursor read reachable from entry with no
-    /// intervening `block_barrier` on some path.
-    pub pool_plain_entry: bool,
-    /// Pool lattice state at exit (0 when the pool is never touched).
-    pub pool_out: u8,
-    /// Touches the block-shared pool at all (directly or transitively).
-    pub pool_touched: bool,
     /// Warp primitives called with a full mask under no local divergence
     /// and no declaration — harmless where they are, violations when the
     /// call site is divergent. Sorted, deduplicated, capped.
@@ -95,10 +81,6 @@ impl FnSummary {
         self.sets_active |= o.sets_active;
         self.unordered_out |= o.unordered_out;
         self.blocks |= o.blocks;
-        self.pool_atomic_entry |= o.pool_atomic_entry;
-        self.pool_plain_entry |= o.pool_plain_entry;
-        self.pool_out = self.pool_out.max(o.pool_out);
-        self.pool_touched |= o.pool_touched;
         for p in &o.latent_prims {
             if !self.latent_prims.contains(p) {
                 self.latent_prims.push(p.clone());

@@ -3,15 +3,14 @@
 //!
 //! The workspace's SIMT kernels rely on warp-synchronous discipline that
 //! the type system cannot express: primitive participation masks must
-//! match the lanes actually converged, block-shared pool accesses must be
-//! separated by barriers, and every primitive must charge the device cost
-//! model. The dynamic sanitizer (gsword-sanitizer) checks the paths a run
+//! match the lanes actually converged, and every primitive must charge
+//! the device cost model. The dynamic sanitizer (gsword-sanitizer) checks the paths a run
 //! happens to execute; this crate checks *all* paths, statically.
 //!
 //! Pipeline: a lossy but comment/string-exact lexer ([`lex`]) feeds a
 //! partial parser ([`parse`]) that extracts function bodies, which lower
 //! to statement-level control-flow graphs ([`cfg`]) analyzed by a
-//! uniformity dataflow plus flow-sensitive mask/pool lattices
+//! uniformity dataflow plus a flow-sensitive declared-mask lattice
 //! ([`analysis`]). A fixpoint of per-function summaries over the whole
 //! parsed corpus ([`callgraph`]) lets those analyses see through helper
 //! functions. Determinism rules (hash-iteration order, float reduction
@@ -323,7 +322,7 @@ mod tests {
             f[0].to_string(),
             "warp.rs: primitive-charges-counters: pub fn bad takes &mut \
              KernelCounters but never charges them \
-             (warp_instruction/warp_load/warp_store/diverge)"
+             (warp_instruction/warp_load/diverge)"
         );
         let g = analyze_source(
             "core/src/builder.rs",
@@ -389,7 +388,7 @@ mod tests {
     fn wrong_rule_in_allow_comment_does_not_suppress() {
         let src = "pub fn count(m: &HashMap<u32, u32>) -> u32 {\n\
                    for k in m.keys() {\n\
-                       // gsword: allow(pool-race)\n\
+                       // gsword: allow(divergent-sync)\n\
                        return *k;\n\
                    }\n\
                    0\n\
@@ -401,12 +400,15 @@ mod tests {
     fn corpus_analysis_sees_across_files() {
         // The helper lives in one file, the caller in another: only the
         // corpus-level entry point links them.
-        let helper = "pub fn drain_one(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-                      pool.fetch_sanitized(san)\n\
+        let helper = "pub fn full_ballot(ctr: &mut KernelCounters, san: &WarpSanitizer, pred: &Lanes<bool>) -> u32 {\n\
+                      ballot(ctr, san, FULL_MASK, pred)\n\
                       }\n";
-        let caller = "pub fn k(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-                      let t = drain_one(pool, san);\n\
-                      pool.read_cursor_unsync(san) + t\n\
+        let caller = "pub fn k(ctr: &mut KernelCounters, san: &WarpSanitizer, mask: WarpMask, pred: &Lanes<bool>) -> u32 {\n\
+                      let mut acc = 0u32;\n\
+                      for lane in lanes_of(mask) {\n\
+                          acc |= full_ballot(ctr, san, pred);\n\
+                      }\n\
+                      acc\n\
                       }\n";
         let files = vec![
             ("a/helper.rs".to_string(), helper.to_string()),
@@ -414,55 +416,51 @@ mod tests {
         ];
         let f = analyze_corpus(&files);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "pool-race");
+        assert_eq!(f[0].rule, "divergent-sync");
         assert_eq!(f[0].file, "b/kernel.rs");
+        assert_eq!(f[0].line, Some(4));
         // The intraprocedural analyzer cannot see it.
         assert!(analyze_source_intraprocedural("b/kernel.rs", caller).is_empty());
     }
 
     #[test]
     fn same_site_findings_sort_by_rule_then_message() {
-        // A divergent call into a helper that both reads the pool cursor at
-        // entry and holds a latent full-mask primitive emits TWO findings at
-        // the same (line, col). Emission order is pool-race first (the
-        // callee-summary check pushes it before the latent-prim check), so
-        // only the rule tiebreaker produces the canonical order:
-        // divergent-sync < pool-race.
-        let helper = "pub fn helper_probe(pool: &SamplePool, ctr: &mut KernelCounters, san: &WarpSanitizer) -> u32 {\n\
-                      let t = pool.read_cursor_unsync(san) as u32;\n\
-                      ballot(ctr, san, u32::MAX, t)\n\
-                      }\n";
-        let caller = "pub fn k(pool: &SamplePool, ctr: &mut KernelCounters, san: &WarpSanitizer, mask: WarpMask) {\n\
-                      let x = pool.fetch_sanitized(san);\n\
-                      for lane in lanes_of(mask) {\n\
-                          helper_probe(pool, ctr, san);\n\
-                      }\n\
-                      ctr.warp_instruction(mask);\n\
-                      }\n";
-        let files = vec![
-            ("a/helper.rs".to_string(), helper.to_string()),
-            ("b/kernel.rs".to_string(), caller.to_string()),
-        ];
-        let f = analyze_corpus(&files);
-        let at_call: Vec<&Finding> = f
-            .iter()
-            .filter(|x| x.file == "b/kernel.rs" && x.line == Some(4))
-            .collect();
-        assert_eq!(at_call.len(), 2, "{f:?}");
-        assert_eq!(at_call[0].col, at_call[1].col, "{f:?}");
-        assert_eq!(at_call[0].rule, "divergent-sync", "{f:?}");
-        assert_eq!(at_call[1].rule, "pool-race", "{f:?}");
+        // An early return of an undocumented `unsafe` block inside hash
+        // iteration emits TWO findings at the `unsafe` token. The unsafe
+        // audit runs before the order rules, so emission order is
+        // unsafe-escape first; only the rule tiebreaker produces the
+        // canonical order: nondet-order < unsafe-escape.
+        let src = "pub fn first(m: &HashMap<u32, u32>) -> u32 {\n\
+                   for k in m.keys() {\n\
+                       return unsafe { *k };\n\
+                   }\n\
+                   0\n\
+                   }\n";
+        let f = analyze_source("m.rs", src);
+        assert_eq!(f.len(), 2, "{f:?}");
+        assert_eq!((f[0].line, f[0].col), (f[1].line, f[1].col), "{f:?}");
+        assert_eq!(f[0].rule, "nondet-order", "{f:?}");
+        assert_eq!(f[1].rule, "unsafe-escape", "{f:?}");
     }
 
     #[test]
     fn output_is_sorted_and_deduplicated() {
-        let src = "pub fn k(pool: &SamplePool, san: &WarpSanitizer) -> usize {\n\
-                   let a = pool.fetch_sanitized(san);\n\
-                   let b = pool.read_cursor_unsync(san);\n\
+        let src = "pub fn k(ctr: &mut KernelCounters, san: &WarpSanitizer, mask: WarpMask, pred: &Lanes<bool>, m: &HashMap<u32, u32>) -> u32 {\n\
+                   san.set_active(mask);\n\
+                   let a = ballot(ctr, san, u32::MAX, pred);\n\
                    let x = c.load(Ordering::SeqCst);\n\
-                   a + b + x\n\
+                   for k in m.keys() {\n\
+                       return *k;\n\
+                   }\n\
+                   a + x\n\
                    }\n";
         let f = analyze_source("m.rs", src);
+        let rules: Vec<_> = f.iter().map(|x| x.rule).collect();
+        assert_eq!(
+            rules,
+            ["divergent-sync", "no-seqcst", "nondet-order"],
+            "{f:?}"
+        );
         let mut sorted = f.clone();
         sort_findings(&mut sorted);
         assert_eq!(f, sorted);

@@ -2,47 +2,53 @@
 
 use std::collections::HashMap;
 
-/// Parsed command line: positional arguments and `--flag [value]` options.
+/// Parsed command line: the positional argument and `--flag [value]`
+/// options.
 #[derive(Debug, Default)]
 pub struct Args {
-    positional: Vec<String>,
+    positional: Option<String>,
     flags: HashMap<String, String>,
 }
 
-/// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &["--trawl", "--profile", "--help"];
-
 impl Args {
-    /// Parse `argv` (after the subcommand). Short `-q`/`-o` aliases map to
-    /// `--query`/`--output`.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parse `argv` (after the subcommand) for a subcommand that reads one
+    /// positional argument, the value-taking `flags` and the value-less
+    /// `switches` (`--help` is a switch of every subcommand). Short
+    /// `-q`/`-o` aliases map to `--query`/`--output`. Anything else — an
+    /// unknown flag, a second positional — is an error, so a typo such as
+    /// `--sample` cannot silently fall back to a default.
+    pub fn parse(argv: &[String], flags: &[&str], switches: &[&str]) -> Result<Self, String> {
         let mut out = Args::default();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
             let a = match a.as_str() {
-                "-q" => "--query".to_string(),
-                "-o" => "--output".to_string(),
-                other => other.to_string(),
+                "-q" => "--query",
+                "-o" => "--output",
+                other => other,
             };
             if let Some(name) = a.strip_prefix("--") {
-                if BOOL_FLAGS.contains(&a.as_str()) {
-                    out.flags.insert(name.to_string(), "true".to_string());
+                let value = if name == "help" || switches.contains(&name) {
+                    "true".to_string()
+                } else if flags.contains(&name) {
+                    it.next()
+                        .ok_or_else(|| format!("flag --{name} needs a value"))?
+                        .clone()
                 } else {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("flag --{name} needs a value"))?;
-                    out.flags.insert(name.to_string(), v.clone());
-                }
+                    return Err(format!("unknown flag --{name}"));
+                };
+                out.flags.insert(name.to_string(), value);
+            } else if out.positional.is_none() {
+                out.positional = Some(a.to_string());
             } else {
-                out.positional.push(a);
+                return Err(format!("unexpected argument '{a}'"));
             }
         }
         Ok(out)
     }
 
-    /// Positional argument `i`.
-    pub fn positional(&self, i: usize) -> Option<&str> {
-        self.positional.get(i).map(|s| s.as_str())
+    /// The positional argument.
+    pub fn positional(&self) -> Option<&str> {
+        self.positional.as_deref()
     }
 
     /// String flag value.
@@ -74,18 +80,17 @@ mod tests {
         items.iter().map(|s| s.to_string()).collect()
     }
 
+    const FLAGS: &[&str] = &["query", "samples", "output"];
+    const SWITCHES: &[&str] = &["trawl"];
+
+    fn parse(items: &[&str]) -> Result<Args, String> {
+        Args::parse(&sv(items), FLAGS, SWITCHES)
+    }
+
     #[test]
     fn parses_mixed() {
-        let a = Args::parse(&sv(&[
-            "yeast",
-            "-q",
-            "q.txt",
-            "--samples",
-            "500",
-            "--trawl",
-        ]))
-        .unwrap();
-        assert_eq!(a.positional(0), Some("yeast"));
+        let a = parse(&["yeast", "-q", "q.txt", "--samples", "500", "--trawl"]).unwrap();
+        assert_eq!(a.positional(), Some("yeast"));
         assert_eq!(a.get("query"), Some("q.txt"));
         assert_eq!(a.num::<u64>("samples", 0).unwrap(), 500);
         assert!(a.has("trawl"));
@@ -94,18 +99,18 @@ mod tests {
 
     #[test]
     fn missing_value_is_error() {
-        assert!(Args::parse(&sv(&["--samples"])).is_err());
+        assert!(parse(&["--samples"]).is_err());
     }
 
     #[test]
     fn bad_number_is_error() {
-        let a = Args::parse(&sv(&["--samples", "xyz"])).unwrap();
+        let a = parse(&["--samples", "xyz"]).unwrap();
         assert!(a.num::<u64>("samples", 0).is_err());
     }
 
     #[test]
     fn defaults_apply() {
-        let a = Args::parse(&sv(&[])).unwrap();
+        let a = parse(&[]).unwrap();
         assert_eq!(a.num::<u64>("samples", 7).unwrap(), 7);
     }
 }

@@ -1,5 +1,7 @@
 //! Subcommand implementations.
 
+use std::io::{self, Write};
+
 use gsword_core::prelude::*;
 use gsword_core::{datasets, estimators, graph, query};
 
@@ -14,7 +16,7 @@ usage:
   gsword estimate <graph> -q <query> [--samples N] [--estimator wj|alley]
                   [--backend cpu|gpu-baseline|gsword] [--seed N] [--trawl]
                   [--storage csr|compressed] [--decode-cache BYTES]
-                  [--sanitize full|sync,race,init]
+                  [--sanitize]
                   [--devices N] [--streams N] [--sim-workers N]
                   [--profile [--trace-out <file>]]
   gsword exact    <graph> -q <query> [--budget N] [--threads N]
@@ -37,32 +39,112 @@ results and modeled counters are identical either way.
 (0 = auto, 1 = serial; default 1). Results are bit-identical for every N.
 pack writes a dataset as a compressed mmap-able image; --scale N divides
 the paper's |V| (default: the suite scale; --scale 1 = full paper size).
---sanitize runs the device kernels under the compute-sanitizer analogue
-(synccheck/racecheck/initcheck); any violation fails the run.
+--sanitize runs the device kernels under the compute-sanitizer analogue's
+synccheck (warp primitives' participation masks); any violation fails the
+run.
 --devices/--streams shard device launches over N software devices with N
 streams each (estimates are invariant in the topology; default 1x1).
 --profile records a kernel timeline and per-kernel metrics (the Nsight
 analogue); --trace-out writes the timeline as Chrome chrome://tracing JSON.";
 
-/// Route a parsed command line to its subcommand.
+/// Why a subcommand ended before it finished.
+enum Stop {
+    /// An error, reported with the usage text.
+    Error(String),
+    /// Stdout was closed by its reader (`gsword stats yeast | head -3`):
+    /// the end of the output, not an error.
+    Closed,
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Error(e)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(e: &str) -> Self {
+        Stop::Error(e.to_string())
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Stop::Closed
+        } else {
+            Stop::Error(format!("cannot write output: {e}"))
+        }
+    }
+}
+
+/// A subcommand: it reads its arguments and writes its output to `out`.
+type Command = fn(&Args, &mut dyn Write) -> Result<(), Stop>;
+
+/// Each subcommand with the flags it reads: those that take a value, then
+/// the switches. `--storage` and `--decode-cache` are read by the graph
+/// loader ([`data_arg`]).
+const COMMANDS: &[(&str, Command, &[&str], &[&str])] = &[
+    ("stats", cmd_stats, &["storage", "decode-cache"], &[]),
+    ("generate", cmd_generate, &["output"], &[]),
+    ("pack", cmd_pack, &["output", "scale"], &[]),
+    (
+        "estimate",
+        cmd_estimate,
+        &[
+            "storage",
+            "decode-cache",
+            "query",
+            "samples",
+            "estimator",
+            "backend",
+            "seed",
+            "devices",
+            "streams",
+            "sim-workers",
+            "trace-out",
+        ],
+        &["trawl", "sanitize", "profile"],
+    ),
+    (
+        "exact",
+        cmd_exact,
+        &["storage", "decode-cache", "query", "budget", "threads"],
+        &[],
+    ),
+    (
+        "motifs",
+        cmd_motifs,
+        &["storage", "decode-cache", "samples", "label"],
+        &[],
+    ),
+    (
+        "orders",
+        cmd_orders,
+        &["storage", "decode-cache", "query", "probe"],
+        &[],
+    ),
+];
+
+/// Route a command line to its subcommand, which writes to stdout. A
+/// closed stdout ends the command quietly.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let Some(cmd) = argv.first() else {
         return Err("missing subcommand".to_string());
     };
-    let args = Args::parse(&argv[1..])?;
-    if args.has("help") {
-        println!("{USAGE}");
-        return Ok(());
-    }
-    match cmd.as_str() {
-        "stats" => cmd_stats(&args),
-        "generate" => cmd_generate(&args),
-        "pack" => cmd_pack(&args),
-        "estimate" => cmd_estimate(&args),
-        "exact" => cmd_exact(&args),
-        "motifs" => cmd_motifs(&args),
-        "orders" => cmd_orders(&args),
-        other => Err(format!("unknown subcommand '{other}'")),
+    let Some(&(_, run, flags, switches)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        return Err(format!("unknown subcommand '{cmd}'"));
+    };
+    let args = Args::parse(&argv[1..], flags, switches)?;
+    let out = &mut io::stdout();
+    let result = if args.has("help") {
+        writeln!(out, "{USAGE}").map_err(Stop::from)
+    } else {
+        run(&args, out)
+    };
+    match result {
+        Ok(()) | Err(Stop::Closed) => Ok(()),
+        Err(Stop::Error(e)) => Err(e),
     }
 }
 
@@ -148,82 +230,89 @@ fn data_arg(args: &Args) -> Result<AnyGraph, String> {
         Some(v) => Some(v.parse().map_err(|_| format!("bad --decode-cache: {v}"))?),
     };
     load_data(
-        args.positional(0).ok_or("missing <graph> argument")?,
+        args.positional().ok_or("missing <graph> argument")?,
         args.get("storage"),
         decode_cache,
     )
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
+fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), Stop> {
     let g = data_arg(args)?;
-    println!("backend: {}", g.backend_name());
-    println!("{}", GraphStats::of(&g));
+    writeln!(out, "backend: {}", g.backend_name())?;
+    writeln!(out, "{}", GraphStats::of(&g))?;
     let lh = graph::ops::label_histogram(&g);
     let mut top: Vec<(usize, usize)> = lh.into_iter().enumerate().collect();
     top.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-    print!("top labels:");
+    write!(out, "top labels:")?;
     for (l, c) in top.iter().take(5).filter(|&&(_, c)| c > 0) {
-        print!(" {l}×{c}");
+        write!(out, " {l}×{c}")?;
     }
-    println!();
+    writeln!(out)?;
     let (_, comps) = graph::ops::connected_components(&g);
-    println!("connected components: {comps}");
+    writeln!(out, "connected components: {comps}")?;
     Ok(())
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
-    let name = args.positional(0).ok_or("missing <dataset> argument")?;
-    let out = args.get("output").ok_or("missing -o <file>")?;
+fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), Stop> {
+    let name = args.positional().ok_or("missing <dataset> argument")?;
+    let path = args.get("output").ok_or("missing -o <file>")?;
     if !datasets::dataset_names().contains(&name) {
-        return Err(format!("unknown dataset '{name}'"));
+        return Err(format!("unknown dataset '{name}'").into());
     }
     let g = datasets::dataset(name);
-    graph::io::save_graph(&g, out).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {} ({} vertices, {} edges)",
+    graph::io::save_graph(&g, path).map_err(|e| e.to_string())?;
+    writeln!(
         out,
+        "wrote {} ({} vertices, {} edges)",
+        path,
         g.num_vertices(),
         g.num_edges()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_pack(args: &Args) -> Result<(), String> {
-    let name = args.positional(0).ok_or("missing <dataset|all> argument")?;
-    let out = args.get("output").ok_or("missing -o <file|dir>")?;
+fn cmd_pack(args: &Args, out: &mut dyn Write) -> Result<(), Stop> {
+    let name = args.positional().ok_or("missing <dataset|all> argument")?;
+    let path = args.get("output").ok_or("missing -o <file|dir>")?;
     let scale: Option<u32> = match args.get("scale") {
         None => None,
         Some(v) => Some(v.parse().map_err(|_| format!("bad --scale: {v}"))?),
     };
     if name == "all" {
-        std::fs::create_dir_all(out).map_err(|e| format!("cannot create '{out}': {e}"))?;
+        std::fs::create_dir_all(path).map_err(|e| format!("cannot create '{path}': {e}"))?;
         for spec in &datasets::SPECS {
-            let path = std::path::Path::new(out).join(format!("{}.gsw", spec.name));
-            pack_one(spec, scale, path.to_str().expect("utf-8 path"))?;
+            let file = std::path::Path::new(path).join(format!("{}.gsw", spec.name));
+            pack_one(spec, scale, file.to_str().expect("utf-8 path"), out)?;
         }
         return Ok(());
     }
     let spec = datasets::spec(name).ok_or_else(|| format!("unknown dataset '{name}'"))?;
-    pack_one(spec, scale, out)
+    pack_one(spec, scale, path, out)
 }
 
-fn pack_one(spec: &datasets::DatasetSpec, scale: Option<u32>, out: &str) -> Result<(), String> {
+fn pack_one(
+    spec: &datasets::DatasetSpec,
+    scale: Option<u32>,
+    path: &str,
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
     let div = scale.unwrap_or(spec.scale);
     let g = spec.generate_at(div);
     let c = CompressedGraph::from_graph(&g);
-    c.save(out)
-        .map_err(|e| format!("cannot write '{out}': {e}"))?;
+    c.save(path)
+        .map_err(|e| format!("cannot write '{path}': {e}"))?;
     let csr = g.mem_bytes();
     let packed = GraphStorage::mem_bytes(&c);
-    println!(
-        "{}: scale 1/{div} |V|={} |E|={} csr={}B packed={}B ({:.1}% of csr) -> {out}",
+    writeln!(
+        out,
+        "{}: scale 1/{div} |V|={} |E|={} csr={}B packed={}B ({:.1}% of csr) -> {path}",
         spec.name,
         g.num_vertices(),
         g.num_edges(),
         csr,
         packed,
         100.0 * packed as f64 / csr as f64
-    );
+    )?;
     Ok(())
 }
 
@@ -244,7 +333,7 @@ fn parse_estimator(args: &Args) -> Result<EstimatorKind, String> {
     }
 }
 
-fn cmd_estimate(args: &Args) -> Result<(), String> {
+fn cmd_estimate(args: &Args, out: &mut dyn Write) -> Result<(), Stop> {
     let data = data_arg(args)?;
     let q = load_query_spec(&data, args.get("query").ok_or("missing -q <query>")?)?;
     let samples: u64 = args.num("samples", 100_000)?;
@@ -253,15 +342,12 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
     let streams: usize = args.num("streams", 1)?;
     let sim_workers: usize = args.num("sim-workers", 1)?;
     if devices == 0 || streams == 0 {
-        return Err("--devices and --streams must be at least 1".to_string());
+        return Err("--devices and --streams must be at least 1".into());
     }
-    let sanitize = match args.get("sanitize") {
-        None => SanitizerMode::OFF,
-        Some(spec) => SanitizerMode::parse(spec)?,
-    };
+    let sanitize = args.has("sanitize");
     let profile = args.has("profile");
     if args.get("trace-out").is_some() && !profile {
-        return Err("--trace-out needs --profile".to_string());
+        return Err("--trace-out needs --profile".into());
     }
     let mut b = Gsword::builder(&data, &q)
         .samples(samples)
@@ -277,35 +363,37 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
         b = b.trawling(TrawlConfig::default());
     }
     let r = b.run().map_err(|e| e.to_string())?;
-    println!("estimate: {:.1}", r.estimate);
-    println!(
+    writeln!(out, "estimate: {:.1}", r.estimate)?;
+    writeln!(
+        out,
         "samples: {} (valid {}, success ratio {:.2e}, ±95% CI {:.1}%)",
         r.sampler.samples,
         r.sampler.valid,
         r.sampler.success_ratio(),
         r.sampler.rel_ci95() * 100.0
-    );
+    )?;
     if let Some(t) = r.trawl {
-        println!(
+        writeln!(
+            out,
             "trawling estimate: {t:.1} ({} enumerations completed)",
             r.trawl_completed
-        );
+        )?;
     }
     if let Some(ms) = r.modeled_ms {
-        println!("modeled device time: {ms:.2} ms");
+        writeln!(out, "modeled device time: {ms:.2} ms")?;
     }
-    println!("wall time: {:.1} ms", r.wall_ms);
+    writeln!(out, "wall time: {:.1} ms", r.wall_ms)?;
     if let Some(sr) = &r.sanitizer {
-        println!("{sr}");
+        writeln!(out, "{sr}")?;
         if !sr.is_clean() {
-            return Err(format!("sanitizer found {} violation(s)", sr.total));
+            return Err(format!("sanitizer found {} violation(s)", sr.total).into());
         }
-    } else if sanitize.any() {
-        println!("sanitizer: no device launch to check (cpu backend)");
+    } else if sanitize {
+        writeln!(out, "sanitizer: no device launch to check (cpu backend)")?;
     }
     match &r.prof {
         Some(prof) => {
-            print!("{prof}");
+            write!(out, "{prof}")?;
             prof.validate()
                 .map_err(|e| format!("profiler invariant violated: {e}"))?;
             if let Some(path) = args.get("trace-out") {
@@ -316,28 +404,31 @@ fn cmd_estimate(args: &Args) -> Result<(), String> {
                     .map_err(|e| format!("trace export failed validation: {e}"))?;
                 std::fs::write(path, &json)
                     .map_err(|e| format!("cannot write trace to '{path}': {e}"))?;
-                println!("chrome trace written to {path} (load in chrome://tracing)");
+                writeln!(
+                    out,
+                    "chrome trace written to {path} (load in chrome://tracing)"
+                )?;
             }
         }
-        None if profile => println!("profiler: no device launch to profile (cpu backend)"),
+        None if profile => writeln!(out, "profiler: no device launch to profile (cpu backend)")?,
         None => {}
     }
     Ok(())
 }
 
-fn cmd_exact(args: &Args) -> Result<(), String> {
+fn cmd_exact(args: &Args, out: &mut dyn Write) -> Result<(), Stop> {
     let data = data_arg(args)?;
     let q = load_query_spec(&data, args.get("query").ok_or("missing -q <query>")?)?;
     let budget: u64 = args.num("budget", 0)?;
     let threads: usize = args.num("threads", 0)?;
     match gsword_core::exact_count(&data, &q, budget, threads) {
-        Some(c) => println!("exact count: {c}"),
-        None => println!("enumeration budget exhausted (raise --budget)"),
+        Some(c) => writeln!(out, "exact count: {c}")?,
+        None => writeln!(out, "enumeration budget exhausted (raise --budget)")?,
     }
     Ok(())
 }
 
-fn cmd_motifs(args: &Args) -> Result<(), String> {
+fn cmd_motifs(args: &Args, out: &mut dyn Write) -> Result<(), Stop> {
     let data = data_arg(args)?;
     let samples: u64 = args.num("samples", 100_000)?;
     let label: Label = match args.get("label") {
@@ -346,21 +437,22 @@ fn cmd_motifs(args: &Args) -> Result<(), String> {
             .max_by_key(|&l| data.vertices_with_label(l).len())
             .unwrap_or(0),
     };
-    println!(
+    writeln!(
+        out,
         "census over label {label} ({} vertices)",
         data.vertices_with_label(label).len()
-    );
+    )?;
     for (name, motif) in query::motifs::census_motifs(label) {
         let r = Gsword::builder(&data, &motif)
             .samples(samples)
             .run()
             .map_err(|e| e.to_string())?;
-        println!("{name:<16} {:>14.0}", r.estimate);
+        writeln!(out, "{name:<16} {:>14.0}", r.estimate)?;
     }
     Ok(())
 }
 
-fn cmd_orders(args: &Args) -> Result<(), String> {
+fn cmd_orders(args: &Args, out: &mut dyn Write) -> Result<(), Stop> {
     let data = data_arg(args)?;
     let q = load_query_spec(&data, args.get("query").ok_or("missing -q <query>")?)?;
     let probe: u64 = args.num("probe", 2_000)?;
@@ -375,14 +467,20 @@ fn cmd_orders(args: &Args) -> Result<(), String> {
             ..Default::default()
         },
     );
-    println!("probed {} orders; best: {:?}", scores.len(), best.phi());
+    writeln!(
+        out,
+        "probed {} orders; best: {:?}",
+        scores.len(),
+        best.phi()
+    )?;
     for (i, s) in scores.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "#{i}: variance {:.3e}, success ratio {:.3e}, order {:?}",
             s.variance,
             s.success_ratio,
             s.order.phi()
-        );
+        )?;
     }
     Ok(())
 }

@@ -104,6 +104,83 @@ fn error_paths() {
         assert!(!stderr.contains("panicked"), "{spec}: {stderr}");
         assert!(stderr.contains(msg), "{spec}: {stderr}");
     }
+
+    // Flags and positionals a subcommand does not read are usage errors,
+    // not silently ignored: a `--samples` typo must not run the default
+    // budget, and `--sanitize` takes no value.
+    for (extra, msg) in [
+        (&["--sample", "1000"][..], "unknown flag --sample"),
+        (&["--bogus", "x"][..], "unknown flag --bogus"),
+        (&["stray"][..], "unexpected argument 'stray'"),
+        (&["--sanitize", "race"][..], "unexpected argument 'race'"),
+    ] {
+        let mut args = vec!["estimate", "yeast", "-q", "extract:4"];
+        args.extend(extra);
+        let (ok, _, stderr) = run(&args);
+        assert!(!ok, "{extra:?}");
+        assert!(!stderr.contains("panicked"), "{extra:?}: {stderr}");
+        assert!(stderr.contains(msg), "{extra:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{extra:?}: {stderr}");
+    }
+}
+
+/// A sanitized run reports a clean kernel and prints the plain run's
+/// estimate lines: the sanitizer only observes.
+#[test]
+fn sanitized_run_is_clean_and_matches_the_plain_run() {
+    let args = [
+        "estimate",
+        "yeast",
+        "-q",
+        "extract:5:3",
+        "--samples",
+        "4000",
+        "--seed",
+        "5",
+    ];
+    let (ok, plain, stderr) = run(&args);
+    assert!(ok, "{stderr}");
+    let mut with_sanitizer = args.to_vec();
+    with_sanitizer.push("--sanitize");
+    let (ok, sanitized, stderr) = run(&with_sanitizer);
+    assert!(ok, "{stderr}");
+    assert!(
+        sanitized
+            .lines()
+            .any(|l| l == "sanitizer: kernel rsv_sample-sync+inherit+stream clean"),
+        "{sanitized}"
+    );
+    let estimate_lines = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| !l.starts_with("wall time") && !l.starts_with("sanitizer:"))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(estimate_lines(&plain), estimate_lines(&sanitized));
+    assert!(plain.contains("estimate: "), "{plain}");
+}
+
+/// A reader that closes stdout early (`gsword stats yeast | head -3`) ends
+/// the output: the command exits 0 without a panic. The child's stdout is
+/// a pipe whose read end is already closed, so its first write fails.
+#[test]
+fn closed_stdout_ends_the_command_quietly() {
+    for args in [
+        &["stats", "yeast"][..],
+        &["estimate", "yeast", "-q", "extract:4", "--samples", "500"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_gsword"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn gsword CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

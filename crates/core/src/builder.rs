@@ -10,7 +10,7 @@ use gsword_estimators::{
 use gsword_graph::GraphStorage;
 use gsword_pipeline::{run_coprocessing, TrawlConfig};
 use gsword_query::{make_order, OrderKind, QueryGraph};
-use gsword_simt::{DeviceConfig, KernelCounters, ProfReport, SanitizerMode, SanitizerReport};
+use gsword_simt::{DeviceConfig, KernelCounters, ProfReport, SanitizerReport};
 
 /// Execution backend for a query.
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +87,7 @@ impl Gsword {
             build: BuildConfig::default(),
             device: None,
             trawling: None,
-            sanitize: SanitizerMode::OFF,
+            sanitize: false,
             profile: false,
             num_devices: 1,
             streams_per_device: 1,
@@ -109,7 +109,7 @@ pub struct GswordBuilder<'a, S: GraphStorage> {
     build: BuildConfig,
     device: Option<DeviceConfig>,
     trawling: Option<TrawlConfig>,
-    sanitize: SanitizerMode,
+    sanitize: bool,
     profile: bool,
     num_devices: usize,
     streams_per_device: usize,
@@ -188,11 +188,11 @@ impl<'a, S: GraphStorage> GswordBuilder<'a, S> {
         self
     }
 
-    /// Run the device kernels under the sanitizer (synccheck / racecheck /
-    /// initcheck — the `compute-sanitizer` analogue). Findings land in
+    /// Run the device kernels under the sanitizer's synccheck (the
+    /// `compute-sanitizer` analogue). Findings land in
     /// [`Report::sanitizer`]. No effect on CPU backends.
-    pub fn sanitize(mut self, mode: SanitizerMode) -> Self {
-        self.sanitize = mode;
+    pub fn sanitize(mut self, on: bool) -> Self {
+        self.sanitize = on;
         self
     }
 
@@ -288,8 +288,8 @@ pub struct Report {
     pub samples_collected: u64,
     /// Host wall-clock milliseconds for the whole run.
     pub wall_ms: f64,
-    /// Sanitizer findings (device backends running with a non-OFF
-    /// [`SanitizerMode`] only).
+    /// Sanitizer findings (device backends built with
+    /// [`GswordBuilder::sanitize`] only).
     pub sanitizer: Option<SanitizerReport>,
     /// Profiler output — timeline and per-kernel metrics — when the run
     /// was built with [`GswordBuilder::profile`] (device backends only).

@@ -23,5 +23,5 @@ pub use gsword_query::{
 };
 pub use gsword_simt::{
     CounterSnapshot, DeviceConfig, DeviceModel, KernelCounters, KernelMetrics, ProfReport,
-    Profiler, Runtime, RuntimeConfig, SanitizerMode, SanitizerReport, Span, SpanKind, Track,
+    Profiler, Runtime, RuntimeConfig, SanitizerReport, Span, SpanKind, Track,
 };

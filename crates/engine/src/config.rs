@@ -1,9 +1,7 @@
 //! Engine configuration, presets, and run reports.
 
 use gsword_estimators::Estimate;
-use gsword_simt::{
-    DeviceConfig, DeviceModel, KernelCounters, ProfReport, SanitizerMode, SanitizerReport,
-};
+use gsword_simt::{DeviceConfig, DeviceModel, KernelCounters, ProfReport, SanitizerReport};
 
 /// Thread synchronization discipline (Section 3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +43,10 @@ pub struct EngineConfig {
     pub inheritance: bool,
     /// Enable warp streaming (Algorithm 3) — the O2 optimization.
     pub streaming: bool,
-    /// Sanitizer tools to run the kernel under (the `compute-sanitizer`
-    /// analogue; off by default — the disabled handle is one branch per
-    /// hook).
-    pub sanitize: SanitizerMode,
+    /// Run the kernel under the sanitizer's synccheck (the
+    /// `compute-sanitizer` analogue; off by default — the disabled handle
+    /// is one branch per hook).
+    pub sanitize: bool,
     /// Attach the profiler (the Nsight analogue): record a launch timeline
     /// and per-kernel metrics into `EngineReport::prof`. Off by default —
     /// the disabled handle is one branch per hook.
@@ -79,7 +77,7 @@ impl EngineConfig {
             pool: PoolMode::BlockPool,
             inheritance: false,
             streaming: false,
-            sanitize: SanitizerMode::OFF,
+            sanitize: false,
             profile: false,
             num_devices: 1,
             streams_per_device: 1,
@@ -148,7 +146,7 @@ impl EngineConfig {
     }
 
     /// Builder-style sanitizer override.
-    pub fn with_sanitize(mut self, sanitize: SanitizerMode) -> Self {
+    pub fn with_sanitize(mut self, sanitize: bool) -> Self {
         self.sanitize = sanitize;
         self
     }
@@ -189,8 +187,8 @@ pub struct EngineReport {
     /// Host wall-clock milliseconds of the functional simulation (not the
     /// reproduction target; reported for transparency).
     pub wall_ms: f64,
-    /// Sanitizer findings when the launch ran under a non-OFF
-    /// [`SanitizerMode`]; `None` when sanitizing was disabled.
+    /// Sanitizer findings when the launch ran with `sanitize`; `None` when
+    /// sanitizing was disabled.
     pub sanitizer: Option<SanitizerReport>,
     /// Profiler output (timeline + per-kernel metrics) when the launch ran
     /// with `profile`; `None` when profiling was disabled.

@@ -120,12 +120,10 @@ impl<'p> Tasks<'p> {
         Tasks::Static { remaining }
     }
 
-    /// Try to hand lane `lane` a new sample task. The pool path goes
-    /// through the sanitized atomic fetch so racecheck sees the shared
-    /// cursor access.
-    fn fetch(&mut self, lane: usize, san: &WarpSanitizer) -> bool {
+    /// Try to hand lane `lane` a new sample task.
+    fn fetch(&mut self, lane: usize) -> bool {
         match self {
-            Tasks::Pool(p) => p.fetch_sanitized(san).is_some(),
+            Tasks::Pool(p) => p.fetch().is_some(),
             Tasks::Static { remaining } => {
                 if remaining[lane] > 0 {
                     remaining[lane] -= 1;
@@ -164,7 +162,7 @@ struct WarpExec<'e, 'c, E: ?Sized> {
     rng: Vec<SmallRng>,
     ctr: KernelCounters,
     /// Per-warp sanitizer handle (the disabled handle unless the engine
-    /// was configured with a non-OFF [`gsword_simt::SanitizerMode`]).
+    /// was configured with `sanitize`).
     san: WarpSanitizer,
     weight_sum: f64,
     weight_sq_sum: f64,
@@ -274,7 +272,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             let mut s: Lanes<SampleState> = [SampleState::new(); WARP_SIZE];
             let mut mask: WarpMask = 0;
             for lane in 0..WARP_SIZE {
-                if tasks.fetch(lane, &self.san) {
+                if tasks.fetch(lane) {
                     mask |= 1 << lane;
                     self.fetched += 1;
                 }
@@ -384,7 +382,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             chosen[lane] = Some((lc.cand[idx], 1.0 / lc.cand.len() as f64));
             addrs[lane] = Some((lc.region, lc.addr + idx));
         }
-        warp_load(&mut self.ctr, &self.san, &addrs);
+        warp_load(&mut self.ctr, &addrs);
     }
 
     /// Warp streaming (Algorithm 3): collaborative phase streams any lane's
@@ -421,14 +419,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
             // reconverges to the full mask for the collaborative section.
             self.san.set_active(u32::MAX);
             self.ctr.warp_instruction(u32::MAX); // the two shfl broadcasts
-            warp_scan(
-                &mut self.ctr,
-                &self.san,
-                u32::MAX,
-                lc.region,
-                lc.addr + base,
-                WARP_SIZE,
-            );
+            warp_scan(&mut self.ctr, u32::MAX, lc.addr + base, WARP_SIZE);
             let searched = self.charge_streaming_probes(leader, lc.cand, base);
 
             let mut keys = [0.0f64; WARP_SIZE];
@@ -493,7 +484,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
         loop {
             // Refill dead lanes.
             for lane in 0..WARP_SIZE {
-                if mask & (1 << lane) == 0 && tasks.fetch(lane, &self.san) {
+                if mask & (1 << lane) == 0 && tasks.fetch(lane) {
                     s[lane] = SampleState::new();
                     depth[lane] = 0;
                     mask |= 1 << lane;
@@ -645,14 +636,8 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
                 }
             }
         }
-        warp_load_runs(&mut self.ctr, &self.san, Region::LOCAL, &runs);
-        warp_load_steps(
-            &mut self.ctr,
-            &self.san,
-            Region::LOCAL,
-            &self.probe_bufs,
-            &self.probe_steps,
-        );
+        warp_load_runs(&mut self.ctr, &runs);
+        warp_load_steps(&mut self.ctr, &self.probe_bufs, &self.probe_steps);
     }
 
     /// GetMinCandidate for one lane: resolve its backward segments at
@@ -699,20 +684,20 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
     // Cost charging helpers.
     // ------------------------------------------------------------------
 
-    /// GetMinCandidate loads: one `Region::CAND` load per backward segment
-    /// a lane resolved, at the segment's element offset into the `local`
-    /// array (scattered across lanes because partial instances differ).
-    /// That offset stands in for the device's lookup, which ranks `v` in
-    /// `C(u)` and reads `local_off[cand_off[k] + rank]`. Round `r` loads
-    /// every lane's `r`-th segment, over as many rounds as the most
-    /// segments any lane of `mask` holds: under iteration sync, lanes at
-    /// different depths hold different counts.
+    /// GetMinCandidate loads: one load per backward segment a lane
+    /// resolved, at the segment's element offset into the `local` array
+    /// (scattered across lanes because partial instances differ). The
+    /// load is a proxy: that offset stands in for the device's lookup,
+    /// which ranks `v` in `C(u)` and reads `local_off[cand_off[k] + rank]`.
+    /// Round `r` loads every lane's `r`-th segment, over as many rounds as
+    /// the most segments any lane of `mask` holds: under iteration sync,
+    /// lanes at different depths hold different counts.
     fn charge_get_min(&mut self, mask: WarpMask) {
         let segs = &self.segs;
         let rounds = lanes_of(mask).map(|l| segs[l].len()).max().unwrap_or(0);
         for r in 0..rounds {
             let bases = lanes_of(mask).filter_map(|lane| segs[lane].get(r).map(|seg| seg.1));
-            warp_load_round(&mut self.ctr, &self.san, Region::CAND, bases);
+            warp_load_round(&mut self.ctr, bases);
         }
     }
 
@@ -762,7 +747,7 @@ impl<'e, 'c, E: Estimator + ?Sized> WarpExec<'e, 'c, E> {
     /// `r`-th probe, so cross-lane divergence in search depth shows up as
     /// partially-filled transactions exactly as it would on a device.
     fn charge_recorded_probes(&mut self) {
-        warp_load_rounds(&mut self.ctr, &self.san, Region::LOCAL, &self.probe_bufs);
+        warp_load_rounds(&mut self.ctr, &self.probe_bufs);
     }
 
     /// Collaborative-phase probes: the 32 worker lanes test 32 consecutive

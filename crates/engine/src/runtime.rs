@@ -247,7 +247,13 @@ pub fn runtime_for(cfg: &EngineConfig) -> Runtime {
             device: cfg.device,
             sim_workers: cfg.sim_workers,
         },
-        |_| Sanitizer::new(cfg.sanitize, &name),
+        |_| {
+            if cfg.sanitize {
+                Sanitizer::new(&name)
+            } else {
+                Sanitizer::off()
+            }
+        },
         profiler,
     )
 }

@@ -27,7 +27,7 @@ pub struct PipelineReport {
     /// enumeration + final barrier).
     pub total_wall_ms: f64,
     /// Merged sanitizer findings across all sampling batches, when the
-    /// engine ran under a non-OFF sanitizer mode.
+    /// engine ran with `sanitize`.
     pub sanitizer: Option<SanitizerReport>,
     /// Profiler output across all batches (batch phases show up as
     /// host-track spans) when the engine ran with `profile`.

@@ -1,24 +1,21 @@
-//! A `compute-sanitizer` analogue for the software SIMT device.
+//! A `compute-sanitizer` analogue for the software SIMT device: synccheck.
 //!
 //! Real CUDA ships `compute-sanitizer`, whose tools catch the classes of
 //! bugs the hardware model makes undefined rather than impossible. The
-//! software device in `gsword-simt` has the same undefined corners — a
-//! stale `WarpMask` passed to `__shfl_sync`-style primitives, an
-//! unsynchronized block-shared write, a read of a never-written device
-//! word — and nothing in a functional simulation stops them from silently
-//! producing plausible numbers. This crate is the checking layer:
+//! kernels of this workspace touch device memory in three ways only: they
+//! read the candidate graph the host built, advance their block's sample
+//! pool with an atomic, and talk across lanes through warp-synchronous
+//! primitives. Reads never race reads and atomics never race atomics, so
+//! the one lockstep hazard left is a bad participation mask — a stale
+//! `WarpMask` passed to a `__shfl_sync`-style primitive — and nothing in a
+//! functional simulation stops it from silently producing plausible
+//! numbers. This crate is the checking layer for it, **synccheck**:
 //!
-//! * **synccheck** — every warp-synchronous primitive validates that its
-//!   declared participation mask is a subset of the lanes the executor
-//!   actually has converged, and `shfl` flags reads from out-of-range or
-//!   non-participating source lanes.
-//! * **racecheck** — shadow state over device address spaces detects
-//!   same-address write/write and read/write pairs from different warps
-//!   of a block with no barrier in between (unless both are atomic).
-//! * **initcheck** — registered device allocations start poisoned; a read
-//!   of a word never written flags. Address spaces that are never
-//!   registered are treated as host-initialized (the candidate graph) and
-//!   stay silent.
+//! * every warp-synchronous primitive validates that its declared
+//!   participation mask is a subset of the lanes the executor actually
+//!   has converged;
+//! * `shfl` flags reads from out-of-range or non-participating source
+//!   lanes.
 //!
 //! The handle is zero-cost when disabled: [`Sanitizer`] is an
 //! `Option<Arc<..>>` and every hook starts with an inlined `None` check,
@@ -46,82 +43,9 @@ const FULL_MASK: u32 = u32::MAX;
 pub const VIOLATION_CAP: usize = 64;
 
 /// Identity of the instrumentation point class that produced a violation:
-/// the variant name plus its static operand (primitive name or address
-/// space), with dynamic operands (addresses, lanes, warps) erased. The
-/// detail cap is applied per site.
-pub type Site = (&'static str, &'static str, Option<Space>);
-
-/// Which checking tools are active (mirrors compute-sanitizer's
-/// `--tool synccheck|racecheck|initcheck`, combinable here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SanitizerMode {
-    pub synccheck: bool,
-    pub racecheck: bool,
-    pub initcheck: bool,
-}
-
-impl SanitizerMode {
-    /// Everything off — the default.
-    pub const OFF: SanitizerMode = SanitizerMode {
-        synccheck: false,
-        racecheck: false,
-        initcheck: false,
-    };
-
-    /// All three tools on.
-    pub const FULL: SanitizerMode = SanitizerMode {
-        synccheck: true,
-        racecheck: true,
-        initcheck: true,
-    };
-
-    /// Is any tool active?
-    pub fn any(&self) -> bool {
-        self.synccheck || self.racecheck || self.initcheck
-    }
-
-    /// Parse a `--sanitize` argument value: `full` (or empty), `off`, or a
-    /// comma-separated subset of `sync`, `race`, `init`.
-    pub fn parse(s: &str) -> Result<SanitizerMode, String> {
-        match s {
-            "" | "full" | "all" => return Ok(SanitizerMode::FULL),
-            "off" | "none" => return Ok(SanitizerMode::OFF),
-            _ => {}
-        }
-        let mut mode = SanitizerMode::OFF;
-        for part in s.split(',') {
-            match part.trim() {
-                "sync" | "synccheck" => mode.synccheck = true,
-                "race" | "racecheck" => mode.racecheck = true,
-                "init" | "initcheck" => mode.initcheck = true,
-                other => {
-                    return Err(format!(
-                        "unknown sanitizer tool {other:?} (expected sync, race, init, full, off)"
-                    ))
-                }
-            }
-        }
-        Ok(mode)
-    }
-}
-
-/// A distinct device address space the sanitizer shadows. `Region(r)`
-/// mirrors `gsword_simt::Region`'s index; `Pool(b)` is block `b`'s sample
-/// pool counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Space {
-    Region(u32),
-    Pool(u32),
-}
-
-impl fmt::Display for Space {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Space::Region(r) => write!(f, "region {r}"),
-            Space::Pool(b) => write!(f, "pool of block {b}"),
-        }
-    }
-}
+/// the variant name plus the primitive name, with dynamic operands (masks,
+/// lanes, warps) erased. The detail cap is applied per site.
+pub type Site = (&'static str, &'static str);
 
 /// What went wrong, with the operands the report needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,51 +61,18 @@ pub enum ViolationKind {
     /// `shfl` read from a source lane outside the warp or outside the
     /// participating mask.
     ShflInvalidSource { src: usize, mask: u32 },
-    /// Two warps wrote the same word with no barrier in between.
-    WriteWriteRace {
-        space: Space,
-        addr: usize,
-        other_warp: usize,
-    },
-    /// A read and a write of the same word from different warps with no
-    /// barrier in between.
-    ReadWriteRace {
-        space: Space,
-        addr: usize,
-        other_warp: usize,
-    },
-    /// A read of a device word that was never written.
-    UninitRead { space: Space, addr: usize },
 }
 
 impl ViolationKind {
     /// The call-site class this violation belongs to, for the per-site
-    /// detail cap: variant plus the primitive name or address space. Two
-    /// violations from the same primitive (or the same racing space) share
-    /// a site even when their dynamic operands differ.
+    /// detail cap: variant plus the primitive name. Two violations from
+    /// the same primitive share a site even when their dynamic operands
+    /// differ.
     pub fn site(&self) -> Site {
         match self {
-            ViolationKind::SyncMaskMismatch { primitive, .. } => {
-                ("sync-mask-mismatch", primitive, None)
-            }
-            ViolationKind::SyncEmptyMask { primitive } => ("sync-empty-mask", primitive, None),
-            ViolationKind::ShflInvalidSource { .. } => ("shfl-invalid-source", "shfl", None),
-            ViolationKind::WriteWriteRace { space, .. } => ("write-write-race", "", Some(*space)),
-            ViolationKind::ReadWriteRace { space, .. } => ("read-write-race", "", Some(*space)),
-            ViolationKind::UninitRead { space, .. } => ("uninit-read", "", Some(*space)),
-        }
-    }
-
-    /// Which tool produced this violation.
-    pub fn tool(&self) -> &'static str {
-        match self {
-            ViolationKind::SyncMaskMismatch { .. }
-            | ViolationKind::SyncEmptyMask { .. }
-            | ViolationKind::ShflInvalidSource { .. } => "synccheck",
-            ViolationKind::WriteWriteRace { .. } | ViolationKind::ReadWriteRace { .. } => {
-                "racecheck"
-            }
-            ViolationKind::UninitRead { .. } => "initcheck",
+            ViolationKind::SyncMaskMismatch { primitive, .. } => ("sync-mask-mismatch", primitive),
+            ViolationKind::SyncEmptyMask { primitive } => ("sync-empty-mask", primitive),
+            ViolationKind::ShflInvalidSource { .. } => ("shfl-invalid-source", "shfl"),
         }
     }
 }
@@ -205,25 +96,6 @@ impl fmt::Display for ViolationKind {
                 f,
                 "shfl reads lane {src}, which is outside the participating mask {mask:#010x}"
             ),
-            ViolationKind::WriteWriteRace {
-                space,
-                addr,
-                other_warp,
-            } => write!(
-                f,
-                "write/write race on {space} word {addr} (previous writer: warp {other_warp})"
-            ),
-            ViolationKind::ReadWriteRace {
-                space,
-                addr,
-                other_warp,
-            } => write!(
-                f,
-                "read/write race on {space} word {addr} (conflicting warp {other_warp})"
-            ),
-            ViolationKind::UninitRead { space, addr } => {
-                write!(f, "read of uninitialized {space} word {addr}")
-            }
         }
     }
 }
@@ -242,12 +114,8 @@ impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "[{}] kernel {} block {} warp {}: {}",
-            self.kind.tool(),
-            self.kernel,
-            self.block,
-            self.warp,
-            self.kind
+            "[synccheck] kernel {} block {} warp {}: {}",
+            self.kernel, self.block, self.warp, self.kind
         )
     }
 }
@@ -268,14 +136,6 @@ pub struct SanitizerReport {
 impl SanitizerReport {
     pub fn is_clean(&self) -> bool {
         self.total == 0
-    }
-
-    /// Violations produced by one tool.
-    pub fn count_for(&self, tool: &str) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| v.kind.tool() == tool)
-            .count()
     }
 
     /// Fold another launch's report into this one (multi-launch runs such
@@ -325,53 +185,6 @@ impl fmt::Display for SanitizerReport {
     }
 }
 
-/// Racecheck's memory of the last conflicting accesses to one word.
-#[derive(Debug, Clone, Copy)]
-struct Access {
-    warp: usize,
-    epoch: u64,
-    atomic: bool,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct WordState {
-    last_writer: Option<Access>,
-    last_reader: Option<Access>,
-}
-
-/// Per-block shadow state: the barrier epoch and per-word access history.
-#[derive(Debug, Default)]
-struct BlockShadow {
-    epoch: u64,
-    words: HashMap<(Space, usize), WordState>,
-}
-
-/// Initcheck shadow for one registered device allocation.
-#[derive(Debug)]
-struct InitShadow {
-    len: usize,
-    written: Vec<u64>,
-}
-
-impl InitShadow {
-    fn new(len: usize) -> Self {
-        InitShadow {
-            len,
-            written: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    fn mark(&mut self, addr: usize) {
-        if addr < self.len {
-            self.written[addr / 64] |= 1 << (addr % 64);
-        }
-    }
-
-    fn is_written(&self, addr: usize) -> bool {
-        addr < self.len && self.written[addr / 64] & (1 << (addr % 64)) != 0
-    }
-}
-
 /// Detailed violations plus the per-(site, block) counts enforcing the
 /// record-time cap, kept under one lock so the count and the kept list
 /// cannot drift apart. The cap is keyed by block as well as site so that
@@ -387,12 +200,9 @@ struct Detail {
 
 #[derive(Debug)]
 struct Inner {
-    mode: SanitizerMode,
     kernel: String,
     detail: Mutex<Detail>,
     total: AtomicU64,
-    blocks: Mutex<HashMap<usize, BlockShadow>>,
-    allocs: Mutex<HashMap<Space, InitShadow>>,
 }
 
 impl Inner {
@@ -420,20 +230,13 @@ pub struct Sanitizer {
 }
 
 impl Sanitizer {
-    /// Attach a sanitizer in `mode` to a kernel. `SanitizerMode::OFF`
-    /// yields the disabled (zero-cost) handle.
-    pub fn new(mode: SanitizerMode, kernel: &str) -> Self {
-        if !mode.any() {
-            return Sanitizer { inner: None };
-        }
+    /// Attach a sanitizer to a kernel; reports name it `kernel`.
+    pub fn new(kernel: &str) -> Self {
         Sanitizer {
             inner: Some(Arc::new(Inner {
-                mode,
                 kernel: kernel.to_string(),
                 detail: Mutex::new(Detail::default()),
                 total: AtomicU64::new(0),
-                blocks: Mutex::new(HashMap::new()),
-                allocs: Mutex::new(HashMap::new()),
             })),
         }
     }
@@ -443,15 +246,10 @@ impl Sanitizer {
         Sanitizer { inner: None }
     }
 
-    /// Is any tool active?
+    /// Is the sanitizer attached?
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.is_some()
-    }
-
-    /// Active mode (`OFF` when disabled).
-    pub fn mode(&self) -> SanitizerMode {
-        self.inner.as_ref().map_or(SanitizerMode::OFF, |i| i.mode)
     }
 
     /// Scoped handle for one warp of one block. All lanes start converged,
@@ -463,32 +261,6 @@ impl Sanitizer {
             warp,
             active: std::cell::Cell::new(FULL_MASK),
         }
-    }
-
-    /// Register a device allocation of `len` words in `space` for
-    /// initcheck: every word starts poisoned until written. Spaces never
-    /// registered are treated as host-initialized and are not checked.
-    pub fn region_alloc(&self, space: Space, len: usize) {
-        let Some(inner) = &self.inner else { return };
-        if !inner.mode.initcheck {
-            return;
-        }
-        inner
-            .allocs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(space, InitShadow::new(len));
-    }
-
-    /// A block-wide barrier (`__syncthreads` analogue): orders all prior
-    /// accesses of `block` before all later ones for racecheck.
-    pub fn block_barrier(&self, block: usize) {
-        let Some(inner) = &self.inner else { return };
-        if !inner.mode.racecheck {
-            return;
-        }
-        let mut blocks = inner.blocks.lock().unwrap_or_else(PoisonError::into_inner);
-        blocks.entry(block).or_default().epoch += 1;
     }
 
     /// Collect the final report. Violations are sorted into a
@@ -548,17 +320,6 @@ impl WarpSanitizer {
         Sanitizer::off().warp(0, 0)
     }
 
-    /// Is any tool active?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Block this handle belongs to.
-    pub fn block(&self) -> usize {
-        self.block
-    }
-
     /// Declare the ground-truth converged lanes (the executor's knowledge
     /// of which lanes are really executing). Primitives' declared masks
     /// are validated against this.
@@ -568,18 +329,10 @@ impl WarpSanitizer {
         }
     }
 
-    /// Currently declared converged lanes.
-    pub fn active(&self) -> u32 {
-        self.active.get()
-    }
-
     /// synccheck hook: a warp-synchronous primitive declared `mask`.
     #[inline]
     pub fn sync_op(&self, primitive: &'static str, mask: u32) {
         let Some(inner) = &self.inner else { return };
-        if !inner.mode.synccheck {
-            return;
-        }
         if mask == 0 {
             inner.record(
                 self.block,
@@ -608,9 +361,6 @@ impl WarpSanitizer {
     #[inline]
     pub fn shfl_src(&self, mask: u32, src: usize) {
         let Some(inner) = &self.inner else { return };
-        if !inner.mode.synccheck {
-            return;
-        }
         let wrapped = src % WARP_SIZE;
         if src >= WARP_SIZE || mask & (1 << wrapped) == 0 {
             inner.record(
@@ -618,91 +368,6 @@ impl WarpSanitizer {
                 self.warp,
                 ViolationKind::ShflInvalidSource { src, mask },
             );
-        }
-    }
-
-    /// Memory hook: one lane read a word.
-    #[inline]
-    pub fn mem_read(&self, space: Space, addr: usize) {
-        self.mem_access(space, addr, false, false);
-    }
-
-    /// Memory hook: one lane wrote a word.
-    #[inline]
-    pub fn mem_write(&self, space: Space, addr: usize) {
-        self.mem_access(space, addr, true, false);
-    }
-
-    /// Memory hook: an atomic read-modify-write of a word. Atomics never
-    /// race with other atomics, but still race with plain accesses.
-    #[inline]
-    pub fn mem_atomic(&self, space: Space, addr: usize) {
-        self.mem_access(space, addr, true, true);
-    }
-
-    fn mem_access(&self, space: Space, addr: usize, write: bool, atomic: bool) {
-        let Some(inner) = &self.inner else { return };
-        if inner.mode.initcheck {
-            let mut allocs = inner.allocs.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(shadow) = allocs.get_mut(&space) {
-                if write {
-                    shadow.mark(addr);
-                } else if !shadow.is_written(addr) {
-                    drop(allocs);
-                    inner.record(
-                        self.block,
-                        self.warp,
-                        ViolationKind::UninitRead { space, addr },
-                    );
-                }
-            }
-        }
-        if !inner.mode.racecheck {
-            return;
-        }
-        let mut hazards: Vec<ViolationKind> = Vec::new();
-        {
-            let mut blocks = inner.blocks.lock().unwrap_or_else(PoisonError::into_inner);
-            let shadow = blocks.entry(self.block).or_default();
-            let epoch = shadow.epoch;
-            let me = Access {
-                warp: self.warp,
-                epoch,
-                atomic,
-            };
-            let word = shadow.words.entry((space, addr)).or_default();
-            let conflicts = |other: &Access| {
-                other.epoch == epoch && other.warp != self.warp && !(other.atomic && atomic)
-            };
-            if write {
-                if let Some(w) = word.last_writer.filter(conflicts) {
-                    hazards.push(ViolationKind::WriteWriteRace {
-                        space,
-                        addr,
-                        other_warp: w.warp,
-                    });
-                }
-                if let Some(r) = word.last_reader.filter(conflicts) {
-                    hazards.push(ViolationKind::ReadWriteRace {
-                        space,
-                        addr,
-                        other_warp: r.warp,
-                    });
-                }
-                word.last_writer = Some(me);
-            } else {
-                if let Some(w) = word.last_writer.filter(conflicts) {
-                    hazards.push(ViolationKind::ReadWriteRace {
-                        space,
-                        addr,
-                        other_warp: w.warp,
-                    });
-                }
-                word.last_reader = Some(me);
-            }
-        }
-        for kind in hazards {
-            inner.record(self.block, self.warp, kind);
         }
     }
 }
@@ -716,21 +381,17 @@ mod tests {
         let san = Sanitizer::off();
         assert!(!san.enabled());
         let ws = san.warp(0, 0);
+        ws.set_active(0b1);
         ws.sync_op("ballot", 0);
+        ws.sync_op("any", 0b11);
         ws.shfl_src(0, 99);
-        ws.mem_read(Space::Region(0), 7);
         assert!(san.report().is_clean());
-    }
-
-    #[test]
-    fn off_mode_yields_disabled_handle() {
-        let san = Sanitizer::new(SanitizerMode::OFF, "k");
-        assert!(!san.enabled());
+        assert!(Sanitizer::new("k").enabled());
     }
 
     #[test]
     fn synccheck_flags_superset_masks() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
+        let san = Sanitizer::new("k");
         let ws = san.warp(1, 2);
         ws.set_active(0b0111);
         ws.sync_op("ballot", 0b0011); // subset: fine
@@ -751,115 +412,31 @@ mod tests {
 
     #[test]
     fn synccheck_flags_empty_mask() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
+        let san = Sanitizer::new("k");
         let ws = san.warp(0, 0);
         ws.sync_op("reduce_sum", 0);
-        assert_eq!(san.report().count_for("synccheck"), 1);
+        assert_eq!(san.report().violations.len(), 1);
     }
 
     #[test]
     fn shfl_source_checks() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
+        let san = Sanitizer::new("k");
         let ws = san.warp(0, 0);
         ws.shfl_src(FULL_MASK, 31); // in range, in mask
         ws.shfl_src(0b1, 40); // out of range (wraps to 8, also outside mask)
         ws.shfl_src(0b1, 5); // inactive source lane
         let rep = san.report();
-        assert_eq!(rep.count_for("synccheck"), 2);
-    }
-
-    #[test]
-    fn racecheck_write_write() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
-        let w0 = san.warp(0, 0);
-        let w1 = san.warp(0, 1);
-        w0.mem_write(Space::Region(2), 10);
-        w1.mem_write(Space::Region(2), 10);
-        let rep = san.report();
-        assert_eq!(rep.total, 1);
-        assert!(matches!(
-            rep.violations[0].kind,
-            ViolationKind::WriteWriteRace { addr: 10, .. }
-        ));
-    }
-
-    #[test]
-    fn racecheck_read_write_both_orders() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
-        let w0 = san.warp(0, 0);
-        let w1 = san.warp(0, 1);
-        w0.mem_read(Space::Region(2), 4);
-        w1.mem_write(Space::Region(2), 4); // write after read
-        w0.mem_read(Space::Region(2), 4); // read after write
-        assert_eq!(san.report().count_for("racecheck"), 2);
-    }
-
-    #[test]
-    fn racecheck_same_warp_is_program_ordered() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
-        let ws = san.warp(0, 0);
-        ws.mem_write(Space::Region(2), 3);
-        ws.mem_write(Space::Region(2), 3);
-        ws.mem_read(Space::Region(2), 3);
-        assert!(san.report().is_clean());
-    }
-
-    #[test]
-    fn racecheck_atomics_do_not_race_each_other() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
-        let w0 = san.warp(0, 0);
-        let w1 = san.warp(0, 1);
-        w0.mem_atomic(Space::Pool(0), 0);
-        w1.mem_atomic(Space::Pool(0), 0);
-        assert!(san.report().is_clean());
-        // ... but a plain read against another warp's atomic write races.
-        w0.mem_read(Space::Pool(0), 0);
-        assert_eq!(san.report().count_for("racecheck"), 1);
-    }
-
-    #[test]
-    fn racecheck_barrier_separates_epochs() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
-        let w0 = san.warp(0, 0);
-        let w1 = san.warp(0, 1);
-        w0.mem_write(Space::Region(2), 8);
-        san.block_barrier(0);
-        w1.mem_write(Space::Region(2), 8);
-        assert!(san.report().is_clean());
-        // Barriers are per block: block 1 traffic is independent.
-        let o0 = san.warp(1, 0);
-        let o1 = san.warp(1, 1);
-        o0.mem_write(Space::Region(2), 8);
-        o1.mem_write(Space::Region(2), 8);
-        assert_eq!(san.report().total, 1);
-    }
-
-    #[test]
-    fn initcheck_poisons_registered_allocations() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
-        san.region_alloc(Space::Region(4), 16);
-        let ws = san.warp(0, 0);
-        ws.mem_read(Space::Region(0), 3); // unregistered: host-initialized
-        ws.mem_read(Space::Region(4), 3); // poisoned
-        ws.mem_write(Space::Region(4), 3);
-        ws.mem_read(Space::Region(4), 3); // now initialized
-        let rep = san.report();
-        assert_eq!(rep.count_for("initcheck"), 1);
-        assert!(matches!(
-            rep.violations[0].kind,
-            ViolationKind::UninitRead { addr: 3, .. }
-        ));
+        assert_eq!(rep.violations.len(), 2);
     }
 
     #[test]
     fn report_is_sorted_and_capped() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
+        let san = Sanitizer::new("k");
         for block in (0..4).rev() {
             let ws = san.warp(block, 0);
-            for addr in 0..40 {
-                let other = san.warp(block, 1);
-                other.mem_write(Space::Region(2), addr);
-                ws.mem_write(Space::Region(2), addr);
+            ws.set_active(0b1);
+            for _ in 0..40 {
+                ws.sync_op("ballot", 0b11);
             }
         }
         let rep = san.report();
@@ -875,7 +452,7 @@ mod tests {
 
     #[test]
     fn cap_is_per_call_site() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "k");
+        let san = Sanitizer::new("k");
         let ws = san.warp(0, 0);
         ws.set_active(0b1);
         // Flood one site far past the cap...
@@ -899,7 +476,7 @@ mod tests {
     #[test]
     fn merge_caps_per_site() {
         let make = |n_ballot: usize, n_empty: usize| {
-            let san = Sanitizer::new(SanitizerMode::FULL, "k");
+            let san = Sanitizer::new("k");
             let ws = san.warp(0, 0);
             ws.set_active(0b1);
             for _ in 0..n_ballot {
@@ -925,18 +502,8 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing() {
-        assert_eq!(SanitizerMode::parse("full").unwrap(), SanitizerMode::FULL);
-        assert_eq!(SanitizerMode::parse("").unwrap(), SanitizerMode::FULL);
-        assert_eq!(SanitizerMode::parse("off").unwrap(), SanitizerMode::OFF);
-        let m = SanitizerMode::parse("sync,init").unwrap();
-        assert!(m.synccheck && m.initcheck && !m.racecheck);
-        assert!(SanitizerMode::parse("bogus").is_err());
-    }
-
-    #[test]
     fn violations_render_operands() {
-        let san = Sanitizer::new(SanitizerMode::FULL, "rsv");
+        let san = Sanitizer::new("rsv");
         let ws = san.warp(3, 1);
         ws.set_active(0b1);
         ws.sync_op("shfl", 0b11);

@@ -33,9 +33,9 @@
 //! from the counters. DESIGN.md §1 documents the substitution.
 //!
 //! An opt-in checking layer (re-exported from [`gsword_sanitizer`], the
-//! `compute-sanitizer` analogue) validates the invariants real hardware
-//! makes undefined: divergent participation masks, unsynchronized
-//! block-shared accesses, uninitialized reads. See DESIGN.md §"Sanitizer".
+//! `compute-sanitizer` analogue) validates the one invariant real hardware
+//! makes undefined that these kernels can break: warp primitives'
+//! participation masks. See DESIGN.md §7.
 
 pub mod counters;
 pub mod device;
@@ -52,9 +52,7 @@ pub use device::{ConfigError, Device, DeviceConfig, DeviceModel};
 pub use gsword_prof::{
     CounterSnapshot, KernelMetrics, ProfReport, Profiler, Span, SpanKind, StreamCounters, Track,
 };
-pub use gsword_sanitizer::{
-    Sanitizer, SanitizerMode, SanitizerReport, Space, Violation, ViolationKind, WarpSanitizer,
-};
+pub use gsword_sanitizer::{Sanitizer, SanitizerReport, Violation, ViolationKind, WarpSanitizer};
 pub use memory::Region;
 pub use pool::SamplePool;
 pub use runtime::{LaunchHandle, Runtime, RuntimeConfig, RuntimeScope};

@@ -8,22 +8,22 @@
 //! loses to sample synchronization despite better instruction-level
 //! parallelism.
 //!
-//! Each access also reports per-lane word addresses to the
-//! [`WarpSanitizer`]: under `racecheck` they feed the block's shadow
-//! state, under `initcheck` reads of registered-but-never-written words
-//! are flagged. The disabled handle short-circuits both.
+//! The model is a pure charge: it prices accesses and never sees their
+//! values, and no function here takes a sanitizer handle. Kernels only
+//! read device memory the host initialized (and advance the sample pool
+//! with an atomic), so there is nothing for a memory checker to observe
+//! (DESIGN.md §7).
 
 use std::ops::Range;
 
 use crate::counters::KernelCounters;
-use crate::warp::{Lanes, WarpMask, WarpSanitizer, WARP_SIZE};
-use gsword_sanitizer::Space;
+use crate::warp::{Lanes, WarpMask, WARP_SIZE};
 
 /// Words (4-byte elements) per 128-byte line.
 pub const LINE_WORDS: usize = 32;
 
-/// A distinct array/address-space a lane address can point into. Candidate
-/// graph arrays and per-thread buffers live in different regions; a single
+/// A distinct array/address-space a lane address can point into. The
+/// candidate graph's arrays live in different regions; a single
 /// transaction never spans regions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Region(pub u32);
@@ -31,22 +31,8 @@ pub struct Region(pub u32);
 impl Region {
     /// Global candidate array of the candidate graph.
     pub const GLOBAL: Region = Region(0);
-    /// GetMinCandidate's tuple lookups: the engine charges one load per
-    /// resolved backward segment, at the segment's offset into the local
-    /// lists, in place of the device's read of `local_off[cand_off[k] +
-    /// rank]`.
-    pub const CAND: Region = Region(1);
     /// Local candidate lists (third CSR).
     pub const LOCAL: Region = Region(2);
-    /// Per-thread scratch (refine buffers) — modeled as thread-private and
-    /// always coalesced.
-    pub const SCRATCH: Region = Region(4);
-
-    /// The sanitizer address space for this region.
-    #[inline]
-    pub fn space(self) -> Space {
-        Space::Region(self.0)
-    }
 }
 
 /// One lane's address for a warp-wide load: a `(region, element offset)`
@@ -57,72 +43,33 @@ pub type LaneAddr = Option<(Region, usize)>;
 /// and charge the coalesced transaction count.
 ///
 /// Returns the number of line transactions generated (useful for tests).
-pub fn warp_load(ctr: &mut KernelCounters, san: &WarpSanitizer, addrs: &Lanes<LaneAddr>) -> u64 {
-    let tx = charge_lane_access(ctr, addrs, false);
-    if san.enabled() {
-        for (region, off) in addrs.iter().flatten() {
-            san.mem_read(region.space(), *off);
-        }
-    }
-    tx
-}
-
-/// Issue a warp-wide store of one element per lane at each lane's address.
-/// Stores coalesce exactly like loads; the transaction count is charged to
-/// the same memory counters (write-back traffic).
-pub fn warp_store(ctr: &mut KernelCounters, san: &WarpSanitizer, addrs: &Lanes<LaneAddr>) -> u64 {
-    let tx = charge_lane_access(ctr, addrs, true);
-    if san.enabled() {
-        for (region, off) in addrs.iter().flatten() {
-            san.mem_write(region.space(), *off);
-        }
-    }
-    tx
-}
-
-fn charge_lane_access(ctr: &mut KernelCounters, addrs: &Lanes<LaneAddr>, store: bool) -> u64 {
+pub fn warp_load(ctr: &mut KernelCounters, addrs: &Lanes<LaneAddr>) -> u64 {
     let mut lines = [0u64; WARP_SIZE];
     let mut n = 0usize;
-    let mut active = 0u32;
     for (region, off) in addrs.iter().flatten() {
-        active += 1;
-        let line = ((region.0 as u64) << 48) | (off / LINE_WORDS) as u64;
-        lines[n] = line;
+        lines[n] = ((region.0 as u64) << 48) | (off / LINE_WORDS) as u64;
         n += 1;
     }
     let tx = distinct_lines(&mut lines[..n]);
-    if store {
-        ctr.warp_store(active, tx);
-    } else {
-        ctr.warp_load(active, tx);
-    }
+    ctr.warp_load(n as u32, tx);
     tx
 }
 
-/// Issue one lockstep round of a warp-wide load into `region`: `offs`
+/// Issue one lockstep round of a warp-wide load into one region: `offs`
 /// yields the element offset of every lane that loads this round, in lane
 /// order, and at most the first [`WARP_SIZE`] are taken.
 ///
 /// This is the per-round core of [`warp_load_rounds`] and
 /// [`warp_load_steps`]. All lanes read one region, so the line index
 /// alone tells lines apart; the offsets are read once, with no per-lane
-/// address array and no sort. The charge and the sanitizer reads equal
-/// one [`warp_load`] of the same lanes. Returns the transaction count.
-pub fn warp_load_round(
-    ctr: &mut KernelCounters,
-    san: &WarpSanitizer,
-    region: Region,
-    offs: impl IntoIterator<Item = usize>,
-) -> u64 {
-    let check = san.enabled();
+/// address array and no sort. The charge equals one [`warp_load`] of the
+/// same lanes. Returns the transaction count.
+pub fn warp_load_round(ctr: &mut KernelCounters, offs: impl IntoIterator<Item = usize>) -> u64 {
     let mut lines = [0u64; WARP_SIZE];
     let mut n = 0;
     for off in offs.into_iter().take(WARP_SIZE) {
         lines[n] = (off / LINE_WORDS) as u64;
         n += 1;
-        if check {
-            san.mem_read(region.space(), off);
-        }
     }
     let tx = distinct_lines(&mut lines[..n]);
     ctr.warp_load(n as u32, tx);
@@ -130,28 +77,23 @@ pub fn warp_load_round(
 }
 
 /// Issue the whole per-lane access sequence of one lockstep round as a
-/// series of warp-wide loads into `region`, one load per probe step.
+/// series of warp-wide loads into one region, one load per probe step.
 ///
 /// `lane_offs[lane]` holds lane `lane`'s element offsets in probe order;
 /// round `r` loads the `r`-th offset of every lane that has one. The
-/// charge sequence — including sanitizer read order and the `mem_instructions`
-/// bump of rounds where some lanes have run dry — is bit-identical to
-/// issuing the same [`warp_load`] calls one by one.
+/// charge sequence — including the `mem_instructions` bump of rounds
+/// where some lanes have run dry — is bit-identical to issuing the same
+/// [`warp_load`] calls one by one.
 ///
 /// Lanes beyond [`WARP_SIZE`] are ignored. Returns the total transaction
 /// count across all rounds.
-pub fn warp_load_rounds(
-    ctr: &mut KernelCounters,
-    san: &WarpSanitizer,
-    region: Region,
-    lane_offs: &[Vec<usize>],
-) -> u64 {
+pub fn warp_load_rounds(ctr: &mut KernelCounters, lane_offs: &[Vec<usize>]) -> u64 {
     let lane_offs = &lane_offs[..lane_offs.len().min(WARP_SIZE)];
     let rounds = lane_offs.iter().map(Vec::len).max().unwrap_or(0);
     let mut total = 0;
     for r in 0..rounds {
         let offs = lane_offs.iter().filter_map(|offs| offs.get(r).copied());
-        total += warp_load_round(ctr, san, region, offs);
+        total += warp_load_round(ctr, offs);
     }
     total
 }
@@ -165,15 +107,9 @@ pub fn warp_load_rounds(
 /// identical runs (lanes that inherited one cursor into one segment)
 /// merged into one entry that counts their lanes. A round's lanes then
 /// read in order of their run start, so their lines rise too and one pass
-/// over the live entries counts the distinct ones. The sanitizer reads
-/// every lane's element round by round, in lane order. Lanes beyond
+/// over the live entries counts the distinct ones. Lanes beyond
 /// [`WARP_SIZE`] are ignored. Returns the total transaction count.
-pub fn warp_load_runs(
-    ctr: &mut KernelCounters,
-    san: &WarpSanitizer,
-    region: Region,
-    runs: &[Range<usize>],
-) -> u64 {
+pub fn warp_load_runs(ctr: &mut KernelCounters, runs: &[Range<usize>]) -> u64 {
     let runs = &runs[..runs.len().min(WARP_SIZE)];
     // `(start, len, lanes)` per distinct non-empty run.
     let mut live = [(0usize, 0usize, 0u32); WARP_SIZE];
@@ -214,13 +150,6 @@ pub fn warp_load_runs(
         n = kept;
         rounds += 1;
     }
-    if san.enabled() {
-        for r in 0..rounds {
-            for run in runs.iter().filter(|run| r < run.len()) {
-                san.mem_read(region.space(), run.start + r);
-            }
-        }
-    }
     total
 }
 
@@ -241,8 +170,6 @@ pub fn warp_load_runs(
 /// If a lane's step counts sum past the length of its trace.
 pub fn warp_load_steps(
     ctr: &mut KernelCounters,
-    san: &WarpSanitizer,
-    region: Region,
     lane_offs: &[Vec<usize>],
     lane_steps: &[Vec<u32>],
 ) -> u64 {
@@ -260,7 +187,7 @@ pub fn warp_load_steps(
             let offs = (0..lanes)
                 .filter(|&l| r < issued[l])
                 .map(|l| lane_offs[l][pos[l] + r]);
-            total += warp_load_round(ctr, san, region, offs);
+            total += warp_load_round(ctr, offs);
         }
         for (p, n) in pos.iter_mut().zip(issued) {
             *p += n;
@@ -274,25 +201,13 @@ pub fn warp_load_steps(
 /// candidate array in warp streaming). Consecutive elements coalesce
 /// perfectly: `ceil(len / LINE_WORDS)` transactions regardless of lane
 /// count.
-pub fn warp_scan(
-    ctr: &mut KernelCounters,
-    san: &WarpSanitizer,
-    mask: WarpMask,
-    region: Region,
-    base: usize,
-    len: usize,
-) {
+pub fn warp_scan(ctr: &mut KernelCounters, mask: WarpMask, base: usize, len: usize) {
     if len == 0 {
         return;
     }
     let first = base / LINE_WORDS;
     let last = (base + len - 1) / LINE_WORDS;
     ctr.warp_load(mask.count_ones(), (last - first + 1) as u64);
-    if san.enabled() {
-        for off in base..base + len {
-            san.mem_read(region.space(), off);
-        }
-    }
 }
 
 /// The number of distinct values in `lines`, which it leaves at the front
@@ -317,18 +232,14 @@ pub fn distinct_lines(lines: &mut [u64]) -> u64 {
 mod tests {
     use super::*;
 
-    fn san() -> WarpSanitizer {
-        WarpSanitizer::disabled()
-    }
-
     #[test]
     fn coalesced_access_is_cheap() {
         let mut c = KernelCounters::default();
         let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
         for (i, a) in addrs.iter_mut().enumerate() {
-            *a = Some((Region::CAND, 1000 + i)); // 32 consecutive words
+            *a = Some((Region::LOCAL, 1000 + i)); // 32 consecutive words
         }
-        let tx = warp_load(&mut c, &san(), &addrs);
+        let tx = warp_load(&mut c, &addrs);
         assert!(tx <= 2, "consecutive words should need ≤2 lines, got {tx}");
     }
 
@@ -337,9 +248,9 @@ mod tests {
         let mut c = KernelCounters::default();
         let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
         for (i, a) in addrs.iter_mut().enumerate() {
-            *a = Some((Region::CAND, i * 10_000)); // one line each
+            *a = Some((Region::LOCAL, i * 10_000)); // one line each
         }
-        assert_eq!(warp_load(&mut c, &san(), &addrs), 32);
+        assert_eq!(warp_load(&mut c, &addrs), 32);
         assert_eq!(c.stall_long(), 32 * crate::counters::MEM_LATENCY_CYCLES);
     }
 
@@ -349,50 +260,32 @@ mod tests {
         let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
         addrs[0] = Some((Region::GLOBAL, 0));
         addrs[1] = Some((Region::LOCAL, 0));
-        assert_eq!(warp_load(&mut c, &san(), &addrs), 2);
+        assert_eq!(warp_load(&mut c, &addrs), 2);
     }
 
     #[test]
     fn inactive_lanes_cost_nothing() {
         let mut c = KernelCounters::default();
         let addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-        assert_eq!(warp_load(&mut c, &san(), &addrs), 0);
+        assert_eq!(warp_load(&mut c, &addrs), 0);
         assert_eq!(c.mem_instructions, 1);
         assert_eq!(c.active_lane_ops, 0);
     }
 
     #[test]
-    fn stores_coalesce_like_loads() {
-        let mut c = KernelCounters::default();
-        let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-        for (i, a) in addrs.iter_mut().enumerate() {
-            *a = Some((Region::SCRATCH, i)); // consecutive words
-        }
-        let tx = warp_store(&mut c, &san(), &addrs);
-        assert!(tx <= 2);
-        assert_eq!(c.mem_instructions, 1);
-        assert_eq!(c.mem_active_lanes, 32);
-    }
-
-    #[test]
     fn scan_transactions_round_up() {
         let mut c = KernelCounters::default();
-        warp_scan(&mut c, &san(), u32::MAX, Region::LOCAL, 0, 1);
+        warp_scan(&mut c, u32::MAX, 0, 1);
         assert_eq!(c.mem_transactions, 1);
-        warp_scan(&mut c, &san(), u32::MAX, Region::LOCAL, 30, 4); // crosses a line
+        warp_scan(&mut c, u32::MAX, 30, 4); // crosses a line
         assert_eq!(c.mem_transactions, 3);
-        warp_scan(&mut c, &san(), u32::MAX, Region::LOCAL, 0, 0); // empty: free
+        warp_scan(&mut c, u32::MAX, 0, 0); // empty: free
         assert_eq!(c.mem_instructions, 2);
     }
 
     /// The per-access loop [`warp_load_rounds`] replaces: one [`warp_load`]
     /// per round over the first [`WARP_SIZE`] lanes.
-    fn per_access_rounds(
-        ctr: &mut KernelCounters,
-        san: &WarpSanitizer,
-        region: Region,
-        seqs: &[Vec<usize>],
-    ) -> u64 {
+    fn per_access_rounds(ctr: &mut KernelCounters, seqs: &[Vec<usize>]) -> u64 {
         let seqs = &seqs[..seqs.len().min(WARP_SIZE)];
         let rounds = seqs.iter().map(Vec::len).max().unwrap_or(0);
         let mut tx = 0;
@@ -400,10 +293,10 @@ mod tests {
             let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
             for (lane, s) in seqs.iter().enumerate() {
                 if let Some(&off) = s.get(r) {
-                    addrs[lane] = Some((region, off));
+                    addrs[lane] = Some((Region::LOCAL, off));
                 }
             }
-            tx += warp_load(ctr, san, &addrs);
+            tx += warp_load(ctr, &addrs);
         }
         tx
     }
@@ -417,35 +310,22 @@ mod tests {
         // lanes' addresses are None.
         let seqs = vec![vec![0usize, 40, 80], vec![0usize], vec![]];
         let mut batched = KernelCounters::default();
-        let tx = warp_load_rounds(&mut batched, &san(), Region::CAND, &seqs);
+        let tx = warp_load_rounds(&mut batched, &seqs);
         let mut manual = KernelCounters::default();
-        let manual_tx = per_access_rounds(&mut manual, &san(), Region::CAND, &seqs);
+        let manual_tx = per_access_rounds(&mut manual, &seqs);
         assert_eq!(tx, manual_tx);
         assert_eq!(batched.snapshot(), manual.snapshot());
         assert_eq!(batched.mem_instructions, 3);
 
-        // Sanitized: the reads reach initcheck and racecheck as the
-        // per-access loop reports them. Warp 1 initializes words 0..40 in
-        // the same epoch, so warp 0's reads there race; reads past 40 hit
-        // never-written words.
+        // Every lane with its own ragged sequence over shared lines: the
+        // counters, histogram included, match the per-access loop.
         let seqs: Vec<Vec<usize>> = (0..WARP_SIZE)
             .map(|lane| (0..lane % 4).map(|r| (lane * 3 + r * 17) % 72).collect())
             .collect();
-        let sanitized = |replay: &dyn Fn(&mut KernelCounters, &WarpSanitizer) -> u64| {
-            use gsword_sanitizer::{Sanitizer, SanitizerMode};
-            let sz = Sanitizer::new(SanitizerMode::FULL, "rounds");
-            sz.region_alloc(Region::LOCAL.space(), 128);
-            let writer = sz.warp(0, 1);
-            for off in 0..40 {
-                writer.mem_write(Region::LOCAL.space(), off);
-            }
-            let mut c = KernelCounters::default();
-            let tx = replay(&mut c, &sz.warp(0, 0));
-            (tx, c.snapshot(), sz.report())
-        };
-        let batched = sanitized(&|c, ws| warp_load_rounds(c, ws, Region::LOCAL, &seqs));
-        let manual = sanitized(&|c, ws| per_access_rounds(c, ws, Region::LOCAL, &seqs));
-        assert!(batched.2.count_for("initcheck") > 0 && batched.2.count_for("racecheck") > 0);
+        let mut batched = KernelCounters::default();
+        let tx = warp_load_rounds(&mut batched, &seqs);
+        let mut manual = KernelCounters::default();
+        assert_eq!(tx, per_access_rounds(&mut manual, &seqs));
         assert_eq!(batched, manual);
 
         // Lanes past WARP_SIZE are ignored, including their longer
@@ -453,9 +333,9 @@ mod tests {
         let mut seqs: Vec<Vec<usize>> = (0..WARP_SIZE).map(|lane| vec![lane * 40]).collect();
         seqs.extend((0..8).map(|lane| vec![lane; 5]));
         let mut batched = KernelCounters::default();
-        let tx = warp_load_rounds(&mut batched, &san(), Region::CAND, &seqs);
+        let tx = warp_load_rounds(&mut batched, &seqs);
         let mut manual = KernelCounters::default();
-        let manual_tx = per_access_rounds(&mut manual, &san(), Region::CAND, &seqs);
+        let manual_tx = per_access_rounds(&mut manual, &seqs);
         assert_eq!(tx, manual_tx);
         assert_eq!(batched.snapshot(), manual.snapshot());
         assert_eq!(batched.mem_instructions, 1);
@@ -464,26 +344,10 @@ mod tests {
     #[test]
     fn load_rounds_of_empty_sequences_charges_nothing() {
         let mut c = KernelCounters::default();
-        assert_eq!(warp_load_rounds(&mut c, &san(), Region::LOCAL, &[]), 0);
+        assert_eq!(warp_load_rounds(&mut c, &[]), 0);
         assert_eq!(c.mem_instructions, 0);
         let empties: Vec<Vec<usize>> = vec![vec![]; 4];
-        assert_eq!(warp_load_rounds(&mut c, &san(), Region::LOCAL, &empties), 0);
+        assert_eq!(warp_load_rounds(&mut c, &empties), 0);
         assert_eq!(c.mem_instructions, 0);
-    }
-
-    #[test]
-    fn sanitized_load_feeds_initcheck() {
-        use gsword_sanitizer::{Sanitizer, SanitizerMode};
-        let sz = Sanitizer::new(SanitizerMode::FULL, "mem-test");
-        sz.region_alloc(Region::SCRATCH.space(), 64);
-        let ws = sz.warp(0, 0);
-        let mut c = KernelCounters::default();
-        let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-        addrs[0] = Some((Region::SCRATCH, 5));
-        warp_load(&mut c, &ws, &addrs); // read-before-write: poisoned
-        warp_store(&mut c, &ws, &addrs);
-        warp_load(&mut c, &ws, &addrs); // initialized now
-        let rep = sz.report();
-        assert_eq!(rep.count_for("initcheck"), 1);
     }
 }

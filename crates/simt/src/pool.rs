@@ -7,9 +7,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::warp::WarpSanitizer;
-use gsword_sanitizer::Space;
-
 /// An atomic pool of `total` sample tasks.
 ///
 /// The cursor *saturates* at `total`: fetches from a drained pool do not
@@ -46,44 +43,6 @@ impl SamplePool {
             .ok()
     }
 
-    /// Fetch up to `n` task ids at once (batch variant used when a warp
-    /// refills all lanes together). Returns the first id and how many were
-    /// actually granted.
-    pub fn fetch_many(&self, n: u64) -> Option<(u64, u64)> {
-        if n == 0 {
-            return None;
-        }
-        let start = self
-            .next
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                (cur < self.total).then(|| self.total.min(cur.saturating_add(n)))
-            })
-            .ok()?;
-        Some((start, n.min(self.total - start)))
-    }
-
-    /// [`SamplePool::fetch`] with the atomic access made visible to the
-    /// sanitizer's racecheck (the pool cursor of block `san.block()` is
-    /// one shared word; atomics never race each other, but any plain
-    /// access to the same word does).
-    #[inline]
-    pub fn fetch_sanitized(&self, san: &WarpSanitizer) -> Option<u64> {
-        if san.enabled() {
-            san.mem_atomic(Space::Pool(san.block() as u32), 0);
-        }
-        self.fetch()
-    }
-
-    /// A deliberately *non-atomic* read of the pool cursor — the bug
-    /// pattern racecheck exists to catch (reading the cursor while other
-    /// warps fetch). Returns a possibly-stale count of issued tasks.
-    pub fn read_cursor_unsync(&self, san: &WarpSanitizer) -> u64 {
-        if san.enabled() {
-            san.mem_read(Space::Pool(san.block() as u32), 0);
-        }
-        self.next.load(Ordering::Relaxed)
-    }
-
     /// Total tasks the pool was created with.
     pub fn total(&self) -> u64 {
         self.total
@@ -115,36 +74,17 @@ mod tests {
     }
 
     #[test]
-    fn fetch_many_clamps_to_remaining() {
-        let p = SamplePool::new(10);
-        assert_eq!(p.fetch_many(8), Some((0, 8)));
-        assert_eq!(p.fetch_many(8), Some((8, 2)));
-        assert_eq!(p.fetch_many(8), None);
-        assert_eq!(p.fetch_many(0), None);
-    }
-
-    #[test]
     fn drained_pool_cursor_saturates() {
-        // Regression: `fetch`/`fetch_many` used to blindly fetch_add, so a
+        // Regression: `fetch` used to blindly fetch_add, so a
         // long-running refill loop on a drained pool marched `next` toward
         // u64::MAX — overflow territory and a lying issued-count.
         let p = SamplePool::new(3);
         while p.fetch().is_some() {}
         for _ in 0..10_000 {
             assert!(p.fetch().is_none());
-            assert!(p.fetch_many(32).is_none());
         }
         assert_eq!(p.issued(), 3);
         assert!(p.is_drained());
-    }
-
-    #[test]
-    fn fetch_many_saturates_near_u64_max() {
-        let p = SamplePool::new(4);
-        assert_eq!(p.fetch_many(u64::MAX), Some((0, 4)));
-        assert_eq!(p.issued(), 4);
-        assert!(p.fetch_many(u64::MAX).is_none());
-        assert_eq!(p.issued(), 4);
     }
 
     #[test]
@@ -172,7 +112,6 @@ mod tests {
                 s.spawn(|| {
                     for _ in 0..2_000 {
                         let _ = p.fetch();
-                        let _ = p.fetch_many(7);
                     }
                 });
             }
@@ -184,25 +123,7 @@ mod tests {
     fn empty_pool() {
         let p = SamplePool::new(0);
         assert!(p.fetch().is_none());
-        assert!(p.fetch_many(4).is_none());
         assert!(p.is_drained());
         assert_eq!(p.issued(), 0);
-    }
-
-    #[test]
-    fn sanitized_fetches_are_atomic_to_racecheck() {
-        use gsword_sanitizer::{Sanitizer, SanitizerMode};
-        let sz = Sanitizer::new(SanitizerMode::FULL, "pool-test");
-        let p = SamplePool::new(100);
-        let w0 = sz.warp(0, 0);
-        let w1 = sz.warp(0, 1);
-        assert!(p.fetch_sanitized(&w0).is_some());
-        assert!(p.fetch_sanitized(&w1).is_some());
-        assert!(sz.report().is_clean(), "atomic fetches never race");
-        // A warp reading the cursor without the atomic races the previous
-        // fetch (read-after-write) and the next one (write-after-read).
-        p.read_cursor_unsync(&w0);
-        assert!(p.fetch_sanitized(&w1).is_some());
-        assert_eq!(sz.report().count_for("racecheck"), 2);
     }
 }

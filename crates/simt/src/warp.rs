@@ -7,8 +7,8 @@
 //! `__shfl_sync`, and cooperative reductions). Each primitive charges the
 //! kernel counters like a single warp instruction.
 //!
-//! Every primitive also reports to a [`WarpSanitizer`] handle. Under
-//! `synccheck` the declared participation mask is validated against the
+//! Every primitive also reports to a [`WarpSanitizer`] handle, whose
+//! synccheck validates the declared participation mask against the
 //! lanes the executor actually has converged — divergent participation in
 //! a `*_sync` primitive is undefined behaviour on real hardware — and
 //! `shfl` flags out-of-range or non-participating source lanes. The

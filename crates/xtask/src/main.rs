@@ -31,21 +31,18 @@ rules enforced by analyze:
   1. divergent-sync: warp primitives (any/ballot/shfl/reduce_*) must not
      claim a full or stale participation mask that contradicts the
      set_active declaration or divergent control flow (static synccheck)
-  2. pool-race: block-shared SamplePool accesses need a block_barrier
-     between an atomic fetch and an unsynchronized cursor read on every
-     path (static racecheck)
-  3. primitive-charges-counters: every pub fn taking &mut KernelCounters
-     charges the counters (warp_instruction/warp_load/warp_store/diverge)
-     or forwards them to a callee
-  4. no-seqcst: no SeqCst atomic orderings (the device model is
+  2. primitive-charges-counters: every pub fn taking &mut KernelCounters
+     charges the counters (warp_instruction/warp_load/diverge) or
+     forwards them to a callee
+  3. no-seqcst: no SeqCst atomic orderings (the device model is
      Relaxed/Acquire/Release by design)
-  5. nondet-order: HashMap/HashSet iteration order must not flow into
+  4. nondet-order: HashMap/HashSet iteration order must not flow into
      estimates, reports, or serialized output (sort the entries first)
-  6. float-reduce-order: f64/f32 accumulation whose order varies with
+  5. float-reduce-order: f64/f32 accumulation whose order varies with
      shard or device count must go through a canonically ordered merge
-  7. scope-blocking: blocking drains (scope/wait/wait_report) must not
+  6. scope-blocking: blocking drains (scope/wait/wait_report) must not
      be reachable from inside a job submitted to a stream
-  8. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
+  7. unsafe-escape: every unsafe site carries a `// SAFETY:` comment;
      unsafe-derived slices/pointers that escape the validating function
      are called out explicitly
 

@@ -1,24 +1,21 @@
-//! Integration tests for the sanitizer — the compute-sanitizer analogue.
+//! Integration tests for the sanitizer — the compute-sanitizer analogue's
+//! synccheck.
 //!
 //! Two directions, mirroring how the real tool is validated:
-//!  * *injected bugs are caught*: a deliberately divergent `shfl`, an
-//!    unsynchronized same-address write/write pair, and a read of a
-//!    never-written registered word each produce the expected violation;
+//!  * *injected bugs are caught*: a deliberately divergent `shfl`, a
+//!    `shfl` from a non-participating or out-of-range source lane, and an
+//!    empty participation mask each produce the expected violation;
 //!  * *correct code runs clean*: every engine preset (baseline, O0, O1,
-//!    O2/gSWORD, iteration sync × both estimators) completes under
-//!    `SanitizerMode::FULL` with zero findings, on a triangle and on a
-//!    power-law input that reaches warp streaming's collaborative phase.
+//!    O2/gSWORD, iteration sync × both estimators) completes under the
+//!    sanitizer with zero findings, on a triangle and on a power-law input
+//!    that reaches warp streaming's collaborative phase.
 
 use gsword_candidate::{build_candidate_graph, BuildConfig};
 use gsword_engine::{run_engine, EngineConfig};
 use gsword_estimators::{Alley, QueryCtx, WanderJoin};
 use gsword_graph::{gen, GraphBuilder};
 use gsword_query::{quicksi_order, MatchingOrder, QueryGraph};
-use gsword_simt::memory::{warp_load, warp_store, LaneAddr};
-use gsword_simt::{
-    warp, DeviceConfig, KernelCounters, Lanes, Region, Sanitizer, SanitizerMode, ViolationKind,
-    WARP_SIZE,
-};
+use gsword_simt::{warp, DeviceConfig, KernelCounters, Lanes, Sanitizer, ViolationKind, WARP_SIZE};
 
 // ---------------------------------------------------------------------------
 // synccheck
@@ -28,7 +25,7 @@ use gsword_simt::{
 /// has diverged off — the canonical synccheck hit.
 #[test]
 fn divergent_shfl_is_caught() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "divergent-shfl");
+    let sz = Sanitizer::new("divergent-shfl");
     let ws = sz.warp(0, 0);
     let mut ctr = KernelCounters::default();
     let vals: Lanes<u64> = [7; WARP_SIZE];
@@ -39,7 +36,7 @@ fn divergent_shfl_is_caught() {
     warp::shfl(&mut ctr, &ws, u32::MAX, &vals, 3);
 
     let rep = sz.report();
-    assert_eq!(rep.count_for("synccheck"), 1, "{rep}");
+    assert_eq!(rep.violations.len(), 1, "{rep}");
     assert!(matches!(
         rep.violations[0].kind,
         ViolationKind::SyncMaskMismatch {
@@ -55,7 +52,7 @@ fn divergent_shfl_is_caught() {
 /// value is undefined on hardware even though the mask itself is valid.
 #[test]
 fn shfl_from_inactive_source_is_caught() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "shfl-src");
+    let sz = Sanitizer::new("shfl-src");
     let ws = sz.warp(0, 0);
     let mut ctr = KernelCounters::default();
     let vals: Lanes<u64> = [7; WARP_SIZE];
@@ -65,7 +62,7 @@ fn shfl_from_inactive_source_is_caught() {
     warp::shfl(&mut ctr, &ws, mask, &vals, 20); // lane 20 is not in the mask
 
     let rep = sz.report();
-    assert_eq!(rep.count_for("synccheck"), 1, "{rep}");
+    assert_eq!(rep.violations.len(), 1, "{rep}");
     assert!(matches!(
         rep.violations[0].kind,
         ViolationKind::ShflInvalidSource {
@@ -79,7 +76,7 @@ fn shfl_from_inactive_source_is_caught() {
 /// the wrapped lane's value, but synccheck flags the wrap.
 #[test]
 fn shfl_out_of_range_source_wraps_and_is_flagged() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "shfl-wrap");
+    let sz = Sanitizer::new("shfl-wrap");
     let ws = sz.warp(0, 0);
     let mut ctr = KernelCounters::default();
     let mut vals: Lanes<u64> = [0; WARP_SIZE];
@@ -88,13 +85,13 @@ fn shfl_out_of_range_source_wraps_and_is_flagged() {
     ws.set_active(u32::MAX);
     let got = warp::shfl(&mut ctr, &ws, u32::MAX, &vals, 5 + WARP_SIZE);
     assert_eq!(got, 99, "hardware semantics: srcLane % 32");
-    assert_eq!(sz.report().count_for("synccheck"), 1);
+    assert_eq!(sz.report().violations.len(), 1);
 }
 
 /// An empty participation mask is degenerate for every `*_sync` primitive.
 #[test]
 fn empty_mask_sync_op_is_caught() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "empty-mask");
+    let sz = Sanitizer::new("empty-mask");
     let ws = sz.warp(0, 0);
     let mut ctr = KernelCounters::default();
 
@@ -102,7 +99,7 @@ fn empty_mask_sync_op_is_caught() {
     warp::ballot(&mut ctr, &ws, 0, &[false; WARP_SIZE]);
 
     let rep = sz.report();
-    assert_eq!(rep.count_for("synccheck"), 1, "{rep}");
+    assert_eq!(rep.violations.len(), 1, "{rep}");
     assert!(matches!(
         rep.violations[0].kind,
         ViolationKind::SyncEmptyMask { .. }
@@ -113,7 +110,7 @@ fn empty_mask_sync_op_is_caught() {
 /// divergent code is supposed to call the primitives — no findings.
 #[test]
 fn subset_masks_run_clean() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "subset-mask");
+    let sz = Sanitizer::new("subset-mask");
     let ws = sz.warp(0, 0);
     let mut ctr = KernelCounters::default();
     let mut pred = [false; WARP_SIZE];
@@ -130,123 +127,7 @@ fn subset_masks_run_clean() {
 }
 
 // ---------------------------------------------------------------------------
-// racecheck
-// ---------------------------------------------------------------------------
-
-/// Two warps of one block store to the same Region word with no barrier in
-/// between: a write/write hazard.
-#[test]
-fn injected_write_write_race_is_caught() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "ww-race");
-    let w0 = sz.warp(0, 0);
-    let w1 = sz.warp(0, 1);
-    let mut ctr = KernelCounters::default();
-
-    let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-    addrs[0] = Some((Region::LOCAL, 64));
-    warp_store(&mut ctr, &w0, &addrs);
-    warp_store(&mut ctr, &w1, &addrs); // same word, different warp, no barrier
-
-    let rep = sz.report();
-    assert_eq!(rep.count_for("racecheck"), 1, "{rep}");
-    assert!(matches!(
-        rep.violations[0].kind,
-        ViolationKind::WriteWriteRace {
-            addr: 64,
-            other_warp: 0,
-            ..
-        }
-    ));
-}
-
-/// Read/write from different warps on the same word also races.
-#[test]
-fn read_write_race_is_caught() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "rw-race");
-    let w0 = sz.warp(0, 0);
-    let w1 = sz.warp(0, 1);
-    let mut ctr = KernelCounters::default();
-
-    let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-    addrs[3] = Some((Region::CAND, 1000));
-    warp_load(&mut ctr, &w0, &addrs);
-    warp_store(&mut ctr, &w1, &addrs);
-
-    let rep = sz.report();
-    assert_eq!(rep.count_for("racecheck"), 1, "{rep}");
-    assert!(matches!(
-        rep.violations[0].kind,
-        ViolationKind::ReadWriteRace { .. }
-    ));
-}
-
-/// A block barrier between the two writes orders them — no race. And the
-/// same address touched by warps of *different blocks* never races (blocks
-/// share nothing in this model).
-#[test]
-fn barriers_and_block_isolation_suppress_races() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "barrier");
-    let mut ctr = KernelCounters::default();
-    let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-    addrs[0] = Some((Region::LOCAL, 8));
-
-    let w0 = sz.warp(0, 0);
-    let w1 = sz.warp(0, 1);
-    warp_store(&mut ctr, &w0, &addrs);
-    sz.block_barrier(0);
-    warp_store(&mut ctr, &w1, &addrs); // ordered by the barrier
-
-    let other_block = sz.warp(1, 0);
-    warp_store(&mut ctr, &other_block, &addrs); // different block: no sharing
-
-    assert!(sz.report().is_clean(), "{}", sz.report());
-}
-
-// ---------------------------------------------------------------------------
-// initcheck
-// ---------------------------------------------------------------------------
-
-/// Reading a registered-but-never-written word is flagged once; after a
-/// write the same word reads clean.
-#[test]
-fn uninitialized_region_read_is_caught() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "uninit");
-    sz.region_alloc(Region::SCRATCH.space(), 256);
-    let ws = sz.warp(0, 0);
-    let mut ctr = KernelCounters::default();
-
-    let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-    addrs[0] = Some((Region::SCRATCH, 17));
-    warp_load(&mut ctr, &ws, &addrs); // poison read
-    warp_store(&mut ctr, &ws, &addrs);
-    warp_load(&mut ctr, &ws, &addrs); // now initialized
-
-    let rep = sz.report();
-    assert_eq!(rep.count_for("initcheck"), 1, "{rep}");
-    assert!(matches!(
-        rep.violations[0].kind,
-        ViolationKind::UninitRead { addr: 17, .. }
-    ));
-}
-
-/// Unregistered regions model host-initialized device arrays (the
-/// candidate graph is built on the host and copied over) — reads are not
-/// poison.
-#[test]
-fn unregistered_regions_are_host_initialized() {
-    let sz = Sanitizer::new(SanitizerMode::FULL, "host-init");
-    let ws = sz.warp(0, 0);
-    let mut ctr = KernelCounters::default();
-
-    let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
-    addrs[0] = Some((Region::GLOBAL, 5));
-    warp_load(&mut ctr, &ws, &addrs);
-
-    assert!(sz.report().is_clean(), "{}", sz.report());
-}
-
-// ---------------------------------------------------------------------------
-// The engine runs clean under the full sanitizer
+// The engine runs clean under the sanitizer
 // ---------------------------------------------------------------------------
 
 fn triangle_ctx() -> (gsword_candidate::CandidateGraph, QueryGraph) {
@@ -282,7 +163,7 @@ fn power_law_ctx() -> (gsword_candidate::CandidateGraph, MatchingOrder) {
     (cg, order)
 }
 
-/// Every preset × both estimators on two inputs: full sanitizer, zero
+/// Every preset × both estimators on two inputs: sanitized, zero
 /// findings, and the estimate and counters are unchanged by sanitizing
 /// (the hooks are observers). The triangle is the smallest input; the
 /// power-law one drives the streaming kernel's collaborative phase and
@@ -309,7 +190,7 @@ fn all_engine_presets_run_clean_under_full_sanitizer() {
         ] {
             for alley in [false, true] {
                 let plain = EngineConfig { device, ..cfg };
-                let sanitized = plain.with_sanitize(SanitizerMode::FULL);
+                let sanitized = plain.with_sanitize(true);
                 let (p, s) = if alley {
                     (
                         run_engine(&ctx, &Alley, &plain),
@@ -358,19 +239,7 @@ fn report_names_the_kernel() {
         },
         ..EngineConfig::gsword(500)
     }
-    .with_sanitize(SanitizerMode::FULL);
+    .with_sanitize(true);
     let rep = run_engine(&ctx, &Alley, &cfg).sanitizer.unwrap();
     assert_eq!(rep.kernel, "rsv_sample-sync+inherit+stream");
-}
-
-/// `SanitizerMode::parse` accepts the CLI surface forms.
-#[test]
-fn mode_parsing_round_trips() {
-    assert_eq!(SanitizerMode::parse("full").unwrap(), SanitizerMode::FULL);
-    assert_eq!(SanitizerMode::parse("off").unwrap(), SanitizerMode::OFF);
-    let sync_only = SanitizerMode::parse("sync").unwrap();
-    assert!(sync_only.synccheck && !sync_only.racecheck && !sync_only.initcheck);
-    let pair = SanitizerMode::parse("race,init").unwrap();
-    assert!(!pair.synccheck && pair.racecheck && pair.initcheck);
-    assert!(SanitizerMode::parse("bogus").is_err());
 }

@@ -11,7 +11,7 @@
 //!    violation, a silently wrong device-time estimate, an inexact
 //!    counter, or a deadlocked stream.
 //!
-//! Five of the analyzer's eight rules pair this way; DESIGN.md §10 holds
+//! Four of the analyzer's seven rules pair this way; DESIGN.md §10 holds
 //! the pairing table and names the tier-1 test behind the other three. This suite sits at the
 //! workspace root (outside the `crates/` tree the analyzer walks) so its
 //! own deliberately-misbehaving runtime calls are not self-flagged.
@@ -19,7 +19,7 @@
 use gsword_analyzer::Finding;
 use gsword_simt::{
     warp, DeviceConfig, DeviceModel, KernelCounters, LaunchHandle, Runtime, RuntimeConfig,
-    SamplePool, Sanitizer, SanitizerMode, ViolationKind, WARP_SIZE,
+    SamplePool, Sanitizer, ViolationKind, WARP_SIZE,
 };
 
 /// Analyze `src` under the path label `label` and assert the analyzer
@@ -59,13 +59,13 @@ fn divergent_sync_pairs_with_synccheck() {
         "divergent-sync",
     );
 
-    let sz = Sanitizer::new(SanitizerMode::FULL, "pair-sync");
+    let sz = Sanitizer::new("pair-sync");
     let ws = sz.warp(0, 0);
     let mut ctr = KernelCounters::default();
     ws.set_active(0x0000_FFFF);
     warp::ballot(&mut ctr, &ws, u32::MAX, &[false; WARP_SIZE]);
     let rep = sz.report();
-    assert_eq!(rep.count_for("synccheck"), 1, "{rep}");
+    assert_eq!(rep.violations.len(), 1, "{rep}");
     assert!(matches!(
         rep.violations[0].kind,
         ViolationKind::SyncMaskMismatch {
@@ -73,38 +73,6 @@ fn divergent_sync_pairs_with_synccheck() {
             active: 0x0000_FFFF,
             ..
         }
-    ));
-}
-
-// ---------------------------------------------------------------------------
-// pool-race  <->  racecheck
-// ---------------------------------------------------------------------------
-
-/// Static: an atomic pool fetch followed by an unsynchronized cursor read
-/// with no barrier between them. Dynamic: another warp's plain read of the
-/// cursor races the atomic increment and racecheck reports it.
-#[test]
-fn pool_race_pairs_with_racecheck() {
-    assert_single_finding(
-        "kernel.rs",
-        "pub fn drain_and_peek(pool: &SamplePool, san: &WarpSanitizer) -> u64 {
-            let _task = pool.fetch_sanitized(san);
-            pool.read_cursor_unsync(san)
-        }",
-        "pool-race",
-    );
-
-    let sz = Sanitizer::new(SanitizerMode::FULL, "pair-race");
-    let pool = SamplePool::new(64);
-    let w0 = sz.warp(0, 0);
-    let w1 = sz.warp(0, 1);
-    assert!(pool.fetch_sanitized(&w0).is_some());
-    pool.read_cursor_unsync(&w1); // plain read races warp 0's atomic write
-    let rep = sz.report();
-    assert!(rep.count_for("racecheck") >= 1, "{rep}");
-    assert!(matches!(
-        rep.violations[0].kind,
-        ViolationKind::ReadWriteRace { .. }
     ));
 }
 

@@ -19,20 +19,18 @@
 //!
 //! The work is ragged: lanes with no leftover candidates, steps where a
 //! lane or every lane probes nothing, and records for lanes past
-//! `WARP_SIZE`, which every schedule ignores. A sanitized leg checks that
-//! the lane-major replay reports what the per-access loop does. Property
-//! tests pin the sort-free distinct-line count under the charge, and
+//! `WARP_SIZE`, which every schedule ignores. Property tests pin the
+//! sort-free distinct-line count under the charge, and
 //! `warp_load_runs`' one-pass charge (sorted, merged runs) against the
 //! per-round charge over random runs.
 
 use std::ops::Range;
 
-use gsword_sanitizer::{Sanitizer, SanitizerMode, SanitizerReport};
 use gsword_simt::memory::{
     distinct_lines, warp_load, warp_load_rounds, warp_load_runs, warp_load_steps, LaneAddr, Region,
     LINE_WORDS,
 };
-use gsword_simt::warp::{Lanes, WarpSanitizer, WARP_SIZE};
+use gsword_simt::warp::{Lanes, WARP_SIZE};
 use gsword_simt::KernelCounters;
 use proptest::prelude::*;
 
@@ -91,7 +89,7 @@ fn step_probes(step: usize) -> Vec<Vec<usize>> {
 }
 
 /// The per-step loop: candidate load, then probes, step by step.
-fn interleaved(ctr: &mut KernelCounters, san: &WarpSanitizer) -> u64 {
+fn interleaved(ctr: &mut KernelCounters) -> u64 {
     let mut tx = 0;
     for step in 0..steps() {
         let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
@@ -100,34 +98,34 @@ fn interleaved(ctr: &mut KernelCounters, san: &WarpSanitizer) -> u64 {
                 *addr = Some((Region::LOCAL, run_start(lane) + step));
             }
         }
-        tx += warp_load(ctr, san, &addrs);
-        tx += warp_load_rounds(ctr, san, Region::LOCAL, &step_probes(step));
+        tx += warp_load(ctr, &addrs);
+        tx += warp_load_rounds(ctr, &step_probes(step));
     }
     tx
 }
 
 /// Candidate loads as lockstep rounds over the tails, then per-step
 /// probes.
-fn hoisted(ctr: &mut KernelCounters, san: &WarpSanitizer) -> u64 {
+fn hoisted(ctr: &mut KernelCounters) -> u64 {
     let tails: Vec<Vec<usize>> = (0..LANES)
         .map(|lane| (0..tail_len(lane)).map(|r| run_start(lane) + r).collect())
         .collect();
-    let mut tx = warp_load_rounds(ctr, san, Region::LOCAL, &tails);
+    let mut tx = warp_load_rounds(ctr, &tails);
     for step in 0..steps() {
-        tx += warp_load_rounds(ctr, san, Region::LOCAL, &step_probes(step));
+        tx += warp_load_rounds(ctr, &step_probes(step));
     }
     tx
 }
 
 /// The hoisted order issued one `warp_load` per round: the per-access
 /// loop the batched calls stand for.
-fn per_access(ctr: &mut KernelCounters, san: &WarpSanitizer) -> u64 {
+fn per_access(ctr: &mut KernelCounters) -> u64 {
     let round = |ctr: &mut KernelCounters, offs: &dyn Fn(usize) -> Option<usize>| {
         let mut addrs: Lanes<LaneAddr> = [None; WARP_SIZE];
         for (lane, addr) in addrs.iter_mut().enumerate() {
             *addr = offs(lane).map(|off| (Region::LOCAL, off));
         }
-        warp_load(ctr, san, &addrs)
+        warp_load(ctr, &addrs)
     };
     let mut tx = 0;
     for r in 0..steps() {
@@ -146,7 +144,7 @@ fn per_access(ctr: &mut KernelCounters, san: &WarpSanitizer) -> u64 {
 }
 
 /// Each lane's whole scan recorded at once, then replayed.
-fn lane_major(ctr: &mut KernelCounters, san: &WarpSanitizer) -> u64 {
+fn lane_major(ctr: &mut KernelCounters) -> u64 {
     let runs: Vec<Range<usize>> = (0..LANES)
         .map(|lane| run_start(lane)..run_start(lane) + tail_len(lane))
         .collect();
@@ -159,15 +157,14 @@ fn lane_major(ctr: &mut KernelCounters, san: &WarpSanitizer) -> u64 {
             offs[lane].extend(probes);
         }
     }
-    warp_load_runs(ctr, san, Region::LOCAL, &runs)
-        + warp_load_steps(ctr, san, Region::LOCAL, &offs, &counts)
+    warp_load_runs(ctr, &runs) + warp_load_steps(ctr, &offs, &counts)
 }
 
-type Replay = fn(&mut KernelCounters, &WarpSanitizer) -> u64;
+type Replay = fn(&mut KernelCounters) -> u64;
 
 fn charge(replay: Replay) -> (u64, KernelCounters) {
     let mut ctr = KernelCounters::default();
-    let tx = replay(&mut ctr, &WarpSanitizer::disabled());
+    let tx = replay(&mut ctr);
     (tx, ctr)
 }
 
@@ -188,46 +185,17 @@ fn lane_major_replay_equals_the_per_step_loop() {
     }
 }
 
-/// Under the full sanitizer the lane-major replay reports what the
-/// per-access loop reports. Warp 1 writes words `0..600` in the same
-/// epoch, so the candidate reads there race; the probes read words never
-/// written.
-#[test]
-fn lane_major_replay_reports_what_the_per_access_loop_does() {
-    let sanitized = |replay: Replay| -> (u64, KernelCounters, SanitizerReport) {
-        let sz = Sanitizer::new(SanitizerMode::FULL, "lane-major");
-        sz.region_alloc(Region::LOCAL.space(), 8192);
-        let writer = sz.warp(0, 1);
-        for off in 0..600 {
-            writer.mem_write(Region::LOCAL.space(), off);
-        }
-        let mut ctr = KernelCounters::default();
-        let tx = replay(&mut ctr, &sz.warp(0, 0));
-        (tx, ctr, sz.report())
-    };
-    let want = sanitized(per_access);
-    assert!(want.2.count_for("initcheck") > 0 && want.2.count_for("racecheck") > 0);
-    assert_eq!(sanitized(lane_major), want);
-}
-
 /// Empty records charge nothing, not even an instruction: no lanes,
 /// zero-length runs, and steps in which no lane issues an access.
 #[test]
 fn empty_records_charge_nothing() {
-    let san = WarpSanitizer::disabled();
     let mut ctr = KernelCounters::default();
-    assert_eq!(warp_load_runs(&mut ctr, &san, Region::LOCAL, &[]), 0);
-    assert_eq!(
-        warp_load_runs(&mut ctr, &san, Region::LOCAL, &[5..5, 9..9]),
-        0
-    );
-    assert_eq!(warp_load_steps(&mut ctr, &san, Region::LOCAL, &[], &[]), 0);
+    assert_eq!(warp_load_runs(&mut ctr, &[]), 0);
+    assert_eq!(warp_load_runs(&mut ctr, &[5..5, 9..9]), 0);
+    assert_eq!(warp_load_steps(&mut ctr, &[], &[]), 0);
     let offs = vec![Vec::new(); WARP_SIZE];
     let counts = vec![vec![0u32; 3]; WARP_SIZE];
-    assert_eq!(
-        warp_load_steps(&mut ctr, &san, Region::LOCAL, &offs, &counts),
-        0
-    );
+    assert_eq!(warp_load_steps(&mut ctr, &offs, &counts), 0);
     assert_eq!(ctr, KernelCounters::default());
 }
 
@@ -269,8 +237,8 @@ proptest! {
     }
 
     /// The one-pass run charge equals the per-round charge over the
-    /// materialized runs: return value, counters with the transaction
-    /// histogram, and under the full sanitizer the report. The runs mix
+    /// materialized runs: return value and counters with the transaction
+    /// histogram. The runs mix
     /// copies of earlier lanes' runs (as inheritance makes), runs sharing an
     /// earlier lane's start with another length, empty runs, runs starting
     /// just below a line boundary, and lanes past `WARP_SIZE`.
@@ -306,29 +274,11 @@ proptest! {
         let materialized: Vec<Vec<usize>> = runs.iter().map(|run| run.clone().collect()).collect();
 
         let mut want = KernelCounters::default();
-        let want_tx =
-            warp_load_rounds(&mut want, &WarpSanitizer::disabled(), Region::LOCAL, &materialized);
+        let want_tx = warp_load_rounds(&mut want, &materialized);
         let mut got = KernelCounters::default();
-        let tx = warp_load_runs(&mut got, &WarpSanitizer::disabled(), Region::LOCAL, &runs);
+        let tx = warp_load_runs(&mut got, &runs);
         prop_assert_eq!(tx, want_tx);
         prop_assert_eq!(got.tx_histogram, want.tx_histogram);
-        prop_assert_eq!(got, want);
-
-        // Sanitized: warp 1 writes the first 100 words in the same epoch,
-        // so reads there race, and reads past them hit unwritten words.
-        let sanitized = |replay: &dyn Fn(&mut KernelCounters, &WarpSanitizer) -> u64| {
-            let sz = Sanitizer::new(SanitizerMode::FULL, "runs");
-            sz.region_alloc(Region::LOCAL.space(), 512);
-            let writer = sz.warp(0, 1);
-            for off in 0..100 {
-                writer.mem_write(Region::LOCAL.space(), off);
-            }
-            let mut ctr = KernelCounters::default();
-            let tx = replay(&mut ctr, &sz.warp(0, 0));
-            (tx, ctr, sz.report())
-        };
-        let want = sanitized(&|c, ws| warp_load_rounds(c, ws, Region::LOCAL, &materialized));
-        let got = sanitized(&|c, ws| warp_load_runs(c, ws, Region::LOCAL, &runs));
         prop_assert_eq!(got, want);
     }
 }

@@ -27,7 +27,7 @@ fn run_with_workers(
         .num_devices(devices)
         .streams_per_device(streams)
         .sim_workers(workers)
-        .sanitize(SanitizerMode::FULL)
+        .sanitize(true)
         .run()
         .expect("estimate runs")
 }
